@@ -3,9 +3,10 @@
 The package has three layers:
 
   * an exact symbolic kernel (`circle`, `algebra`, `multifraction`): circle
-    points with the linking form, the swapping bracket on pair monomials,
-    and the balanced-fraction world of cross fractions, multi fractions,
-    elementary functions and length functions;
+    points with the linking form, Laurent polynomials in pair generators
+    with the swapping bracket, and the balanced fractions among them:
+    cross fractions, multi fractions, elementary functions and length
+    functions;
   * a matrix backend (`representation`): eigenvector evaluation of balanced
     fractions, periods and widths, trace asymptotics, rank tests, and the
     half-plane cross-check of the length-function bracket;

@@ -1,11 +1,18 @@
-"""The free commutative algebra on ordered pairs of circle points.
+"""Laurent polynomials in ordered pairs of circle points.
 
 Generators are ordered pairs Xx of points of one configuration, subject to
 the single relation Xx = 0 whenever X = x.  Elements are finite sums of
-monomials (multisets of pairs) with exact rational coefficients, kept in a
-canonical normal form: pairs inside a monomial are sorted by (left position,
-right position), monomial coefficients are nonzero, and zero is the empty
-sum.  Equality is therefore syntactic.
+Laurent monomials (generator pairs with nonzero integer exponents) with
+exact rational coefficients, kept in a canonical normal form: pairs inside
+a monomial are sorted by (left position, right position), coefficients are
+nonzero, and zero is the empty sum.  Equality is therefore syntactic.
+
+Polynomials are the elements without negative exponents.  Every other
+element is a reduced fraction: a polynomial numerator over the monomial
+denominator that carries the negative exponents.  Cross fractions, multi
+fractions, elementary functions and their brackets all have this form, so
+one class covers them; `numerator`, `denominator` and `scale` are views of
+the fraction, and elements print as ``NUM / DEN``.
 
 The swapping bracket of two generators is
 
@@ -23,15 +30,16 @@ bracket computations may be partitioned and merged freely.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .circle import CirclePoint, PointConfig, ensure_same_config, linking_number
-from .errors import ConfigMismatchError, SwapAlgError
+from .errors import ConfigMismatchError, EvaluationError, SwapAlgError
 
 
 class GeneratorPair:
     """An ordered pair of distinct circle points; one algebra generator."""
 
-    __slots__ = ("left", "right")
+    __slots__ = ("left", "right", "key", "_hash")
 
     def __init__(self, left: CirclePoint, right: CirclePoint):
         if left == right:
@@ -39,57 +47,94 @@ class GeneratorPair:
         ensure_same_config(left, right)
         self.left = left
         self.right = right
-
-    @property
-    def key(self):
-        return (self.left.position, self.right.position)
+        self.key = (left.position, right.position)
+        self._hash = hash((hash(left), hash(right)))
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, GeneratorPair)
             and self.left == other.left
             and self.right == other.right
         )
 
     def __hash__(self):
-        return hash((hash(self.left), hash(self.right)))
+        return self._hash
 
     def __repr__(self):
         return f"[{self.left.label} {self.right.label}]"
 
 
-class Monomial:
-    """A multiset of generator pairs, stored sorted for syntactic equality."""
+def _pair_key(power):
+    return power[0].key
 
-    __slots__ = ("pairs",)
+
+class Monomial:
+    """A Laurent monomial: generator pairs with nonzero integer exponents.
+
+    `powers` is the tuple of (pair, exponent), sorted by pair key.
+    `Monomial(pairs)` builds the polynomial monomial of a multiset of pairs.
+    """
+
+    __slots__ = ("powers", "_hash")
 
     def __init__(self, pairs=()):
-        self.pairs = tuple(sorted(pairs, key=lambda p: p.key))
+        exponents: dict[GeneratorPair, int] = {}
+        for p in pairs:
+            exponents[p] = exponents.get(p, 0) + 1
+        self._set(exponents)
+
+    def _set(self, exponents) -> "Monomial":
+        self.powers = tuple(
+            sorted(((p, e) for p, e in exponents.items() if e), key=_pair_key)
+        )
+        self._hash = hash(self.powers)
+        return self
+
+    @classmethod
+    def _from_exponents(cls, exponents) -> "Monomial":
+        return cls.__new__(cls)._set(exponents)
+
+    @property
+    def pairs(self) -> tuple[GeneratorPair, ...]:
+        """The pairs with multiplicity; only polynomial monomials have them."""
+        if any(e < 0 for _, e in self.powers):
+            raise SwapAlgError("monomial has negative exponents")
+        return tuple(p for p, e in self.powers for _ in range(e))
 
     @property
     def degree(self) -> int:
-        return len(self.pairs)
+        return sum(e for _, e in self.powers)
+
+    def _times(self, powers) -> "Monomial":
+        exponents = dict(self.powers)
+        for p, e in powers:
+            exponents[p] = exponents.get(p, 0) + e
+        return Monomial._from_exponents(exponents)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.pairs + other.pairs)
+        if not other.powers:
+            return self
+        if not self.powers:
+            return other
+        return self._times(other.powers)
 
-    def without(self, index: int) -> "Monomial":
-        """Cofactor monomial with the factor at `index` removed."""
-        return Monomial(self.pairs[:index] + self.pairs[index + 1 :])
+    def inverse(self) -> "Monomial":
+        return Monomial._from_exponents({p: -e for p, e in self.powers})
 
     def key(self):
         return tuple(p.key for p in self.pairs)
 
     def __eq__(self, other):
-        return isinstance(other, Monomial) and self.pairs == other.pairs
+        return self is other or (isinstance(other, Monomial) and self.powers == other.powers)
 
     def __hash__(self):
-        return hash(self.pairs)
+        return self._hash
 
     def __repr__(self):
-        if not self.pairs:
-            return "1"
-        return "*".join(repr(p) for p in self.pairs)
+        parts = []
+        for p, e in self.powers:
+            parts += [repr(p)] * e if e > 0 else [f"{p!r}^{e}"]
+        return "*".join(parts) or "1"
 
 
 ONE = Monomial()
@@ -103,8 +148,24 @@ def _coerce_scalar(value) -> Fraction:
     raise TypeError(f"expected an exact rational scalar, got {type(value).__name__}")
 
 
+def _canonical_order(term):
+    monomial = term[0]
+    return (monomial.degree, monomial.key())
+
+
+def _content(terms) -> Fraction:
+    """gcd of the coefficients, signed like the leading (first) term."""
+    num = 0
+    den = 1
+    for _, c in terms:
+        num = gcd(num, c.numerator)
+        den = den * c.denominator // gcd(den, c.denominator)
+    content = Fraction(num, den)
+    return -content if terms[0][1] < 0 else content
+
+
 class AlgebraElement:
-    """A finite rational combination of monomials over one configuration."""
+    """A finite rational combination of Laurent monomials over one configuration."""
 
     __slots__ = ("config", "_terms")
 
@@ -114,27 +175,51 @@ class AlgebraElement:
 
     # -- constructors -------------------------------------------------
 
-    @classmethod
-    def zero(cls, config: PointConfig) -> "AlgebraElement":
-        return cls(config, {})
+    @staticmethod
+    def zero(config: PointConfig) -> "AlgebraElement":
+        return AlgebraElement(config, {})
 
-    @classmethod
-    def one(cls, config: PointConfig) -> "AlgebraElement":
-        return cls(config, {ONE: Fraction(1)})
+    @staticmethod
+    def one(config: PointConfig) -> "AlgebraElement":
+        return AlgebraElement(config, {ONE: Fraction(1)})
 
-    @classmethod
-    def scalar(cls, config: PointConfig, value) -> "AlgebraElement":
-        return cls(config, {ONE: _coerce_scalar(value)})
+    @staticmethod
+    def scalar(config: PointConfig, value) -> "AlgebraElement":
+        return AlgebraElement(config, {ONE: _coerce_scalar(value)})
 
-    @classmethod
-    def from_monomial(cls, config, monomial: Monomial, coeff=Fraction(1)):
-        return cls(config, {monomial: _coerce_scalar(coeff)})
+    @staticmethod
+    def from_monomial(config, monomial: Monomial, coeff=Fraction(1)) -> "AlgebraElement":
+        return AlgebraElement(config, {monomial: _coerce_scalar(coeff)})
 
     # -- inspection ---------------------------------------------------
 
+    def _split(self):
+        """The reduced fraction: (numerator terms, denominator, content).
+
+        The denominator is the smallest monomial clearing every negative
+        exponent, so no pair divides it and all numerator monomials at
+        once.  Numerator terms come in canonical order, by (degree, pair
+        keys), with their coefficients; the content is their gcd, signed
+        like the leading term, and 0 for the zero element.
+        """
+        if not self._terms:
+            return [], ONE, Fraction(0)
+        lowest: dict[GeneratorPair, int] = {}
+        for m in self._terms:
+            for p, e in m.powers:
+                if e < lowest.get(p, 0):
+                    lowest[p] = e
+        denominator = Monomial._from_exponents({p: -e for p, e in lowest.items()})
+        terms = sorted(
+            ((m * denominator, c) for m, c in self._terms.items()), key=_canonical_order
+        )
+        return terms, denominator, _content(terms)
+
     def terms(self):
         """Terms in canonical order, as (monomial, coefficient) pairs."""
-        return sorted(self._terms.items(), key=lambda mc: (mc[0].degree, mc[0].key()))
+        terms, denominator, _ = self._split()
+        inverse = denominator.inverse()
+        return [(m * inverse, c) for m, c in terms]
 
     @property
     def is_zero(self) -> bool:
@@ -148,6 +233,24 @@ class AlgebraElement:
 
     def degrees(self) -> set[int]:
         return {m.degree for m in self._terms}
+
+    @property
+    def numerator(self) -> "AlgebraElement":
+        """The numerator of the reduced fraction, a polynomial of content one."""
+        terms, _, content = self._split()
+        return AlgebraElement(self.config, {m: c / content for m, c in terms})
+
+    @property
+    def denominator(self) -> Monomial:
+        return self._split()[1]
+
+    @property
+    def scale(self) -> Fraction:
+        """The content: self = scale * numerator / denominator."""
+        return self._split()[2]
+
+    def scaled_numerator(self) -> "AlgebraElement":
+        return AlgebraElement(self.config, dict(self._split()[0]))
 
     # -- ring operations ----------------------------------------------
 
@@ -163,7 +266,7 @@ class AlgebraElement:
         self._check(other)
         acc = dict(self._terms)
         for m, c in other._terms.items():
-            acc[m] = acc.get(m, Fraction(0)) + c
+            acc[m] = acc.get(m, 0) + c
         return AlgebraElement(self.config, acc)
 
     __radd__ = __add__
@@ -190,11 +293,27 @@ class AlgebraElement:
         for ma, ca in self._terms.items():
             for mb, cb in other._terms.items():
                 m = ma * mb
-                acc[m] = acc.get(m, Fraction(0)) + ca * cb
+                acc[m] = acc.get(m, 0) + ca * cb
         return AlgebraElement(self.config, acc)
 
     def __rmul__(self, other):
         return self * other
+
+    def inverse(self) -> "AlgebraElement":
+        """Reciprocal; defined for a single nonzero term."""
+        if self.is_zero:
+            raise ZeroDivisionError("zero has no inverse")
+        if len(self._terms) != 1:
+            raise SwapAlgError("only monomial fractions are invertible")
+        ((monomial, coeff),) = self._terms.items()
+        return AlgebraElement(self.config, {monomial.inverse(): 1 / coeff})
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self * (1 / Fraction(other))
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
+        return self * other.inverse()
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
@@ -212,14 +331,15 @@ class AlgebraElement:
         return self.config is other.config and self._terms == other._terms
 
     def __hash__(self):
-        return hash((id(self.config), tuple(sorted(self._terms.items(), key=lambda mc: mc[0].key()))))
+        return hash((id(self.config), frozenset(self._terms.items())))
 
     def __repr__(self):
         if self.is_zero:
             return "0"
+        terms, denominator, content = self._split()
         parts = []
-        for m, c in self.terms():
-            if m is ONE or m.degree == 0:
+        for m, c in terms:
+            if m.degree == 0:
                 parts.append(str(c))
             elif c == 1:
                 parts.append(repr(m))
@@ -227,8 +347,63 @@ class AlgebraElement:
                 parts.append(f"-{m!r}")
             else:
                 parts.append(f"{c} {m!r}")
-        out = " + ".join(parts)
-        return out.replace("+ -", "- ")
+        num = " + ".join(parts).replace("+ -", "- ")
+        if denominator.degree == 0:
+            return num
+        if len(terms) > 1 or content != 1:
+            num = f"({num})"
+        den = repr(denominator)
+        if denominator.degree > 1:
+            den = f"({den})"
+        return f"{num} / {den}"
+
+    # -- evaluation -------------------------------------------------------
+
+    def evaluate(self, pair_value) -> float:
+        """Numeric value given a map (left point, right point) -> number.
+
+        Only balanced elements are scale-free under the per-point scale
+        ambiguity of the backends, so unbalanced input is rejected.  The
+        value is scale * numerator / denominator, summed in canonical
+        order.
+        """
+        if not is_balanced(self):
+            raise EvaluationError("scale-dependent: fraction is not balanced")
+        if self.is_zero:
+            return 0.0
+        terms, denominator, content = self._split()
+        den = 1.0
+        for p in denominator.pairs:
+            den *= pair_value(p.left, p.right)
+        if den == 0.0:
+            raise EvaluationError("degenerate evaluation: denominator vanishes")
+        num = 0.0
+        for m, c in terms:
+            v = float(c / content)
+            for p in m.pairs:
+                v *= pair_value(p.left, p.right)
+            num += v
+        return float(content) * num / den
+
+
+def is_balanced(f: AlgebraElement) -> bool:
+    """True when every monomial has net exponent zero at each point, as a
+    left point and as a right point.
+
+    Equivalently, every numerator monomial carries the same multiset of
+    left points and of right points as the denominator.  Such elements are
+    exactly the ones whose numeric value is independent of the per-point
+    scale choices of an evaluation backend.  Zero counts as balanced.
+    """
+    for m in f._terms:
+        left: dict[CirclePoint, int] = {}
+        right: dict[CirclePoint, int] = {}
+        for p, e in m.powers:
+            left[p.left] = left.get(p.left, 0) + e
+            right[p.right] = right.get(p.right, 0) + e
+        if any(left.values()) or any(right.values()):
+            return False
+    return True
 
 
 def generator(X: CirclePoint, x: CirclePoint) -> AlgebraElement:
@@ -239,45 +414,54 @@ def generator(X: CirclePoint, x: CirclePoint) -> AlgebraElement:
     return AlgebraElement.from_monomial(config, Monomial((GeneratorPair(X, x),)))
 
 
-def _pair_product(points) -> Monomial | None:
-    """Monomial from (left, right) point pairs; None when some pair is zero."""
-    pairs = []
-    for left, right in points:
-        if left == right:
-            return None
-        pairs.append(GeneratorPair(left, right))
-    return Monomial(pairs)
-
-
 def swap_bracket(a: AlgebraElement, b: AlgebraElement, alpha=0) -> AlgebraElement:
-    """Swapping bracket {a, b}_alpha, extended by bilinearity and Leibniz."""
+    """Swapping bracket {a, b}_alpha, extended by bilinearity and Leibniz.
+
+    On Laurent monomials the Leibniz rule carries the exponents as weights:
+
+        {m1, m2} = sum over p in m1, q in m2 of  e_p f_q (m1/p)(m2/q) {p, q},
+
+    with e_p, f_q the exponents of p in m1 and of q in m2.  On fractions
+    built from cross fractions the result does not depend on alpha.
+    """
     if a.config is not b.config:
         raise ConfigMismatchError("elements over different configurations")
     alpha = _coerce_scalar(alpha)
-    config = a.config
     acc: dict[Monomial, Fraction] = {}
 
     def put(monomial, coeff):
-        acc[monomial] = acc.get(monomial, Fraction(0)) + coeff
+        acc[monomial] = acc.get(monomial, 0) + coeff
 
     for ma, ca in a._terms.items():
         for mb, cb in b._terms.items():
-            cab = ca * cb
-            for i, p in enumerate(ma.pairs):
-                rest_a = ma.without(i)
-                for j, q in enumerate(mb.pairs):
+            # {p, q} = lk (Xy.Yx + alpha p.q) for p = Xx, q = Yy: the swapped
+            # part replaces p.q by Xy.Yx in m1.m2, the alpha part keeps m1.m2
+            swaps = []
+            alpha_weight = 0
+            for p, e in ma.powers:
+                for q, f in mb.powers:
                     lk = linking_number(p.left, p.right, q.left, q.right)
                     if lk == 0:
                         continue
-                    rest = rest_a * mb.without(j)
-                    cross = _pair_product(
-                        ((p.left, q.right), (q.left, p.right))
-                    )
-                    if cross is not None:
-                        put(rest * cross, cab * lk)
-                    if alpha != 0:
-                        put(rest * Monomial((p, q)), cab * lk * alpha)
-    return AlgebraElement(config, acc)
+                    weight = e * f * lk
+                    alpha_weight += weight
+                    if p.left != q.right and q.left != p.right:
+                        change = (
+                            (GeneratorPair(p.left, q.right), 1),
+                            (GeneratorPair(q.left, p.right), 1),
+                            (p, -1),
+                            (q, -1),
+                        )
+                        swaps.append((change, weight))
+            if not swaps and not alpha_weight:
+                continue
+            product = ma * mb
+            cab = ca * cb
+            for change, weight in swaps:
+                put(product._times(change), cab * weight)
+            if alpha != 0:
+                put(product, cab * alpha_weight * alpha)
+    return AlgebraElement(a.config, acc)
 
 
 def jacobiator(a, b, c, alpha=0) -> AlgebraElement:

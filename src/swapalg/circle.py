@@ -49,22 +49,24 @@ class CirclePoint:
     the same position; labels are bookkeeping for parsing and printing.
     """
 
-    __slots__ = ("label", "position", "config")
+    __slots__ = ("label", "position", "config", "_hash")
 
     def __init__(self, label: str, position: Fraction, config: "PointConfig"):
         self.label = label
         self.position = position
         self.config = config
+        # hashing a Fraction is slow, and points are hashed in every bracket
+        self._hash = hash((id(config), position))
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, CirclePoint)
             and self.config is other.config
             and self.position == other.position
         )
 
     def __hash__(self):
-        return hash((id(self.config), self.position))
+        return self._hash
 
     def __repr__(self):
         return f"CirclePoint({self.label!r}, {self.position})"

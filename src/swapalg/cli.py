@@ -22,9 +22,9 @@ import argparse
 import sys
 from fractions import Fraction
 
+from .algebra import jacobiator, swap_bracket
 from .circle import PointConfig
 from .errors import ParseError, SwapAlgError
-from .multifraction import BalancedFraction
 from .opers import (
     OperSpec,
     coordinate_function,
@@ -39,7 +39,10 @@ from .verify import SUITES, run_suite
 
 
 def _fraction_arg(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from None
 
 
 def _build_arg_parser() -> argparse.ArgumentParser:
@@ -123,28 +126,16 @@ def _fixed_point_arg(rep: Representation, text: str):
 
 
 def _cmd_bracket(args) -> int:
-    from .algebra import AlgebraElement, swap_bracket
-    from .multifraction import fraction_bracket
-
     config = _load_points(args.points)
     first = parse_expression(args.first, config)
     second = parse_expression(args.second, config)
-    if isinstance(first, BalancedFraction) or isinstance(second, BalancedFraction):
-        if isinstance(first, AlgebraElement):
-            first = BalancedFraction.from_element(first)
-        if isinstance(second, AlgebraElement):
-            second = BalancedFraction.from_element(second)
-        result = fraction_bracket(first, second, args.alpha)
-    else:
-        result = swap_bracket(first, second, args.alpha)
+    result = swap_bracket(first, second, args.alpha)
     print(f"alpha={args.alpha}")
     print(result)
     return 0
 
 
 def _cmd_jacobi(args) -> int:
-    from .algebra import jacobiator
-
     config = _load_points(args.points)
     elements = [parse_expression(text, config) for text in args.expressions]
     result = jacobiator(*elements, args.alpha)
@@ -174,8 +165,6 @@ def _cmd_eval(args) -> int:
     rep = Representation.from_file(args.rep)
     for text in args.expressions:
         value = parse_expression(text, universe=rep)
-        if not isinstance(value, BalancedFraction):
-            value = BalancedFraction.from_element(value)
         print(f"{text} = {rep.eval_fraction(value):.12g}")
     return 0
 

@@ -1,19 +1,13 @@
 """Fractions with monomial denominators: cross and multi fractions.
 
-The fraction field of the pair algebra is never needed in full here; every
-object of interest (cross fractions, multi fractions, elementary functions,
-and their brackets) is a polynomial numerator over a coefficient-one
-monomial denominator.  Restricting denominators to monomials keeps the
-canonical reduced form cheap and decidable:
-
-  * cancel every generator pair that divides the denominator and all
-    numerator monomials simultaneously,
-  * pull out the numerator content so the remaining coefficients are
-    coprime integers with positive leading sign; the content is kept as a
-    separate rational scale.
-
-Two reduced fractions are equal exactly when cross-multiplication gives
-equal elements, which for this normal form is syntactic equality.
+Every object of interest here (cross fractions, multi fractions,
+elementary functions, and their brackets) is a polynomial numerator over a
+coefficient-one monomial denominator, that is, a Laurent polynomial in the
+pair generators.  They are ordinary `AlgebraElement` values, compared
+syntactically and bracketed by `swap_bracket`.  `BalancedFraction` builds
+one from a numerator, a denominator monomial and a scale; the reduced form
+(common pairs cancelled, content pulled out as the scale and signed like
+the leading numerator term) is a view of every element.
 
 A *cross fraction* is [X; Y; x; y] = Xx.Yy / (Yx.Xy), and a *multi
 fraction* is a ratio prod X_i x_{sigma(i)} / prod X_i x_i for a permutation
@@ -31,7 +25,6 @@ consumes their cyclic order.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .algebra import (
     ONE,
@@ -39,68 +32,30 @@ from .algebra import (
     GeneratorPair,
     Monomial,
     generator,
+    is_balanced,  # re-exported: a property of fractions
     swap_bracket,
 )
 from .circle import CirclePoint, PointConfig, ensure_same_config, linking_number
-from .errors import (
-    ConfigMismatchError,
-    DegenerateFractionError,
-    EvaluationError,
-    SwapAlgError,
-)
+from .errors import DegenerateFractionError, SwapAlgError
 from .words import Word, cyclic_root, invert_word, parse_word, word_text
 
 
-def _content(terms) -> Fraction:
-    """gcd of the coefficients, signed like the leading (first) monomial."""
-    num = 0
-    den = 1
-    for _, c in terms:
-        num = gcd(num, c.numerator)
-        den = den * c.denominator // gcd(den, c.denominator)
-    content = Fraction(num, den)
-    lead = min(terms, key=lambda mc: (mc[0].degree, mc[0].key()))[1]
-    return -content if lead < 0 else content
+class BalancedFraction(AlgebraElement):
+    """The element scale * numerator / denominator.
 
-
-class BalancedFraction:
-    """A reduced fraction scale * numerator / denominator.
-
-    `numerator` is a content-one element, `denominator` a coefficient-one
-    monomial, `scale` a rational.  The zero fraction has scale 0.
+    A constructor only: the value is an ordinary Laurent element, and its
+    reduced numerator, denominator and scale are views of every element.
     """
 
-    __slots__ = ("config", "numerator", "denominator", "scale")
+    __slots__ = ()
 
-    def __init__(self, numerator: AlgebraElement, denominator: Monomial = ONE, scale=Fraction(1)):
-        config = numerator.config
+    def __init__(self, numerator: AlgebraElement, denominator: Monomial = ONE, scale=1):
+        inverse = denominator.inverse()
         scale = Fraction(scale)
-        if numerator.is_zero or scale == 0:
-            self.config = config
-            self.numerator = AlgebraElement.zero(config)
-            self.denominator = ONE
-            self.scale = Fraction(0)
-            return
-        num_terms = dict(numerator._terms)
-        den_pairs = list(denominator.pairs)
-        # cancel pairs dividing the denominator and every numerator monomial
-        for pair in set(den_pairs):
-            k_den = den_pairs.count(pair)
-            k_num = min(m.pairs.count(pair) for m in num_terms)
-            k = min(k_den, k_num)
-            for _ in range(k):
-                den_pairs.remove(pair)
-                num_terms = {
-                    _remove_factor(m, pair): c for m, c in num_terms.items()
-                }
-        terms = sorted(num_terms.items(), key=lambda mc: (mc[0].degree, mc[0].key()))
-        content = _content(terms)
-        self.config = config
-        self.numerator = AlgebraElement(config, {m: c / content for m, c in terms})
-        self.denominator = Monomial(den_pairs)
-        self.scale = scale * content
-
-    # -- constructors ---------------------------------------------------
+        super().__init__(
+            numerator.config,
+            {m * inverse: c * scale for m, c in numerator._terms.items()},
+        )
 
     @classmethod
     def zero(cls, config: PointConfig) -> "BalancedFraction":
@@ -112,175 +67,11 @@ class BalancedFraction:
 
     @classmethod
     def from_scalar(cls, config: PointConfig, value) -> "BalancedFraction":
-        return cls(AlgebraElement.one(config), ONE, Fraction(value))
+        return cls(AlgebraElement.one(config), ONE, value)
 
     @classmethod
     def from_element(cls, element: AlgebraElement) -> "BalancedFraction":
         return cls(element)
-
-    # -- structure ------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return self.scale == 0
-
-    def scaled_numerator(self) -> AlgebraElement:
-        return self.numerator * self.scale
-
-    def as_element(self) -> AlgebraElement:
-        """The fraction as a plain element; requires a trivial denominator."""
-        if self.denominator.degree != 0:
-            raise SwapAlgError("fraction has a nontrivial denominator")
-        return self.scaled_numerator()
-
-    def _check(self, other: "BalancedFraction"):
-        if self.config is not other.config:
-            raise ConfigMismatchError("fractions over different configurations")
-
-    # -- arithmetic -------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = BalancedFraction.from_scalar(self.config, other)
-        self._check(other)
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        lcm = _monomial_lcm(self.denominator, other.denominator)
-        lift_a = _monomial_quotient(lcm, self.denominator)
-        lift_b = _monomial_quotient(lcm, other.denominator)
-        numer = (
-            self.scaled_numerator() * AlgebraElement.from_monomial(self.config, lift_a)
-            + other.scaled_numerator() * AlgebraElement.from_monomial(self.config, lift_b)
-        )
-        return BalancedFraction(numer, lcm)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BalancedFraction(self.numerator, self.denominator, -self.scale)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = BalancedFraction.from_scalar(self.config, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return BalancedFraction(self.numerator, self.denominator, self.scale * other)
-        self._check(other)
-        return BalancedFraction(
-            self.numerator * other.numerator,
-            self.denominator * other.denominator,
-            self.scale * other.scale,
-        )
-
-    def __rmul__(self, other):
-        return self * other
-
-    def inverse(self) -> "BalancedFraction":
-        """Reciprocal; defined when the numerator is a single monomial."""
-        if self.is_zero:
-            raise ZeroDivisionError("zero fraction has no inverse")
-        terms = self.numerator.terms()
-        if len(terms) != 1:
-            raise SwapAlgError("only monomial fractions are invertible")
-        monomial, coeff = terms[0]
-        numer = AlgebraElement.from_monomial(self.config, self.denominator)
-        return BalancedFraction(numer, monomial, 1 / (self.scale * coeff))
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return BalancedFraction(
-                self.numerator, self.denominator, self.scale / Fraction(other)
-            )
-        return self * other.inverse()
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        out = BalancedFraction.one(self.config)
-        for _ in range(exponent):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = BalancedFraction.from_scalar(self.config, other)
-        elif isinstance(other, AlgebraElement):
-            other = BalancedFraction.from_element(other)
-        if not isinstance(other, BalancedFraction):
-            return NotImplemented
-        return (
-            self.config is other.config
-            and self.scale == other.scale
-            and self.denominator == other.denominator
-            and self.numerator == other.numerator
-        )
-
-    def __hash__(self):
-        return hash((self.scale, self.denominator, self.numerator))
-
-    def __repr__(self):
-        num = repr(self.scaled_numerator())
-        if self.denominator.degree == 0:
-            return num
-        if len(self.numerator.terms()) > 1 or self.scale != 1:
-            num = f"({num})"
-        den = repr(self.denominator)
-        if self.denominator.degree > 1:
-            den = f"({den})"
-        return f"{num} / {den}"
-
-    # -- evaluation -------------------------------------------------------
-
-    def evaluate(self, pair_value) -> float:
-        """Numeric value given a map (left point, right point) -> number.
-
-        Only balanced fractions are scale-free under the per-point scale
-        ambiguity of the backends, so unbalanced input is rejected.
-        """
-        if not is_balanced(self):
-            raise EvaluationError("scale-dependent: fraction is not balanced")
-        if self.is_zero:
-            return 0.0
-        den = 1.0
-        for p in self.denominator.pairs:
-            den *= pair_value(p.left, p.right)
-        if den == 0.0:
-            raise EvaluationError("degenerate evaluation: denominator vanishes")
-        num = 0.0
-        for m, c in self.numerator.terms():
-            v = float(c)
-            for p in m.pairs:
-                v *= pair_value(p.left, p.right)
-            num += v
-        return float(self.scale) * num / den
-
-
-def _remove_factor(monomial: Monomial, pair: GeneratorPair) -> Monomial:
-    pairs = list(monomial.pairs)
-    pairs.remove(pair)
-    return Monomial(pairs)
-
-
-def _monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    pairs = list(a.pairs)
-    for pair in set(b.pairs):
-        extra = b.pairs.count(pair) - pairs.count(pair)
-        pairs.extend([pair] * max(extra, 0))
-    return Monomial(pairs)
-
-
-def _monomial_quotient(a: Monomial, b: Monomial) -> Monomial:
-    pairs = list(a.pairs)
-    for pair in b.pairs:
-        pairs.remove(pair)
-    return Monomial(pairs)
 
 
 # -- cross and multi fractions ---------------------------------------------
@@ -321,53 +112,9 @@ def multi_fraction(X, x, sigma) -> BalancedFraction:
     return BalancedFraction(numer, denom)
 
 
-def is_balanced(f: BalancedFraction) -> bool:
-    """True when every numerator monomial carries the same multiset of left
-    points and of right points as the denominator.
-
-    Such fractions are exactly the ones whose numeric value is independent
-    of the per-point scale choices of an evaluation backend.  The zero
-    fraction counts as balanced.
-    """
-    if f.is_zero:
-        return True
-    den_left = sorted(p.left.position for p in f.denominator.pairs)
-    den_right = sorted(p.right.position for p in f.denominator.pairs)
-    for m in f.numerator.monomials():
-        if sorted(p.left.position for p in m.pairs) != den_left:
-            return False
-        if sorted(p.right.position for p in m.pairs) != den_right:
-            return False
-    return True
-
-
-def fraction_bracket(f: BalancedFraction, g: BalancedFraction, alpha=0) -> BalancedFraction:
-    """Swapping bracket extended to fractions by the quotient rule.
-
-    With f = n1/d1 and g = n2/d2 (scales folded into the numerators):
-
-        {f, g} = ( d1.d2.{n1,n2} - n1.d2.{d1,n2} - n2.d1.{n1,d2}
-                   + n1.n2.{d1,d2} ) / (d1^2 d2^2).
-
-    On fractions built from cross fractions the result does not depend on
-    alpha.
-    """
-    f._check(g)
-    if f.is_zero or g.is_zero:
-        return BalancedFraction.zero(f.config)
-    config = f.config
-    n1 = f.scaled_numerator()
-    n2 = g.scaled_numerator()
-    d1 = AlgebraElement.from_monomial(config, f.denominator)
-    d2 = AlgebraElement.from_monomial(config, g.denominator)
-    numer = (
-        d1 * d2 * swap_bracket(n1, n2, alpha)
-        - n1 * d2 * swap_bracket(d1, n2, alpha)
-        - n2 * d1 * swap_bracket(n1, d2, alpha)
-        + n1 * n2 * swap_bracket(d1, d2, alpha)
-    )
-    denom = f.denominator * f.denominator * g.denominator * g.denominator
-    return BalancedFraction(numer, denom)
+# The bracket acts on Laurent monomials directly, so fractions need no
+# quotient rule.
+fraction_bracket = swap_bracket
 
 
 # -- fixed points of group words --------------------------------------------
@@ -452,7 +199,7 @@ def elementary(universe, words) -> BalancedFraction:
     return BalancedFraction(numer, Monomial(denom_pairs))
 
 
-def elementary_bracket_closed_form(universe, gwords, hwords, require_coprime=True) -> BalancedFraction:
+def elementary_bracket_closed_form(universe, gwords, hwords, require_coprime=True) -> AlgebraElement:
     """Closed form for the bracket of two elementary functions.
 
     With a_{ij} = [g_i+ g_i-, h_j+ h_j-], b_{ij} = [g_{i+1}+ g_i-, h_{j+1}+ h_j-],
@@ -487,7 +234,7 @@ def elementary_bracket_closed_form(universe, gwords, hwords, require_coprime=Tru
     gw = list(gwords)
     hw = list(hwords)
     lk = linking_number
-    total = BalancedFraction.zero(config)
+    total = AlgebraElement.zero(config)
     for i in range(p):
         gi_p, gi_m = g_pts[i]
         gn_p, _ = g_pts[(i + 1) % p]
@@ -524,7 +271,7 @@ def elementary_bracket_closed_form(universe, gwords, hwords, require_coprime=Tru
     return total * elementary(universe, gwords) * elementary(universe, hwords)
 
 
-def birelem_identity(universe, a, b, c, d) -> tuple[BalancedFraction, BalancedFraction]:
+def birelem_identity(universe, a, b, c, d) -> tuple[AlgebraElement, BalancedFraction]:
     """Both sides of  T(a,b,c) T(c,d) / (T(a,d,c) T(c,b)) = [b+; d+; a-; c-].
 
     The two reduced fractions are equal whenever the divisions on the left
@@ -543,7 +290,7 @@ def birelem_identity(universe, a, b, c, d) -> tuple[BalancedFraction, BalancedFr
     return lhs, rhs
 
 
-def wolpert_rhs(universe, gamma, eta) -> BalancedFraction:
+def wolpert_rhs(universe, gamma, eta) -> AlgebraElement:
     """[g+ g-, h+ h-] . sum_{v,v' = +-1} v v' T(g^v, h^v').
 
     The alternating four-term sum of order-two elementary functions, scaled
@@ -562,8 +309,8 @@ def wolpert_rhs(universe, gamma, eta) -> BalancedFraction:
     lk = linking_number(g_plus, g_minus, h_plus, h_minus)
     config = g_plus.config
     if lk == 0:
-        return BalancedFraction.zero(config)
-    total = BalancedFraction.zero(config)
+        return AlgebraElement.zero(config)
+    total = AlgebraElement.zero(config)
     for v, gw in ((1, gamma), (-1, invert_word(gamma))):
         for vp, hw in ((1, eta), (-1, invert_word(eta))):
             total = total + (v * vp) * elementary(universe, (gw, hw))
@@ -602,12 +349,12 @@ def length_cross_fraction(universe, beta, y: CirclePoint) -> LengthSeries:
     return LengthSeries(beta, y, BalancedFraction(numer, denom))
 
 
-def length_bracket(series: LengthSeries, q: BalancedFraction, alpha=0) -> BalancedFraction:
+def length_bracket(series: LengthSeries, q: AlgebraElement, alpha=0) -> AlgebraElement:
     """{log p, q} = {p, q} / p."""
     return fraction_bracket(series.fraction, q, alpha) / series.fraction
 
 
-def length_length_bracket(s1: LengthSeries, s2: LengthSeries, alpha=0) -> BalancedFraction:
+def length_length_bracket(s1: LengthSeries, s2: LengthSeries, alpha=0) -> AlgebraElement:
     """{log p1, log p2} = {p1, p2} / (p1 p2)."""
     return fraction_bracket(s1.fraction, s2.fraction, alpha) / (
         s1.fraction * s2.fraction

@@ -14,8 +14,10 @@ Grammar (whitespace insignificant, juxtaposition multiplies):
 
 Point labels resolve in a point configuration; labels may end in '+' or '-'
 (fixed points registered by a representation).  Word arguments need a word
-context (a representation or a symbolic fixed-point table).  Fractions
-print as ``NUM / DEN`` and canonical forms round-trip through the parser.
+context (a representation or a symbolic fixed-point table).  Every value is
+one Laurent element; ``/`` divides by any element with a single term.
+Elements with a denominator print as ``NUM / DEN``, and canonical forms
+round-trip through the parser.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .algebra import AlgebraElement, generator
 from .circle import PointConfig
 from .errors import ParseError, SwapAlgError
 from .multifraction import (
-    BalancedFraction,
     cross_fraction,
     elementary,
     length_cross_fraction,
@@ -73,7 +74,11 @@ def _tokenize(text: str) -> list[_Token]:
             if "\n" in m.group():
                 line_start = m.end() - len(m.group().rsplit("\n", 1)[1])
         elif m.lastgroup == "num":
-            tokens.append(_Token("num", Fraction(m.group()), line, pos - line_start + 1))
+            try:
+                value = Fraction(m.group())
+            except ZeroDivisionError:
+                raise ParseError("division by zero", line, pos - line_start + 1) from None
+            tokens.append(_Token("num", value, line, pos - line_start + 1))
         elif m.lastgroup == "ident":
             tokens.append(_Token("ident", m.group(), line, pos - line_start + 1))
         else:
@@ -115,67 +120,49 @@ class _Parser:
             message = message.replace("None", "end of input")
         raise ParseError(message, self.current.line, self.current.column)
 
-    # -- value coercion ---------------------------------------------------
-
-    def _to_fraction(self, value) -> BalancedFraction:
-        if isinstance(value, BalancedFraction):
-            return value
-        if isinstance(value, AlgebraElement):
-            return BalancedFraction.from_element(value)
-        return BalancedFraction.from_scalar(self.config, value)
-
-    def _combine(self, op, a, b):
-        fractional = isinstance(a, BalancedFraction) or isinstance(b, BalancedFraction)
-        if op == "/":
-            fractional = True
-        if fractional:
-            a = self._to_fraction(a)
-            b = self._to_fraction(b)
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        return a / b
-
     # -- grammar ------------------------------------------------------------
 
-    def parse(self):
+    def parse(self) -> AlgebraElement:
         value = self.expr()
         if self.current.kind != "end":
             self.fail(f"trailing input {self.current.value!r}")
-        if isinstance(value, Fraction):
-            return AlgebraElement.scalar(self.config, value)
         return value
 
     def expr(self):
         value = self.term()
         while self.current.kind in ("+", "-"):
-            op = self.advance().kind
-            value = self._combine(op, value, self.term())
+            if self.advance().kind == "+":
+                value = value + self.term()
+            else:
+                value = value - self.term()
         return value
 
     def term(self):
         value = self.factor()
         while True:
-            if self.current.kind in ("*", "/"):
-                op = self.advance().kind
-                value = self._combine(op, value, self.factor())
+            if self.current.kind == "/":
+                op = self.advance()
+                divisor = self.factor()
+                try:
+                    value = value / divisor
+                except ZeroDivisionError:
+                    raise ParseError("division by zero", op.line, op.column) from None
+            elif self.current.kind == "*":
+                self.advance()
+                value = value * self.factor()
             elif self.current.kind in ("num", "ident", "[", "("):
-                value = self._combine("*", value, self.factor())
+                value = value * self.factor()
             else:
                 return value
 
-    def factor(self):
+    def factor(self) -> AlgebraElement:
         token = self.current
         if token.kind == "-":
             self.advance()
-            inner = self.factor()
-            return self._combine("*", Fraction(-1), inner)
+            return -self.factor()
         if token.kind == "num":
             self.advance()
-            return token.value
+            return AlgebraElement.scalar(self.config, token.value)
         if token.kind == "[":
             return self.generator()
         if token.kind == "(":
@@ -261,7 +248,7 @@ class _Parser:
             self.fail("expected a group word")
         return " ".join(letters)
 
-    def multi_fraction_call(self) -> BalancedFraction:
+    def multi_fraction_call(self) -> AlgebraElement:
         tops = []
         while self.current.kind == "ident":
             tops.append(self.point(self.advance()))
@@ -304,7 +291,7 @@ class _Parser:
 
 
 def parse_expression(text: str, config: PointConfig | None = None, universe=None):
-    """Parse an expression into an element or a balanced fraction.
+    """Parse an expression into an element.
 
     `config` supplies the point labels; when `universe` is given (a
     representation or symbolic fixed-point table) its configuration is

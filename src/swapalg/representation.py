@@ -45,10 +45,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import halfplane
+from .algebra import AlgebraElement
 from .circle import CirclePoint, PointConfig, as_position, linking_number
 from .errors import EvaluationError, NotLoxodromicError, SwapAlgError
 from .multifraction import (
-    BalancedFraction,
     cross_fraction,
     elementary,
     wolpert_rhs,
@@ -370,7 +370,7 @@ class Representation:
             raise EvaluationError("point was not registered with this representation")
         return float(dxx.hyperplane @ dx.vector)
 
-    def eval_fraction(self, fraction: BalancedFraction) -> float:
+    def eval_fraction(self, fraction: AlgebraElement) -> float:
         return fraction.evaluate(self.pair_value)
 
     def cross_ratio(self, X, Y, x, y) -> float:
@@ -410,10 +410,6 @@ class Representation:
             mags = np.abs(self.element(w).eigenvalues)
             worst = max(worst, float(np.max(mags[1:] / mags[:-1])))
         return worst
-
-    def wilson_loop(self, word) -> float:
-        """Trace of the word's matrix."""
-        return float(np.trace(self.matrix(word)))
 
     def wilson_ratio(self, gamma, eta, p: int) -> float:
         """tr(g^p h^p) / (tr(g^p) tr(h^p)), computed from eigendata.

@@ -148,3 +148,46 @@ def test_input_errors_exit_two(files, capsys):
     assert main(["eval", "--rep", files["rep"], "cross(X,Y,x,q)"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_division_by_zero_exits_two_without_traceback(files):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "swapalg.cli", "bracket", "--points", files["points"],
+         "[X x] / (1 - 1)", "[Y y]"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and "division by zero" in proc.stderr
+
+
+@pytest.mark.parametrize("verb", ["bracket", "jacobi"])
+def test_alpha_must_be_a_rational(files, capsys, verb):
+    exprs = ["[X x]", "[Y y]"] + (["[Z u]"] if verb == "jacobi" else [])
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--points", files["points"], "--alpha", "1/0", *exprs])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "not an exact rational: '1/0'" in err
+
+
+@pytest.mark.parametrize(
+    "expressions",
+    [
+        ["cross(X,Y,x,y)", "[X y]", "[Y x]"],
+        ["cross(X,Y,x,y)", "cross(Z,W,u,v)", "mf(X Z Y | x u y | (1 2 3))"],
+    ],
+)
+def test_jacobi_verb_on_fractions(files, capsys, expressions):
+    rc = main(["jacobi", "--points", files["points"], "--alpha=-1/4", *expressions])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "zero=true" in out

@@ -1,0 +1,44 @@
+"""The public surface: the exported names and the command-line verbs.
+
+A simplification must not drop a public name or a verb silently; removing
+one means editing the lists below.
+"""
+
+import argparse
+
+import swapalg
+from swapalg.cli import _build_arg_parser
+
+PUBLIC_NAMES = [
+    "AlgebraElement", "BalancedFraction", "CirclePoint", "ConfigMismatchError",
+    "DegenerateFractionError", "EvaluationError", "FundamentalSolution",
+    "GeneratorPair", "GroupElementData", "InvalidCutError", "LengthSeries",
+    "Monomial", "NotLoxodromicError", "OperSpec", "ParseError", "PointConfig",
+    "Representation", "SUITES", "SwapAlgError", "SymbolicWords", "WordError",
+    "algebra", "birelem_identity", "circle", "cocycle_defect",
+    "coordinate_function", "cross_fraction", "ds_crossfraction_bracket",
+    "ds_pair_bracket", "eigen_split", "elementary",
+    "elementary_bracket_closed_form", "errors", "fraction_bracket",
+    "frenet_validate", "generator", "halfplane", "holonomy_class", "integrate",
+    "is_balanced", "jacobiator", "length_bracket", "length_cross_fraction",
+    "length_length_bracket", "linking_number", "multi_fraction",
+    "multifraction", "oper_cross_fraction", "opers", "parse_expression",
+    "parser", "random_trivial_holonomy_opers", "representation",
+    "richardson_error", "run_suite", "six_point_F", "six_point_G",
+    "solve_trivial_holonomy", "swap_bracket", "symmetric_square", "verify",
+    "veronese_oper", "weak_cross_ratio", "wolpert_check", "wolpert_rhs",
+    "words",
+]
+
+VERBS = {"bracket", "jacobi", "identities", "eval", "period", "wolpert", "oper", "verify"}
+
+
+def test_public_names_are_pinned():
+    assert sorted(swapalg.__all__) == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 66
+
+
+def test_cli_verbs_are_pinned():
+    parser = _build_arg_parser()
+    (verbs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(verbs.choices) == VERBS

@@ -385,3 +385,38 @@ def test_braelem_closed_form_single_word_tuple():
     table = fresh_words(rng, ["a", "c", "d"])
     closed = elementary_bracket_closed_form(table, ("a",), ("c", "d"))
     assert closed.is_zero
+
+
+def test_bracket_agrees_with_quotient_rule():
+    from swapalg.algebra import swap_bracket
+
+    # {n1/d1, n2/d2} d1^2 d2^2 = d1 d2 {n1,n2} - n1 d2 {d1,n2} - n2 d1 {n1,d2}
+    #                            + n1 n2 {d1,d2}, every bracket between polynomials
+    rng = random.Random(24)
+    for trial in range(12):
+        config, points = random_config(rng, 12)
+
+        def draw(kind):
+            k = rng.sample(points, 8)
+            if kind == "cross":
+                return cross_fraction(*k[:4])
+            n = rng.choice((2, 3, 4))
+            sigma = list(range(n))
+            while sigma == sorted(sigma):
+                rng.shuffle(sigma)
+            return multi_fraction(k[:n], k[4 : 4 + n], sigma)
+
+        f = draw(("cross", "mf")[trial % 2])
+        g = draw(("cross", "mf")[trial // 2 % 2])
+        n1, n2 = f.scaled_numerator(), g.scaled_numerator()
+        d1 = AlgebraElement.from_monomial(config, f.denominator)
+        d2 = AlgebraElement.from_monomial(config, g.denominator)
+        for alpha in (Fraction(0), Fraction(1), Fraction(-1, 4)):
+            expected = (
+                d1 * d2 * swap_bracket(n1, n2, alpha)
+                - n1 * d2 * swap_bracket(d1, n2, alpha)
+                - n2 * d1 * swap_bracket(n1, d2, alpha)
+                + n1 * n2 * swap_bracket(d1, d2, alpha)
+            )
+            got = fraction_bracket(f, g, alpha) * d1 * d1 * d2 * d2
+            assert got == expected

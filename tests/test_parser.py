@@ -163,3 +163,13 @@ def test_pbeta_through_representation():
     import math
 
     assert math.log(rep.eval_fraction(value)) == pytest.approx(2 * rep.width("a"), abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [("1/0", 1), ("[X x] / 0", 7), ("[X x] / (1 - 1)", 7)],
+)
+def test_division_by_zero_is_a_parse_error(config, text, column):
+    with pytest.raises(ParseError, match="division by zero") as err:
+        parse_expression(text, config)
+    assert (err.value.line, err.value.column) == (1, column)
