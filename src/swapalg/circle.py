@@ -3,13 +3,14 @@
 The circle is R/Z; a point is an exact rational position in [0, 1).  The
 linking form assigns to two ordered pairs (X, x) and (Y, y) the half-integer
 
-    [Xx, Yy] = 1/2 (Sign(X-x) Sign(X-y) Sign(y-x) - Sign(X-x) Sign(X-Y) Sign(Y-x)),
+    [Xx, Yy] = 1/2 (ori(X,x,y) - ori(X,x,Y)),  ori(a,b,c) = Sign(a-b) Sign(a-c) Sign(c-b),
 
-evaluated after the circle has been cut at a point disjoint from the
-arguments and unrolled to the line.  With Sign(0) = 0 this is well defined
-for every quadruple, takes values in {-1, -1/2, 0, 1/2, 1}, and does not
-depend on the cut.  For four distinct points it counts (with sign) how the
-chord X->x crosses the chord Y->y.
+computed on the raw positions.  `ori` is the cyclic orientation of three
+points (0 when two coincide); rotating the circle flips two of its factors,
+so no cut is needed.  The form takes values in {-1, -1/2, 0, 1/2, 1}; for
+four distinct points it counts (with sign) how the chord X->x crosses Y->y.
+A cut is an optional reference route: the positions are unrolled from it
+and the same formula is applied.
 
 Everything here is exact: positions are `fractions.Fraction`, linking values
 are `Fraction`, and identity checks compare with exact zero.  All values are
@@ -23,13 +24,12 @@ from typing import Iterable, Sequence
 
 from .errors import ConfigMismatchError, InvalidCutError, SwapAlgError
 
-Rational = Fraction  # positions and linking values are exact rationals
-
 HALF = Fraction(1, 2)
+_HALVES = {k: Fraction(k, 2) for k in range(-2, 3)}
 
 
-def _sign(a: Fraction) -> int:
-    return (a > 0) - (a < 0)
+def _cmp(a, b) -> int:
+    return (a > b) - (a < b)
 
 
 def as_position(value) -> Fraction:
@@ -45,28 +45,18 @@ def as_position(value) -> Fraction:
 class CirclePoint:
     """A labeled point of the circle, owned by a :class:`PointConfig`.
 
-    Two points are equal when they live in the same configuration and have
-    the same position; labels are bookkeeping for parsing and printing.
+    Only :meth:`PointConfig.point` builds points, and it returns the existing
+    point for a known position, so two points are equal (same configuration,
+    same position) exactly when they are the same object.  Labels are
+    bookkeeping for parsing and printing.
     """
 
-    __slots__ = ("label", "position", "config", "_hash")
+    __slots__ = ("label", "position", "config")
 
     def __init__(self, label: str, position: Fraction, config: "PointConfig"):
         self.label = label
         self.position = position
         self.config = config
-        # hashing a Fraction is slow, and points are hashed in every bracket
-        self._hash = hash((id(config), position))
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, CirclePoint)
-            and self.config is other.config
-            and self.position == other.position
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"CirclePoint({self.label!r}, {self.position})"
@@ -79,9 +69,10 @@ class PointConfig:
     aliases the existing point (the two labels denote the same point);
     registering an existing label at a different position is an error.
 
-    An optional `cut` fixes the base point used to unroll the circle; by
-    default every linking computation picks its own valid cut, and the
-    values agree either way.
+    Linking numbers are computed on the raw positions.  An optional `cut`
+    routes every linking computation in the configuration through the
+    reference route instead: the circle is unrolled from that base point,
+    which must avoid the arguments.  The values agree either way.
     """
 
     def __init__(self, cut=None):
@@ -168,42 +159,35 @@ def default_cut(positions: Iterable[Fraction]) -> Fraction:
     """
     ps = sorted(set(positions))
     if not ps:
-        return Fraction(1, 2)
-    if len(ps) == 1:
-        return (ps[0] + HALF) % 1
-    best_gap = None
-    best_mid = None
-    for i, p in enumerate(ps):
-        q = ps[(i + 1) % len(ps)]
-        gap = (q - p) % 1
-        if best_gap is None or gap > best_gap:
-            best_gap = gap
-            best_mid = (p + gap / 2) % 1
-    return best_mid
+        return HALF
+    # the first largest gap; a lone point's gap is the whole circle
+    gaps = [((q - p) % 1 or Fraction(1), p) for p, q in zip(ps, ps[1:] + ps[:1])]
+    gap, p = max(gaps, key=lambda g: g[0])
+    return (p + gap / 2) % 1
 
 
 def _unroll(positions: Sequence[Fraction], cut) -> list[Fraction]:
-    if cut is None:
-        cut = default_cut(positions)
-    else:
-        cut = as_position(cut)
-        if cut in set(positions):
-            raise InvalidCutError("invalid cut")
+    cut = as_position(cut)
+    if cut in positions:
+        raise InvalidCutError("invalid cut")
     return [(p - cut) % 1 for p in positions]
 
 
 def linking_number(
     X: CirclePoint, x: CirclePoint, Y: CirclePoint, y: CirclePoint, cut=None
 ) -> Fraction:
-    """Linking number [Xx, Yy] of the ordered pairs (X, x) and (Y, y)."""
+    """Linking number [Xx, Yy] of the ordered pairs (X, x) and (Y, y).
+
+    Computed on raw positions unless a cut is given here or by the
+    configuration, in which case the positions are unrolled from it first.
+    """
     config = ensure_same_config(X, x, Y, y)
     if cut is None:
         cut = config.cut
-    a, b, c, d = _unroll((X.position, x.position, Y.position, y.position), cut)
-    s_ab = _sign(a - b)
-    return HALF * (
-        s_ab * _sign(a - d) * _sign(d - b) - s_ab * _sign(a - c) * _sign(c - b)
-    )
+    a, b, c, d = X.position, x.position, Y.position, y.position
+    if cut is not None:
+        a, b, c, d = _unroll((a, b, c, d), cut)
+    return _HALVES[_cmp(a, b) * (_cmp(a, d) * _cmp(d, b) - _cmp(a, c) * _cmp(c, b))]
 
 
 def six_point_F(X, x, Y, y, Z, z, cut=None) -> Fraction:
@@ -212,11 +196,6 @@ def six_point_F(X, x, Y, y, Z, z, cut=None) -> Fraction:
     Vanishes whenever {X,x}, {Y,y}, {Z,z} have no common point; nonzero
     values occur only in degenerate configurations such as F(X,x,Y,x,Z,x).
     """
-    ensure_same_config(X, x, Y, y, Z, z)
-    if cut is None:
-        cut = default_cut(
-            (X.position, x.position, Y.position, y.position, Z.position, z.position)
-        )
     lk = lambda A, a, B, b: linking_number(A, a, B, b, cut=cut)
     return (
         lk(X, x, Y, y) * lk(X, y, Z, z)
@@ -230,11 +209,6 @@ def six_point_G(X, x, Y, y, Z, z, cut=None) -> Fraction:
 
     Satisfies G(X,x,Y,y,Z,z) = -F(Y,y,X,x,Z,z).
     """
-    ensure_same_config(X, x, Y, y, Z, z)
-    if cut is None:
-        cut = default_cut(
-            (X.position, x.position, Y.position, y.position, Z.position, z.position)
-        )
     lk = lambda A, a, B, b: linking_number(A, a, B, b, cut=cut)
     return (
         lk(X, x, Y, y) * lk(Y, x, Z, z)
@@ -245,10 +219,5 @@ def six_point_G(X, x, Y, y, Z, z, cut=None) -> Fraction:
 
 def cocycle_defect(z, y, X, Y, Z, cut=None) -> Fraction:
     """[zy,XY] + [zy,YZ] + [zy,ZX]; identically zero."""
-    ensure_same_config(z, y, X, Y, Z)
-    if cut is None:
-        cut = default_cut(
-            (z.position, y.position, X.position, Y.position, Z.position)
-        )
     lk = lambda A, a, B, b: linking_number(A, a, B, b, cut=cut)
     return lk(z, y, X, Y) + lk(z, y, Y, Z) + lk(z, y, Z, X)

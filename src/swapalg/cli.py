@@ -35,7 +35,7 @@ from .opers import (
 )
 from .parser import parse_expression
 from .representation import Representation, wolpert_check
-from .verify import SUITES, run_suite
+from .verify import SUITES, run_suite, suite_options
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -111,22 +111,18 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_points(path) -> PointConfig:
-    return PointConfig.from_file(path)
-
-
 def _fixed_point_arg(rep: Representation, text: str):
     text = text.strip()
     if text.startswith("t="):
         return rep.boundary_point(float(text[2:]))
-    if text[-1] in "+-":
+    if text.endswith(("+", "-")):
         sign = 1 if text[-1] == "+" else -1
         return rep.fixed_point(text[:-1].strip(), sign)
     raise SwapAlgError(f"anchor {text!r} should end in '+' or '-' or be 't=<coord>'")
 
 
 def _cmd_bracket(args) -> int:
-    config = _load_points(args.points)
+    config = PointConfig.from_file(args.points)
     first = parse_expression(args.first, config)
     second = parse_expression(args.second, config)
     result = swap_bracket(first, second, args.alpha)
@@ -136,7 +132,7 @@ def _cmd_bracket(args) -> int:
 
 
 def _cmd_jacobi(args) -> int:
-    config = _load_points(args.points)
+    config = PointConfig.from_file(args.points)
     elements = [parse_expression(text, config) for text in args.expressions]
     result = jacobiator(*elements, args.alpha)
     print(f"alpha={args.alpha}")
@@ -146,7 +142,7 @@ def _cmd_jacobi(args) -> int:
 
 
 def _cmd_identities(args) -> int:
-    config = _load_points(args.points)
+    config = PointConfig.from_file(args.points)
     points = config.points()
     reports = [run_suite("linking-axioms", points=points)]
     if len(points) <= 10:
@@ -191,7 +187,18 @@ def _cmd_wolpert(args) -> int:
     return 0 if abs(lhs - rhs) < args.tolerance else 1
 
 
+def _rationals(texts) -> list[Fraction]:
+    try:
+        return [Fraction(v) for v in texts]
+    except (ValueError, ZeroDivisionError):
+        raise SwapAlgError(f"not exact rationals: {' '.join(texts)}") from None
+
+
 def _cmd_oper(args) -> int:
+    if args.frenet < 0:
+        raise SwapAlgError(f"--frenet COUNT must not be negative, got {args.frenet}")
+    cross_ratio = _rationals(args.cross_ratio or ())
+    coordinate = _rationals(args.coordinate or ())
     oper = OperSpec.from_file(args.oper)
     sol = integrate(oper, args.steps)
     print(f"order={oper.order}")
@@ -200,12 +207,10 @@ def _cmd_oper(args) -> int:
     print(f"det_drift={sol.det_drift:.3e}")
     for row in sol.holonomy:
         print("holonomy " + " ".join(f"{v: .12e}" for v in row))
-    if args.cross_ratio:
-        x, y, z, t = (Fraction(v) for v in args.cross_ratio)
-        print(f"cross_ratio={weak_cross_ratio(sol, x, y, z, t):.12g}")
-    if args.coordinate:
-        Y, y = (Fraction(v) for v in args.coordinate)
-        print(f"coordinate={coordinate_function(sol, Y, y):.12g}")
+    if cross_ratio:
+        print(f"cross_ratio={weak_cross_ratio(sol, *cross_ratio):.12g}")
+    if coordinate:
+        print(f"coordinate={coordinate_function(sol, *coordinate):.12g}")
     if args.frenet:
         import random
 
@@ -234,12 +239,20 @@ def _cmd_verify(args) -> int:
             raise SwapAlgError(f"--tol expects NAME=VALUE, got {item!r}")
         key, _, value = item.partition("=")
         overrides[key.strip()] = float(value)
-    names = sorted(SUITES) if args.suite == "all" else [args.suite]
+    options = {"seed": args.seed, "count": args.count, "steps": args.steps, **overrides}
+    options = {k: v for k, v in options.items() if v is not None}
+    plan = [(args.suite, options)]
+    if args.suite == "all":
+        plan = [
+            (name, {k: v for k, v in options.items() if k in suite_options(name)})
+            for name in sorted(SUITES)
+        ]
+        unused = set(options).difference(*(kwargs for _, kwargs in plan))
+        if unused:
+            raise SwapAlgError(f"no suite takes {', '.join(sorted(unused))}")
     failed = False
-    for name in names:
-        report = run_suite(
-            name, seed=args.seed, count=args.count, steps=args.steps, **overrides
-        )
+    for name, kwargs in plan:
+        report = run_suite(name, **kwargs)
         print(report.render())
         print()
         failed = failed or not report.passed

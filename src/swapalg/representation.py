@@ -239,6 +239,8 @@ class Representation:
         while index < len(tokens):
             if tokens[index] != "element":
                 raise SwapAlgError(f"expected 'element', found {tokens[index]!r}")
+            if index + 1 == len(tokens):
+                raise SwapAlgError("'element' without a label at the end of the file")
             label = tokens[index + 1]
             entries = tokens[index + 2 : index + 2 + n * n]
             if len(entries) != n * n:

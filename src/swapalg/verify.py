@@ -12,6 +12,7 @@ on them.
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 from dataclasses import dataclass, field
@@ -20,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import generator, jacobiator, swap_bracket
-from .circle import PointConfig, default_cut, linking_number, six_point_F, six_point_G
+from .circle import PointConfig, linking_number, six_point_F, six_point_G
 from .errors import SwapAlgError
 from .multifraction import (
     SymbolicWords,
@@ -130,7 +131,7 @@ def _grid_config(count: int, denominator: int) -> tuple[PointConfig, list]:
     return config, points
 
 
-def _linking_table(points, cut) -> list:
+def _linking_table(points) -> list:
     """Doubled linking numbers as nested-list integers, for fast loops."""
     n = len(points)
     table = [[[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
@@ -139,7 +140,7 @@ def _linking_table(points, cut) -> list:
             for c in range(n):
                 row = table[a][b][c]
                 for d in range(n):
-                    value = linking_number(points[a], points[b], points[c], points[d], cut=cut)
+                    value = linking_number(points[a], points[b], points[c], points[d])
                     row[d] = int(2 * value)
     return table
 
@@ -188,8 +189,9 @@ def suite_linking_axioms(grid: int = 10, points=None) -> SuiteReport:
     report = SuiteReport("linking-axioms", None)
     if points is None:
         config, points = _grid_config(grid, grid)
-    cut = default_cut([p.position for p in points])
-    lk2 = _linking_table(points, cut)
+    if not points:
+        raise SwapAlgError("linking-axioms: no points to check")
+    lk2 = _linking_table(points)
     n = len(points)
 
     bad_in1 = bad_in2 = 0
@@ -257,8 +259,9 @@ def suite_linking_axioms(grid: int = 10, points=None) -> SuiteReport:
 
     worst_cut = 0
     ps = sorted(p.position for p in points)
+    # gap midpoints; a lone point's gap is the whole circle
     cuts = [
-        (ps[i] + ((ps[(i + 1) % n] - ps[i]) % 1) / 2) % 1
+        (ps[i] + ((ps[(i + 1) % n] - ps[i]) % 1 or Fraction(1)) / 2) % 1
         for i in range(min(3, n))
     ]
     rng = random.Random(0)
@@ -286,8 +289,7 @@ def suite_six_point(pool: int = 8, points=None) -> SuiteReport:
         config, points = _grid_config(pool, pool)
     if len(points) > 10:
         raise SwapAlgError("six-point enumeration is capped at 10 points")
-    cut = default_cut([p.position for p in points])
-    lk2 = _linking_table(points, cut)
+    lk2 = _linking_table(points)
     n = len(points)
 
     bad_in5 = 0
@@ -935,15 +937,25 @@ SUITES = {
 }
 
 
-def run_suite(name: str, **kwargs) -> SuiteReport:
+def suite_options(name: str) -> list[str]:
+    """The keyword options the named suite accepts."""
     try:
         suite = SUITES[name]
     except KeyError:
         raise SwapAlgError(
             f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}"
         ) from None
-    import inspect
+    return list(inspect.signature(suite).parameters)
 
-    accepted = inspect.signature(suite).parameters
-    passed = {k: v for k, v in kwargs.items() if k in accepted and v is not None}
-    return suite(**passed)
+
+def run_suite(name: str, **kwargs) -> SuiteReport:
+    """Run a suite; options set to None are left at the suite's default."""
+    accepted = suite_options(name)
+    passed = {k: v for k, v in kwargs.items() if v is not None}
+    unknown = sorted(set(passed) - set(accepted))
+    if unknown:
+        raise SwapAlgError(
+            f"suite {name} does not take {', '.join(unknown)}; "
+            f"it accepts {', '.join(accepted)}"
+        )
+    return SUITES[name](**passed)

@@ -191,3 +191,98 @@ def test_jacobi_verb_on_fractions(files, capsys, expressions):
     out = capsys.readouterr().out
     assert rc == 0
     assert "zero=true" in out
+
+
+def _run_cli(*argv):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run(
+        [sys.executable, "-m", "swapalg.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+def test_identities_on_a_single_point(tmp_path, capsys):
+    points = tmp_path / "one.txt"
+    points.write_text("a = 1/3\n")
+    rc = main(["identities", "--points", str(points)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "cut-invariance.pass=true" in out and "FAIL" not in out
+
+
+def test_identities_on_no_points(tmp_path, capsys):
+    points = tmp_path / "empty.txt"
+    points.write_text("# no points\n")
+    assert main(["identities", "--points", str(points)]) == 2
+    assert capsys.readouterr().err == "error: linking-axioms: no points to check\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--rep", "{truncated}", "elem(a, a)"],
+        ["period", "--rep", "{rep}", "--word", "a b", "--anchor", ""],
+        ["oper", "--oper", "{oper}", "--cross-ratio", "1/0", "1/8", "3/8", "5/8"],
+        ["oper", "--oper", "{oper}", "--coordinate", "1/0", "0"],
+        ["oper", "--oper", "{oper}", "--frenet", "-1"],
+    ],
+    ids=["truncated-rep", "empty-anchor", "cross-ratio-1/0", "coordinate-1/0", "negative-frenet"],
+)
+def test_bad_input_exits_two_with_one_line(files, tmp_path, argv):
+    truncated = tmp_path / "truncated.txt"
+    truncated.write_text(REP + "element\n")
+    paths = {**files, "truncated": str(truncated)}
+    proc = _run_cli(*(arg.format(**paths) for arg in argv))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, accepted",
+    [
+        (["verify", "wilson-limit", "--tol", "rate_slak=0"], "rate_slack"),
+        (["verify", "period-width", "--count", "1"], "sl2_count"),
+    ],
+)
+def test_verify_rejects_options_the_suite_does_not_take(capsys, argv, accepted):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "does not take" in err and accepted in err
+
+
+def test_run_suite_skips_unset_and_rejects_unknown_options():
+    from swapalg.errors import SwapAlgError
+    from swapalg.verify import run_suite
+
+    assert run_suite("wilson-limit", count=1, rate_slack=None).passed
+    with pytest.raises(SwapAlgError, match="accepts seed, count, max_power, rate_slack"):
+        run_suite("wilson-limit", rate_slak=0)
+
+
+def test_verify_all_applies_options_where_taken(monkeypatch, capsys):
+    from swapalg import cli, verify
+
+    def seeded(seed=0):
+        return verify.SuiteReport("seeded", seed)
+
+    def counted(count=0):
+        report = verify.SuiteReport("counted", None)
+        report.notes["count"] = count
+        return report
+
+    fake = {"seeded": seeded, "counted": counted}
+    monkeypatch.setattr(verify, "SUITES", fake)
+    monkeypatch.setattr(cli, "SUITES", fake)
+    assert main(["verify", "all", "--seed", "7"]) == 0
+    out = capsys.readouterr().out
+    assert "seed=7" in out and "count=0" in out
+    assert main(["verify", "all", "--steps", "64"]) == 2
+    assert capsys.readouterr().err == "error: no suite takes steps\n"

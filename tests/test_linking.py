@@ -220,3 +220,80 @@ def test_config_level_cut():
         bad = PointConfig(cut=Fraction(2, 10))
         r = [bad.point(f"p{i}", Fraction(i, 10)) for i in range(10)]
         linking_number(r[1], r[2], r[3], r[4])
+
+
+def _gap_midpoint_cuts(points):
+    """One cut in the middle of every gap between consecutive positions."""
+    ps = sorted(p.position for p in points)
+    gaps = [((q - p) % 1 or Fraction(1), p) for p, q in zip(ps, ps[1:] + ps[:1])]
+    return [(p + gap / 2) % 1 for gap, p in gaps]
+
+
+def _assert_cut_free_matches_every_cut(points, quadruples):
+    cuts = _gap_midpoint_cuts(points)
+    for quad in quadruples:
+        value = linking_number(*quad)
+        for cut in cuts:
+            assert linking_number(*quad, cut=cut) == value, (quad, cut)
+
+
+def test_cut_free_formula_on_every_grid_quadruple():
+    config = PointConfig()
+    p = [config.point(f"g{i}", Fraction(i, 7)) for i in range(7)]
+    quadruples = [
+        (p[a], p[b], p[c], p[d])
+        for a in range(7) for b in range(7) for c in range(7) for d in range(7)
+    ]
+    _assert_cut_free_matches_every_cut(p, quadruples)
+
+
+def test_cut_free_formula_on_random_configurations():
+    rng = random.Random(11)
+    for _ in range(20):
+        config = PointConfig()
+        positions = rng.sample(range(997), 8)
+        p = [config.point(f"r{i}", Fraction(k, 997)) for i, k in enumerate(positions)]
+        quadruples = [tuple(rng.choice(p) for _ in range(4)) for _ in range(100)]
+        _assert_cut_free_matches_every_cut(p, quadruples)
+
+
+def test_six_point_and_cocycle_agree_with_and_without_cut():
+    config = PointConfig()
+    p = [config.point(f"g{i}", Fraction(i, 7)) for i in range(7)]
+    cuts = _gap_midpoint_cuts(p)
+    rng = random.Random(12)
+    for _ in range(200):
+        six = [p[rng.randrange(7)] for _ in range(6)]
+        five = six[:5]
+        f, g, c = six_point_F(*six), six_point_G(*six), cocycle_defect(*five)
+        for cut in cuts:
+            assert six_point_F(*six, cut=cut) == f
+            assert six_point_G(*six, cut=cut) == g
+            assert cocycle_defect(*five, cut=cut) == c
+
+
+def test_linking_without_a_cut_never_unrolls(grid_config, monkeypatch):
+    import swapalg.circle as circle
+
+    def forbidden(*args):
+        raise AssertionError("cut machinery on the default path")
+
+    monkeypatch.setattr(circle, "default_cut", forbidden)
+    monkeypatch.setattr(circle, "_unroll", forbidden)
+    config, p = grid_config
+    assert linking_number(p[1], p[3], p[2], p[4]) == 1
+    assert six_point_F(p[1], p[2], p[3], p[2], p[4], p[2]) == Fraction(1, 4)
+    assert cocycle_defect(p[3], p[3], p[0], p[5], p[8]) == 0
+
+
+def test_points_are_identity_equal():
+    from swapalg.circle import CirclePoint
+
+    config = PointConfig()
+    a = config.point("a", Fraction(1, 3))
+    assert config.point("b", Fraction(4, 3)) is a
+    assert CirclePoint.__eq__ is object.__eq__ and CirclePoint.__hash__ is object.__hash__
+
+
+def test_default_cut_of_a_single_point_is_exact_and_opposite():
+    assert default_cut([Fraction(2, 3)]) == Fraction(1, 6)
