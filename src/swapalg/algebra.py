@@ -1,11 +1,14 @@
 """Laurent polynomials in ordered pairs of circle points.
 
 Generators are ordered pairs Xx of points of one configuration, subject to
-the single relation Xx = 0 whenever X = x.  Elements are finite sums of
-Laurent monomials (generator pairs with nonzero integer exponents) with
-exact rational coefficients, kept in a canonical normal form: pairs inside
-a monomial are sorted by (left position, right position), coefficients are
-nonzero, and zero is the empty sum.  Equality is therefore syntactic.
+the single relation Xx = 0 whenever X = x.  A pair is a tuple of two
+identity-equal points, and a monomial is the unordered set of its (pair,
+exponent) powers.  Elements are finite sums of Laurent monomials (generator
+pairs with nonzero integer exponents) with exact rational coefficients and
+no zero coefficient; zero is the empty sum.  Equality is therefore
+syntactic, and needs no order.  Canonical order (pairs by left position,
+then right position; terms by degree, then pairs) is applied only where an
+element is read out: printing, `terms()`, the fraction views and `evaluate`.
 
 Polynomials are the elements without negative exponents.  Every other
 element is a reduced fraction: a polynomial numerator over the monomial
@@ -29,39 +32,40 @@ bracket computations may be partitioned and merged freely.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter
 
 from .circle import CirclePoint, PointConfig, ensure_same_config, linking_number
 from .errors import ConfigMismatchError, EvaluationError, SwapAlgError
 
 
-class GeneratorPair:
-    """An ordered pair of distinct circle points; one algebra generator."""
+class GeneratorPair(tuple):
+    """An ordered pair of distinct circle points; one algebra generator.
 
-    __slots__ = ("left", "right", "key", "_hash")
+    A tuple (left, right) of identity-equal points, so equality and hash
+    are the tuple's: equal pairs join the same points in the same order.
+    """
 
-    def __init__(self, left: CirclePoint, right: CirclePoint):
-        if left == right:
+    __slots__ = ()
+
+    def __new__(cls, left: CirclePoint, right: CirclePoint):
+        if left is right:
             raise SwapAlgError("degenerate pair: left point equals right point")
         ensure_same_config(left, right)
-        self.left = left
-        self.right = right
-        self.key = (left.position, right.position)
-        self._hash = hash((hash(left), hash(right)))
+        return tuple.__new__(cls, (left, right))
 
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, GeneratorPair)
-            and self.left == other.left
-            and self.right == other.right
-        )
+    left = property(itemgetter(0))
+    right = property(itemgetter(1))
 
-    def __hash__(self):
-        return self._hash
+    @property
+    def key(self):
+        """(left position, right position): the canonical sort key."""
+        return (self[0].position, self[1].position)
 
     def __repr__(self):
-        return f"[{self.left.label} {self.right.label}]"
+        return f"[{self[0].label} {self[1].label}]"
 
 
 def _pair_key(power):
@@ -71,35 +75,29 @@ def _pair_key(power):
 class Monomial:
     """A Laurent monomial: generator pairs with nonzero integer exponents.
 
-    `powers` is the tuple of (pair, exponent), sorted by pair key.
-    `Monomial(pairs)` builds the polynomial monomial of a multiset of pairs.
+    `powers` is the frozenset of (pair, exponent); equality and hash are the
+    set's.  Canonical order, by pair key, is applied only on read-out:
+    `pairs`, `key()` and `repr`.  `Monomial(pairs)` builds the polynomial
+    monomial of a multiset of pairs.
     """
 
-    __slots__ = ("powers", "_hash")
+    __slots__ = ("powers",)
 
     def __init__(self, pairs=()):
-        exponents: dict[GeneratorPair, int] = {}
-        for p in pairs:
-            exponents[p] = exponents.get(p, 0) + 1
-        self._set(exponents)
-
-    def _set(self, exponents) -> "Monomial":
-        self.powers = tuple(
-            sorted(((p, e) for p, e in exponents.items() if e), key=_pair_key)
-        )
-        self._hash = hash(self.powers)
-        return self
+        self.powers = frozenset(Counter(pairs).items())
 
     @classmethod
     def _from_exponents(cls, exponents) -> "Monomial":
-        return cls.__new__(cls)._set(exponents)
+        monomial = cls.__new__(cls)
+        monomial.powers = frozenset((p, e) for p, e in exponents.items() if e)
+        return monomial
 
     @property
     def pairs(self) -> tuple[GeneratorPair, ...]:
-        """The pairs with multiplicity; only polynomial monomials have them."""
+        """The pairs with multiplicity, in canonical order; polynomials only."""
         if any(e < 0 for _, e in self.powers):
             raise SwapAlgError("monomial has negative exponents")
-        return tuple(p for p, e in self.powers for _ in range(e))
+        return tuple(p for p, e in sorted(self.powers, key=_pair_key) for _ in range(e))
 
     @property
     def degree(self) -> int:
@@ -128,11 +126,11 @@ class Monomial:
         return self is other or (isinstance(other, Monomial) and self.powers == other.powers)
 
     def __hash__(self):
-        return self._hash
+        return hash(self.powers)
 
     def __repr__(self):
         parts = []
-        for p, e in self.powers:
+        for p, e in sorted(self.powers, key=_pair_key):
             parts += [repr(p)] * e if e > 0 else [f"{p!r}^{e}"]
         return "*".join(parts) or "1"
 
@@ -229,6 +227,7 @@ class AlgebraElement:
         return self._terms.get(monomial, Fraction(0))
 
     def monomials(self):
+        """The monomials with nonzero coefficient, in no particular order."""
         return list(self._terms)
 
     def degrees(self) -> set[int]:
@@ -398,9 +397,9 @@ def is_balanced(f: AlgebraElement) -> bool:
     for m in f._terms:
         left: dict[CirclePoint, int] = {}
         right: dict[CirclePoint, int] = {}
-        for p, e in m.powers:
-            left[p.left] = left.get(p.left, 0) + e
-            right[p.right] = right.get(p.right, 0) + e
+        for (X, x), e in m.powers:
+            left[X] = left.get(X, 0) + e
+            right[x] = right.get(x, 0) + e
         if any(left.values()) or any(right.values()):
             return False
     return True
@@ -409,7 +408,7 @@ def is_balanced(f: AlgebraElement) -> bool:
 def generator(X: CirclePoint, x: CirclePoint) -> AlgebraElement:
     """The degree-one element Xx, or zero when X = x."""
     config = ensure_same_config(X, x)
-    if X == x:
+    if X is x:
         return AlgebraElement.zero(config)
     return AlgebraElement.from_monomial(config, Monomial((GeneratorPair(X, x),)))
 
@@ -439,16 +438,18 @@ def swap_bracket(a: AlgebraElement, b: AlgebraElement, alpha=0) -> AlgebraElemen
             swaps = []
             alpha_weight = 0
             for p, e in ma.powers:
+                X, x = p
                 for q, f in mb.powers:
-                    lk = linking_number(p.left, p.right, q.left, q.right)
+                    Y, y = q
+                    lk = linking_number(X, x, Y, y)
                     if lk == 0:
                         continue
                     weight = e * f * lk
                     alpha_weight += weight
-                    if p.left != q.right and q.left != p.right:
+                    if X is not y and Y is not x:
                         change = (
-                            (GeneratorPair(p.left, q.right), 1),
-                            (GeneratorPair(q.left, p.right), 1),
+                            (GeneratorPair(X, y), 1),
+                            (GeneratorPair(Y, x), 1),
                             (p, -1),
                             (q, -1),
                         )

@@ -9,8 +9,8 @@ computed on the raw positions.  `ori` is the cyclic orientation of three
 points (0 when two coincide); rotating the circle flips two of its factors,
 so no cut is needed.  The form takes values in {-1, -1/2, 0, 1/2, 1}; for
 four distinct points it counts (with sign) how the chord X->x crosses Y->y.
-A cut is an optional reference route: the positions are unrolled from it
-and the same formula is applied.
+A cut, given per call only, is an optional reference route: the positions
+are unrolled from it and the same formula is applied.
 
 Everything here is exact: positions are `fractions.Fraction`, linking values
 are `Fraction`, and identity checks compare with exact zero.  All values are
@@ -69,16 +69,14 @@ class PointConfig:
     aliases the existing point (the two labels denote the same point);
     registering an existing label at a different position is an error.
 
-    Linking numbers are computed on the raw positions.  An optional `cut`
-    routes every linking computation in the configuration through the
-    reference route instead: the circle is unrolled from that base point,
-    which must avoid the arguments.  The values agree either way.
+    Linking numbers are computed on the raw positions; a configuration
+    carries no cut.  A cut is given per call, to `linking_number` and the
+    identities built on it.
     """
 
-    def __init__(self, cut=None):
+    def __init__(self):
         self._by_position: dict[Fraction, CirclePoint] = {}
         self._by_label: dict[str, CirclePoint] = {}
-        self.cut = None if cut is None else as_position(cut)
 
     def point(self, label: str, position) -> CirclePoint:
         pos = as_position(position)
@@ -178,12 +176,10 @@ def linking_number(
 ) -> Fraction:
     """Linking number [Xx, Yy] of the ordered pairs (X, x) and (Y, y).
 
-    Computed on raw positions unless a cut is given here or by the
-    configuration, in which case the positions are unrolled from it first.
+    Computed on raw positions unless a cut is given, in which case the
+    positions are unrolled from it first.
     """
-    config = ensure_same_config(X, x, Y, y)
-    if cut is None:
-        cut = config.cut
+    ensure_same_config(X, x, Y, y)
     a, b, c, d = X.position, x.position, Y.position, y.position
     if cut is not None:
         a, b, c, d = _unroll((a, b, c, d), cut)

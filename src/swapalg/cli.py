@@ -238,7 +238,7 @@ def _cmd_verify(args) -> int:
         if "=" not in item:
             raise SwapAlgError(f"--tol expects NAME=VALUE, got {item!r}")
         key, _, value = item.partition("=")
-        overrides[key.strip()] = float(value)
+        overrides[key.strip()] = value  # run_suite converts it per suite
     options = {"seed": args.seed, "count": args.count, "steps": args.steps, **overrides}
     options = {k: v for k, v in options.items() if v is not None}
     plan = [(args.suite, options)]

@@ -69,10 +69,6 @@ class BalancedFraction(AlgebraElement):
     def from_scalar(cls, config: PointConfig, value) -> "BalancedFraction":
         return cls(AlgebraElement.one(config), ONE, value)
 
-    @classmethod
-    def from_element(cls, element: AlgebraElement) -> "BalancedFraction":
-        return cls(element)
-
 
 # -- cross and multi fractions ---------------------------------------------
 

@@ -306,7 +306,7 @@ def oper_cross_fraction(sol: FundamentalSolution, X, x, Y, y) -> float:
 # -- Poisson brackets of coordinate observables ------------------------------
 
 
-def _point_config(sol: FundamentalSolution, parameters) -> tuple[PointConfig, list]:
+def _point_config(parameters) -> tuple[PointConfig, list]:
     config = PointConfig()
     points = []
     for name, value in parameters:
@@ -327,9 +327,7 @@ def ds_pair_bracket(sol: FundamentalSolution, first, second) -> float:
     """
     X, x = first
     Y, y = second
-    config, (pX, px, pY, py) = _point_config(
-        sol, [("X", X), ("x", x), ("Y", Y), ("y", y)]
-    )
+    config, (pX, px, pY, py) = _point_config([("X", X), ("x", x), ("Y", Y), ("y", y)])
     if len({pX, px, pY, py}) != 4:
         raise SwapAlgError("points must be pairwise distinct")
     lk = linking_number(pX, px, pY, py)
@@ -354,10 +352,7 @@ def ds_crossfraction_bracket(sol: FundamentalSolution, q0, q1, alpha=0) -> tuple
     if tuple(q0) == tuple(q1):
         return 0.0, 0.0  # bracket of an observable with itself, by antisymmetry
     params = list(q0) + list(q1)
-    config, points = _point_config(
-        sol,
-        [(f"p{i}", v) for i, v in enumerate(params)],
-    )
+    config, points = _point_config([(f"p{i}", v) for i, v in enumerate(params)])
     if len(set(points)) != 8:
         raise SwapAlgError("the eight points must be pairwise distinct")
     X0, x0, Y0, y0, X1, x1, Y1, y1 = params

@@ -218,7 +218,7 @@ class Representation:
         self._position_hint = position_hint
         self._generators = mats
         self._elements: dict[Word, GroupElementData] = {}
-        self._points: dict[Fraction, _PointData] = {}
+        self._points: dict[CirclePoint, _PointData] = {}
         self._fixed: dict[tuple[Word, int], CirclePoint] = {}
         self._synthetic_count = 0
         for label in mats:
@@ -279,7 +279,7 @@ class Representation:
 
     def _register(self, label: str, position: Fraction, data: _PointData) -> CirclePoint:
         point = self.config.point(label, position)
-        self._points.setdefault(point.position, data)
+        self._points.setdefault(point, data)
         return point
 
     def _register_fixed(self, word: Word, sign: int, vector, hyperplane) -> CirclePoint:
@@ -325,7 +325,7 @@ class Representation:
         else:
             vector = np.array([float(coordinate), 1.0])
             vector = vector / np.linalg.norm(vector)
-            label = f"t={float(coordinate):.12g}"
+            label = f"t={float(coordinate)!r}"
         hyperplane = np.array([vector[1], -vector[0]])
         return self._register(
             label, _rp1_position(vector), _PointData(vector, hyperplane, coordinate=coordinate)
@@ -341,7 +341,7 @@ class Representation:
         coordinate vector.
         """
         word = parse_word(word)
-        data = self._points.get(point.position)
+        data = self._points.get(point)
         if data is None:
             raise SwapAlgError(f"point {point.label!r} is not registered here")
         if data.word is not None:
@@ -366,8 +366,8 @@ class Representation:
     def pair_value(self, X: CirclePoint, x: CirclePoint) -> float:
         """< hyperplane(x), vector(X) >; zero exactly when X = x."""
         try:
-            dx = self._points[X.position]
-            dxx = self._points[x.position]
+            dx = self._points[X]
+            dxx = self._points[x]
         except KeyError:
             raise EvaluationError("point was not registered with this representation")
         return float(dxx.hyperplane @ dx.vector)

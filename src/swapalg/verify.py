@@ -698,19 +698,20 @@ def suite_wolpert(seed: int = DEFAULT_SEED, count: int = 50, tolerance: float = 
         tolerance,
         detail=f"{produced} crossing pairs",
     )
-    g = random_hyperbolic_sl2(random.Random(seed + 1))
+    # redraw g until its axis crosses that of h; the row is never dropped
+    rng = random.Random(seed + 1)
     h = np.array([[math.cosh(0.7), math.sinh(0.7)], [math.sinh(0.7), math.cosh(0.7)]])
-    try:
-        l1, r1 = wolpert_check(g, h)
-        l2, r2 = wolpert_check(h, g)
-        report.within(
-            "antisymmetry",
-            "swapping the two curves negates both sides",
-            max(abs(l1 + l2), abs(r1 + r2)),
-            1e-9,
-        )
-    except SwapAlgError:
-        pass
+    worst, detail = math.inf, "no crossing pair in 100 draws"
+    for _ in range(100):
+        g = random_hyperbolic_sl2(rng)
+        try:
+            l1, r1 = wolpert_check(g, h)
+            l2, r2 = wolpert_check(h, g)
+        except SwapAlgError:
+            continue
+        worst, detail = max(abs(l1 + l2), abs(r1 + r2)), ""
+        break
+    report.within("antisymmetry", "swapping the two curves negates both sides", worst, 1e-9, detail)
     return report
 
 
@@ -937,19 +938,27 @@ SUITES = {
 }
 
 
-def suite_options(name: str) -> list[str]:
-    """The keyword options the named suite accepts."""
+def suite_options(name: str):
+    """The keyword options the named suite accepts, mapped to their
+    parameters (which carry the defaults)."""
     try:
         suite = SUITES[name]
     except KeyError:
         raise SwapAlgError(
             f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}"
         ) from None
-    return list(inspect.signature(suite).parameters)
+    return inspect.signature(suite).parameters
+
+
+# the least counts that check anything; wilson-limit checks powers above 10
+_MINIMUM_COUNTS = {"count": 1, "trials": 1, "sl2_count": 1, "sl3_count": 1,
+                   "quadruples": 1, "octuples": 1, "pool": 1, "max_power": 11}
 
 
 def run_suite(name: str, **kwargs) -> SuiteReport:
-    """Run a suite; options set to None are left at the suite's default."""
+    """Run a suite; options set to None are left at the suite's default,
+    options given as text take the type of that default, and counts that
+    would check nothing are rejected."""
     accepted = suite_options(name)
     passed = {k: v for k, v in kwargs.items() if v is not None}
     unknown = sorted(set(passed) - set(accepted))
@@ -958,4 +967,13 @@ def run_suite(name: str, **kwargs) -> SuiteReport:
             f"suite {name} does not take {', '.join(unknown)}; "
             f"it accepts {', '.join(accepted)}"
         )
+    for key, value in passed.items():
+        if isinstance(value, str):
+            try:
+                passed[key] = value = type(accepted[key].default)(value)
+            except (TypeError, ValueError):
+                raise SwapAlgError(f"suite {name}: option {key} does not take {value!r}") from None
+        least = _MINIMUM_COUNTS.get(key)
+        if least is not None and value < least:
+            raise SwapAlgError(f"suite {name}: {key} must be at least {least}, got {value}")
     return SUITES[name](**passed)

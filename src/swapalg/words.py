@@ -55,13 +55,6 @@ def invert_word(word: Word) -> Word:
     return tuple((label, -sign) for label, sign in reversed(word))
 
 
-def word_power(word: Word, exponent: int) -> Word:
-    if exponent == 0:
-        raise WordError("identity word has no fixed points")
-    base = word if exponent > 0 else invert_word(word)
-    return reduce_word(base * abs(exponent))
-
-
 def conjugate_word(outer: Word, inner: Word) -> Word:
     """outer . inner . outer^{-1}, freely reduced."""
     return reduce_word(outer + inner + invert_word(outer))

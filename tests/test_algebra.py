@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 
 from swapalg.algebra import (
     AlgebraElement,
+    GeneratorPair,
     Monomial,
     generator,
     jacobiator,
     swap_bracket,
 )
 from swapalg.circle import PointConfig, linking_number
-from swapalg.errors import ConfigMismatchError
+from swapalg.errors import ConfigMismatchError, SwapAlgError
+from swapalg.multifraction import multi_fraction
 from conftest import random_config
 
 
@@ -176,3 +178,56 @@ def test_monomial_ordering_is_syntactic(grid_config):
     ((ma, _),) = a.terms()
     ((mb, _),) = b.terms()
     assert ma.pairs == mb.pairs
+
+
+def test_generator_pairs_are_tuples_of_identity_equal_points():
+    c1, c2 = PointConfig(), PointConfig()
+    X, x = c1.point("X", Fraction(1, 7)), c1.point("x", Fraction(3, 7))
+    Y, y = c2.point("X", Fraction(1, 7)), c2.point("x", Fraction(3, 7))
+    p, q = GeneratorPair(X, x), GeneratorPair(X, x)
+    assert p == q and hash(p) == hash(q)
+    assert p.left is X and p.right is x and p.key == (Fraction(1, 7), Fraction(3, 7))
+    assert p != GeneratorPair(x, X)
+    # same positions, different configurations: different points, different pairs
+    assert p != GeneratorPair(Y, y)
+    with pytest.raises(SwapAlgError):
+        GeneratorPair(X, X)
+    with pytest.raises(ConfigMismatchError):
+        GeneratorPair(X, y)
+
+
+def _shuffled_elements(points, rng):
+    """A multi fraction, a sum of two cross fractions over 8 points and their
+    bracket, with every product and sum taken in an order drawn from rng."""
+    X, x, sigma = points[:4], points[4:], (2, 0, 3, 1)
+    order = rng.sample(range(4), 4)
+    mf = multi_fraction(
+        [X[i] for i in order], [x[i] for i in order], [order.index(sigma[i]) for i in order]
+    )
+
+    def cross(A, B, a, b):
+        num = [generator(A, a), generator(B, b)]
+        den = [generator(B, a), generator(A, b)]
+        rng.shuffle(num)
+        rng.shuffle(den)
+        return num[0] * num[1] / (den[0] * den[1])
+
+    summands = [cross(*points[:4]), cross(*points[4:])]
+    rng.shuffle(summands)
+    total = summands[0] + summands[1]
+    return mf, total, swap_bracket(mf, total, Fraction(1, 3))
+
+
+def test_elements_do_not_depend_on_insertion_order():
+    config = PointConfig()
+    positions = [3, 50, 11, 71, 29, 88, 40, 62]
+    points = [config.point(f"p{i}", Fraction(k, 97)) for i, k in enumerate(positions)]
+    pair_value = lambda A, a: 1.0 + float(A.position) + 3.0 * float(a.position) ** 2
+    built = [_shuffled_elements(points, random.Random(seed)) for seed in range(6)]
+    for first, other in zip(built, built[1:]):
+        for a, b in zip(first, other):
+            assert a == b and hash(a) == hash(b)
+            assert repr(a) == repr(b)
+            assert repr(a.terms()) == repr(b.terms()) and a.terms() == b.terms()
+            assert a.evaluate(pair_value) == b.evaluate(pair_value)
+    assert not built[0][2].is_zero

@@ -286,3 +286,51 @@ def test_verify_all_applies_options_where_taken(monkeypatch, capsys):
     assert "seed=7" in out and "count=0" in out
     assert main(["verify", "all", "--steps", "64"]) == 2
     assert capsys.readouterr().err == "error: no suite takes steps\n"
+
+
+def test_tol_values_take_the_type_of_the_default(capsys):
+    assert main(["verify", "jacobi", "--count", "3"]) == 0
+    by_count = capsys.readouterr().out
+    assert main(["verify", "jacobi", "--tol", "count=3"]) == 0
+    assert capsys.readouterr().out == by_count
+    assert main(["verify", "jacobi", "--tol", "count=2.5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "count" in err and err.count("\n") == 1
+
+
+def test_verify_all_converts_tol_values_per_suite(monkeypatch, capsys):
+    from swapalg import cli, verify
+
+    def whole(limit: int = 1):
+        report = verify.SuiteReport("whole", None)
+        report.notes["whole_limit"] = limit
+        return report
+
+    def real(limit: float = 0.5):
+        report = verify.SuiteReport("real", None)
+        report.notes["real_limit"] = limit
+        return report
+
+    fake = {"whole": whole, "real": real}
+    monkeypatch.setattr(verify, "SUITES", fake)
+    monkeypatch.setattr(cli, "SUITES", fake)
+    assert main(["verify", "all", "--tol", "limit=2"]) == 0
+    out = capsys.readouterr().out
+    assert "whole_limit=2\n" in out and "real_limit=2.000e+00\n" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jacobi", "--count", "-1"],
+        ["wolpert", "--count", "0"],
+        ["wilson-limit", "--tol", "max_power=3"],
+        ["wilson-limit", "--tol", "max_power=8"],
+    ],
+    ids=["jacobi-count", "wolpert-count", "wilson-max-power-3", "wilson-max-power-8"],
+)
+def test_vacuous_counts_are_refused(argv):
+    proc = _run_cli("verify", *argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1

@@ -207,21 +207,6 @@ def test_unknown_label_lookup():
         config["missing"]
 
 
-def test_config_level_cut():
-    config = PointConfig(cut=Fraction(1, 20))
-    p = [config.point(f"p{i}", Fraction(i, 10)) for i in range(10)]
-    free = PointConfig()
-    q = [free.point(f"p{i}", Fraction(i, 10)) for i in range(10)]
-    for idx in [(1, 3, 2, 4), (0, 5, 2, 8), (9, 1, 4, 4)]:
-        a = linking_number(*(p[i] for i in idx))
-        b = linking_number(*(q[i] for i in idx))
-        assert a == b
-    with pytest.raises(InvalidCutError):
-        bad = PointConfig(cut=Fraction(2, 10))
-        r = [bad.point(f"p{i}", Fraction(i, 10)) for i in range(10)]
-        linking_number(r[1], r[2], r[3], r[4])
-
-
 def _gap_midpoint_cuts(points):
     """One cut in the middle of every gap between consecutive positions."""
     ps = sorted(p.position for p in points)

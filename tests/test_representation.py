@@ -16,6 +16,7 @@ from swapalg.representation import (
     symmetric_square,
     wolpert_check,
 )
+from swapalg.verify import run_suite
 
 COSH1 = math.cosh(1.0)
 SINH1 = math.sinh(1.0)
@@ -108,7 +109,7 @@ def test_action_matches_moebius_for_raw_points():
     t = 0.37
     image = rep.act("a", rep.boundary_point(t))
     expected = (m[0, 0] * t + m[0, 1]) / (m[1, 0] * t + m[1, 1])
-    data = rep._points[image.position]
+    data = rep._points[image]
     got = data.vector[0] / data.vector[1]
     assert abs(got - expected) < 1e-10
 
@@ -116,12 +117,12 @@ def test_action_matches_moebius_for_raw_points():
 def test_action_on_fixed_points_matches_moebius():
     rep = two_generator_rep(seed=4)
     h_plus = rep.fixed_point("b", +1)
-    v = rep._points[h_plus.position].vector
+    v = rep._points[h_plus].vector
     t = v[0] / v[1]
     m = rep.matrix("a")
     expected = (m[0, 0] * t + m[0, 1]) / (m[1, 0] * t + m[1, 1])
     image = rep.act("a", h_plus)
-    w = rep._points[image.position].vector
+    w = rep._points[image].vector
     assert abs(w[0] / w[1] - expected) < 1e-10
 
 
@@ -424,3 +425,18 @@ def test_wilson_ratio_extreme_powers_stay_finite():
     value = rep.wilson_ratio("a", "b", 500)
     assert _math.isfinite(value)
     assert value == pytest.approx(rep.elementary_value(("a", "b")), abs=1e-12)
+
+
+def test_boundary_point_labels_keep_distinct_coordinates_apart():
+    rep = two_generator_rep()
+    p = rep.boundary_point(0.1)
+    q = rep.boundary_point(0.1 + 1e-14)
+    assert p is not q and p.position != q.position
+    assert rep.boundary_point(0.1) is p
+
+
+@pytest.mark.parametrize("seed", [0, 1, 8, 42])
+def test_wolpert_suite_always_reports_antisymmetry(seed):
+    report = run_suite("wolpert", seed=seed, count=1)
+    (row,) = [row for row in report.rows if row.name == "antisymmetry"]
+    assert row.passed
