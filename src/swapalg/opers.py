@@ -6,9 +6,14 @@ An operator of order n,
 
 with 1-periodic trigonometric-polynomial coefficients, is integrated as the
 companion first-order system with a classical fixed-step fourth-order
-Runge-Kutta scheme.  The companion matrix is trace free (there is no
-psi^(n-1) term), so the frame determinant is conserved; the drift measures
-integration error.
+Runge-Kutta scheme.  The system is linear, so each step is a matrix S_k
+that does not depend on the state; all of them are built at once, and the
+frames are their prefix products S_{k-1} ... S_0.  The search for trivial
+holonomy and the step-halving error estimate need only the holonomy, the
+full product, which they take by a pairwise tree product of the same
+matrices without forming the frames.  The companion matrix is trace free
+(there is no psi^(n-1) term), so the frame determinant is conserved; the
+drift measures integration error.
 
 The frame at t has columns (psi_j, psi_j', ..., psi_j^(n-1)) for the basis
 of solutions with frame(0) = Id; the holonomy is frame(1).  When the
@@ -141,7 +146,7 @@ class FundamentalSolution:
         self.oper = oper
         self.steps = steps
         self.frames = frames
-        self._inverses = [None] * (steps + 1)
+        self._inverses = None
         self.holonomy = frames[steps].copy()
         dets = np.linalg.det(frames)
         self.det_drift = float(np.max(np.abs(dets - 1.0)))
@@ -168,10 +173,9 @@ class FundamentalSolution:
     def frame_inverse(self, t) -> np.ndarray:
         j = self.grid_index(t)
         m, r = divmod(j, self.steps)
+        if self._inverses is None:
+            self._inverses = np.linalg.inv(self.frames)
         inv = self._inverses[r]
-        if inv is None:
-            inv = np.linalg.inv(self.frames[r])
-            self._inverses[r] = inv
         if m == 0:
             return inv
         return np.linalg.matrix_power(self.holonomy, -m) @ inv
@@ -203,34 +207,54 @@ def _companion_matrices(oper: OperSpec, times: np.ndarray) -> np.ndarray:
     return mats
 
 
-def integrate(oper: OperSpec, steps: int = 4096) -> FundamentalSolution:
-    """Fixed-step classical fourth-order integration of the companion system."""
+def _step_matrices(oper: OperSpec, steps: int) -> np.ndarray:
+    """The RK4 step matrices S_0..S_{steps-1}: frame(k+1) = S_k frame(k)."""
     if steps < 64:
         raise SwapAlgError("use at least 64 steps")
-    n = oper.order
     h = 1.0 / steps
     times = np.arange(2 * steps + 1) * (h / 2.0)  # grid and half-grid points
     mats = _companion_matrices(oper, times)
-    frames = np.empty((steps + 1, n, n))
-    frames[0] = np.eye(n)
-    y = frames[0]
-    for k in range(steps):
-        a0 = mats[2 * k]
-        a1 = mats[2 * k + 1]
-        a2 = mats[2 * k + 2]
-        k1 = a0 @ y
-        k2 = a1 @ (y + (h / 2.0) * k1)
-        k3 = a1 @ (y + (h / 2.0) * k2)
-        k4 = a2 @ (y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        frames[k + 1] = y
+    a0, a1, a2 = mats[:-1:2], mats[1::2], mats[2::2]
+    eye = np.eye(oper.order)
+    # the RK4 stages applied to y = Id, where k1 = a0
+    k2 = a1 @ (eye + (h / 2.0) * a0)
+    k3 = a1 @ (eye + (h / 2.0) * k2)
+    k4 = a2 @ (eye + h * k3)
+    return eye + (h / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _holonomy(oper: OperSpec, steps: int) -> np.ndarray:
+    """frame(1) alone, as a pairwise tree product of the step matrices."""
+    mats = _step_matrices(oper, steps)
+    while len(mats) > 1:
+        if len(mats) % 2:
+            mats[-2] = mats[-1] @ mats[-2]
+            mats = mats[:-1]
+        mats = mats[1::2] @ mats[::2]
+    return mats[0]
+
+
+def integrate(oper: OperSpec, steps: int = 4096) -> FundamentalSolution:
+    """Fixed-step classical fourth-order integration of the companion system.
+
+    The frames are the prefix products of the per-step RK4 matrices,
+    computed by a doubling scan: after the pass with offset d, each frame
+    holds the product of up to 2d consecutive steps.
+    """
+    frames = np.empty((steps + 1, oper.order, oper.order))
+    frames[0] = np.eye(oper.order)
+    frames[1:] = _step_matrices(oper, steps)
+    d = 1
+    while d < steps:
+        frames[d:] = frames[d:] @ frames[:-d]
+        d *= 2
     return FundamentalSolution(oper, steps, frames)
 
 
 def richardson_error(oper: OperSpec, steps: int) -> float:
     """Step-halving estimate of the holonomy error at the given resolution."""
-    coarse = integrate(oper, steps // 2).holonomy
-    fine = integrate(oper, steps).holonomy
+    coarse = _holonomy(oper, steps // 2)
+    fine = _holonomy(oper, steps)
     return float(np.max(np.abs(fine - coarse)) / 15.0)
 
 
@@ -432,7 +456,7 @@ def solve_trivial_holonomy(
     target_sign: int,
     stages=(1024, 4096),
     max_iterations: int = 25,
-    tolerance: float = 1e-11,
+    tolerance: float = 1e-12,
 ) -> OperSpec:
     """Adjust (constant, cos 2pi t, sin 2pi t) parts of q_2 by Newton
     iteration until the holonomy equals target_sign * Id.
@@ -442,7 +466,10 @@ def solve_trivial_holonomy(
     the holonomy condition is three equations (the fourth entry follows
     from det = 1), matching the three unknowns.  The solve runs through the
     grid resolutions in `stages`, so the final iterate is converged on the
-    finest grid.
+    finest grid.  Each residual evaluation computes the holonomy alone.
+    The default `tolerance` lets the last Newton step land at the rounding
+    floor: cross fractions of lifts go through holonomy powers, so a
+    residual left at 1e-11 moves large cross fractions by more than 1e-6.
     """
     if base.order != 2:
         raise SwapAlgError("the Newton search is implemented for order 2")
@@ -454,8 +481,7 @@ def solve_trivial_holonomy(
         return OperSpec(2, {2: fixed + [(0, c0, 0.0), (1, a1, b1)]})
 
     def residual(u, steps):
-        h = integrate(build(u), steps).holonomy
-        d = h - target
+        d = _holonomy(build(u), steps) - target
         return np.array([d[0, 0], d[0, 1], d[1, 0]])
 
     u = np.zeros(3)

@@ -8,6 +8,8 @@ import pytest
 from swapalg.errors import EvaluationError, SwapAlgError
 from swapalg.opers import (
     OperSpec,
+    _companion_matrices,
+    _holonomy,
     coordinate_function,
     ds_crossfraction_bracket,
     ds_pair_bracket,
@@ -85,6 +87,10 @@ def test_third_order_veronese():
 def test_step_floor_and_grid_snapping(circle_solution):
     with pytest.raises(SwapAlgError):
         integrate(veronese_oper(2), 32)
+    with pytest.raises(SwapAlgError, match="64 steps"):
+        richardson_error(veronese_oper(2), 100)  # the coarse half has 50 steps
+    with pytest.raises(SwapAlgError, match="64 steps"):
+        solve_trivial_holonomy(veronese_oper(2), [(2, 0.8, -0.4)], -1, stages=(32, 4096))
     with pytest.raises(SwapAlgError, match="grid"):
         circle_solution.frame(0.1234567)
     assert circle_solution.grid_index(Fraction(3, M)) == 3
@@ -93,6 +99,53 @@ def test_step_floor_and_grid_snapping(circle_solution):
 
 def test_richardson_estimate_is_small():
     assert richardson_error(veronese_oper(2), 256) < 1e-8
+
+
+def _loop_frames(oper, steps):
+    """Reference integrator: one classical RK4 step at a time on the frame."""
+    n = oper.order
+    h = 1.0 / steps
+    mats = _companion_matrices(oper, np.arange(2 * steps + 1) * (h / 2.0))
+    frames = np.empty((steps + 1, n, n))
+    frames[0] = np.eye(n)
+    y = frames[0]
+    for k in range(steps):
+        a0, a1, a2 = mats[2 * k], mats[2 * k + 1], mats[2 * k + 2]
+        k1 = a0 @ y
+        k2 = a1 @ (y + (h / 2.0) * k1)
+        k3 = a1 @ (y + (h / 2.0) * k2)
+        k4 = a2 @ (y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        frames[k + 1] = y
+    return frames
+
+
+ORACLE_OPERS = {
+    "veronese-2": veronese_oper(2),
+    "veronese-3": veronese_oper(3),
+    "harmonics": OperSpec(2, {2: [(0, PI2, 0.0), (2, 0.8, -0.4), (3, 0.3, 0.5)]}),
+}
+
+
+@pytest.mark.parametrize("steps", [64, 100, 1023, 4096])
+@pytest.mark.parametrize("name", sorted(ORACLE_OPERS))
+def test_prefix_scan_matches_step_loop(name, steps):
+    # 100 and 1023 are not powers of two: the scan's last pass and the
+    # tree product's odd levels are partial there
+    oper = ORACLE_OPERS[name]
+    sol = integrate(oper, steps)
+    ref = _loop_frames(oper, steps)
+    bound = 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(sol.frames - ref)) <= bound
+    assert np.max(np.abs(sol.holonomy - ref[-1])) <= bound
+    ref_drift = np.max(np.abs(np.linalg.det(ref) - 1.0))
+    assert abs(sol.det_drift - ref_drift) <= bound
+    assert np.max(np.abs(_holonomy(oper, steps) - sol.holonomy)) <= 1e-13
+    eye = np.eye(oper.order)
+    for m in range(-2, 3):
+        for j in (0, 1, steps // 3, steps - 1):
+            t = Fraction(j, steps) + m
+            assert np.max(np.abs(sol.frame_inverse(t) @ sol.frame(t) - eye)) <= 1e-12
 
 
 # -- weak cross ratios -----------------------------------------------------------
@@ -299,6 +352,22 @@ def test_solve_trivial_holonomy_converges():
     )
     sol = integrate(oper, 1024)
     assert np.max(np.abs(sol.holonomy + np.eye(2))) < 1e-9
+
+
+def test_newton_search_converges_to_the_rounding_floor():
+    # harmonics of an operator whose lifted cross fraction (about -3765)
+    # moved by 1.1e-6 when the search stopped at max|H + Id| < 1e-11
+    extra = [
+        (2, -0.004103788961629107, 1.5581819892727253),
+        (3, -1.5784889608128196, -0.1508481426938033),
+    ]
+    oper = solve_trivial_holonomy(veronese_oper(2), extra, target_sign=-1)
+    sol = integrate(oper, 4096)
+    assert np.max(np.abs(sol.holonomy + np.eye(2))) <= 1e-12
+    X, x, Y, y = (Fraction(j, 4096) for j in (2077, 2051, 323, 306))
+    base = oper_cross_fraction(sol, X, x, Y, y)
+    lifted = oper_cross_fraction(sol, X + 1, x, Y - 2, y)
+    assert abs(lifted - base) <= 1e-6
 
 
 def test_random_trivial_holonomy_family_is_deterministic():
