@@ -16,30 +16,29 @@ matrices without forming the frames.  The companion matrix is trace free
 drift measures integration error.
 
 The frame at t has columns (psi_j, psi_j', ..., psi_j^(n-1)) for the basis
-of solutions with frame(0) = Id; the holonomy is frame(1).  When the
-holonomy is +-Id the solutions define a closed projective curve
+of solutions with frame(0) = Id; the holonomy is frame(1).  The one
+primitive is the pairing
 
+    F_{Y,y} = <xi(Y), xi*(y)>,
     xi(t)  = first row of frame(t)           (the solution values),
-    xi*(t) = last column of frame(t)^{-1}    (the osculating hyperplane),
+    xi*(t) = last column of frame(t)^{-1}    (the osculating hyperplane).
 
-and the weak cross ratio
+In the companion trivialisation it is a parallel-transport pairing.  The
+flag structure filters jets by vanishing order, so the distinguished
+section through y is the solution vanishing to maximal order there (jet
+(0, ..., 0, 1) at y), and the distinguished covector through Y reads off
+the solution value at Y; F_{Y,y} is their pairing.  It is independent of
+the transport parameter and vanishes exactly when Y = y on the circle.
+Lifts to the real line are handled through holonomy powers.
 
-    b(x, y, z, t) = <xi(x), xi*(y)> <xi(z), xi*(t)>
-                    / (<xi(z), xi*(y)> <xi(x), xi*(t)>)
+When the holonomy is +-Id the solutions define a closed projective curve,
+and every observable is a quotient of pairings that is independent of all
+scale choices: the cross fraction F_{X,y} F_{Y,x} / (F_{X,x} F_{Y,y}), and
+the weak cross ratio
 
-is independent of all scale choices.
+    b(x, y, z, t) = F_{x,y} F_{z,t} / (F_{z,y} F_{x,t}),
 
-Coordinate functions are parallel-transport pairings in the companion
-trivialisation.  The flag structure filters jets by vanishing order, so
-the distinguished section through y is the solution vanishing to maximal
-order there (jet (0, ..., 0, 1) at y), and the distinguished covector
-through Y reads off the solution value at Y.  Their pairing
-
-    F_{Y,y} = <sigma*_Y, sigma_y> = <xi(Y), xi*(y)>
-
-is independent of the transport parameter and vanishes exactly when Y = y
-on the circle.  Lifts to the real line are handled through holonomy
-powers.
+which is the same cross fraction with its arguments relabelled.
 
 Everything is deterministic: fixed step size, no adaptivity, and query
 parameters must lie on the integration grid.
@@ -180,20 +179,6 @@ class FundamentalSolution:
             return inv
         return np.linalg.matrix_power(self.holonomy, -m) @ inv
 
-    # -- curve data --------------------------------------------------------
-
-    def curve(self, t) -> np.ndarray:
-        """xi(t): the vector of solution values."""
-        return self.frame(t)[0, :]
-
-    def hyperplane(self, t) -> np.ndarray:
-        """xi*(t): the covector cutting out the osculating hyperplane."""
-        return self.frame_inverse(t)[:, -1]
-
-    def pairing(self, s, t) -> float:
-        """<xi(s), xi*(t)>; vanishes exactly at s = t (mod 1)."""
-        return float(self.curve(s) @ self.hyperplane(t))
-
 
 def _companion_matrices(oper: OperSpec, times: np.ndarray) -> np.ndarray:
     n = oper.order
@@ -280,17 +265,9 @@ def is_psl_trivial(sol: FundamentalSolution, tolerance: float = TRIVIAL_HOLONOMY
     return holonomy_class(sol, tolerance) == "trivial-in-PSL"
 
 
-def weak_cross_ratio(sol: FundamentalSolution, x, y, z, t) -> float:
-    """b(x, y, z, t) from the Frenet data; requires +-Id holonomy."""
+def _require_trivial(sol: FundamentalSolution) -> None:
     if not is_psl_trivial(sol):
         raise EvaluationError("multivalued: holonomy is not trivial in PSL")
-    ix, iy, iz, it = (sol.grid_index(v) % sol.steps for v in (x, y, z, t))
-    if iz == iy or ix == it:
-        raise SwapAlgError("need z != y and x != t")
-    den = sol.pairing(z, y) * sol.pairing(x, t)
-    if den == 0.0:
-        raise EvaluationError("degenerate evaluation")
-    return sol.pairing(x, y) * sol.pairing(z, t) / den
 
 
 def coordinate_function(sol: FundamentalSolution, Y, y, via=None) -> float:
@@ -310,14 +287,11 @@ def coordinate_function(sol: FundamentalSolution, Y, y, via=None) -> float:
 
 
 def oper_cross_fraction(sol: FundamentalSolution, X, x, Y, y) -> float:
-    """F_{X,y} F_{Y,x} / (F_{X,x} F_{Y,y}).
+    """F_{X,y} F_{Y,x} / (F_{X,x} F_{Y,y}); requires +-Id holonomy.
 
-    Equals the weak cross ratio under the argument correspondence
-    oper_cross_fraction(X, x, Y, y) = weak_cross_ratio(X, y, Y, x), and is
-    unchanged when any lift is shifted by an integer.
+    Unchanged when any lift is shifted by an integer.
     """
-    if not is_psl_trivial(sol):
-        raise EvaluationError("multivalued: holonomy is not trivial in PSL")
+    _require_trivial(sol)
     iX, ix, iY, iy = (sol.grid_index(v) % sol.steps for v in (X, x, Y, y))
     if iX == ix or iY == iy:
         raise EvaluationError("degenerate evaluation: a denominator pairing vanishes")
@@ -327,16 +301,25 @@ def oper_cross_fraction(sol: FundamentalSolution, X, x, Y, y) -> float:
     return coordinate_function(sol, X, y) * coordinate_function(sol, Y, x) / den
 
 
+def weak_cross_ratio(sol: FundamentalSolution, x, y, z, t) -> float:
+    """b(x, y, z, t), which is oper_cross_fraction(x, t, z, y)."""
+    return oper_cross_fraction(sol, x, t, z, y)
+
+
 # -- Poisson brackets of coordinate observables ------------------------------
 
 
-def _point_config(parameters) -> tuple[PointConfig, list]:
+def _circle_points(parameters) -> list:
+    """One configuration holding the parameters' circle positions."""
     config = PointConfig()
-    points = []
-    for name, value in parameters:
-        pos = Fraction(value) % 1
-        points.append(config.point(name, pos))
-    return config, points
+    return [config.point(f"p{i}", Fraction(v) % 1) for i, v in enumerate(parameters)]
+
+
+def _pair_bracket(lk, n, F, X, x, Y, y) -> float:
+    """lk (F_{X,y} F_{Y,x} - F_{X,x} F_{Y,y} / n^2), with lk = [Xx, Yy]."""
+    if lk == 0:
+        return 0.0
+    return float(lk) * (F(X, y) * F(Y, x) - F(X, x) * F(Y, y) / n**2)
 
 
 def ds_pair_bracket(sol: FundamentalSolution, first, second) -> float:
@@ -351,64 +334,65 @@ def ds_pair_bracket(sol: FundamentalSolution, first, second) -> float:
     """
     X, x = first
     Y, y = second
-    config, (pX, px, pY, py) = _point_config([("X", X), ("x", x), ("Y", Y), ("y", y)])
-    if len({pX, px, pY, py}) != 4:
+    points = _circle_points((X, x, Y, y))
+    if len(set(points)) != 4:
         raise SwapAlgError("points must be pairwise distinct")
-    lk = linking_number(pX, px, pY, py)
-    if lk == 0:
-        return 0.0
-    n = sol.oper.order
     F = lambda A, a: coordinate_function(sol, A, a)
-    return float(lk) * (F(X, y) * F(Y, x) - F(X, x) * F(Y, y) / n**2)
+    return _pair_bracket(linking_number(*points), sol.oper.order, F, X, x, Y, y)
 
 
 def ds_crossfraction_bracket(sol: FundamentalSolution, q0, q1, alpha=0) -> tuple[float, float]:
     """Bracket of two cross-fraction observables, computed two ways.
 
     `q0` and `q1` are quadruples (X, x, Y, y) of grid parameters; the
-    observable is F_{X,x} F_{Y,y} / (F_{Y,x} F_{X,y}).  The first return
-    value applies the Leibniz and quotient rules directly over the sixteen
-    pair brackets of `ds_pair_bracket`; the second expands the swapping
-    bracket of the two cross fractions symbolically and evaluates every
-    generator pair Zz as F_{Z,z}.  The two coincide for every alpha: on
-    balanced fractions the alpha term and the -1/n^2 term both cancel.
+    observable is F_{X,x} F_{Y,y} / (F_{Y,x} F_{X,y}).  Both routes read
+    one table: F_{A,a} evaluated once for each left parameter A in
+    {X0, Y0, X1, Y1} and right parameter a in {x0, y0, x1, y1}, sixteen
+    pairings in all.  The first return value applies the Leibniz and
+    quotient rules directly over the sixteen pair brackets of
+    `ds_pair_bracket`; the second expands the swapping bracket of the two
+    cross fractions symbolically and evaluates every generator pair Aa
+    from the table (a bracket swaps right points between pairs, so no
+    other pair occurs).  The two routes share nothing else but the
+    linking form of one 8-point configuration.  They coincide for every
+    alpha: on balanced fractions the alpha term and the -1/n^2 term both
+    cancel.  Requires +-Id holonomy.
     """
+    _require_trivial(sol)
     if tuple(q0) == tuple(q1):
         return 0.0, 0.0  # bracket of an observable with itself, by antisymmetry
     params = list(q0) + list(q1)
-    config, points = _point_config([(f"p{i}", v) for i, v in enumerate(params)])
+    points = _circle_points(params)
     if len(set(points)) != 8:
         raise SwapAlgError("the eight points must be pairwise distinct")
-    X0, x0, Y0, y0, X1, x1, Y1, y1 = params
+    table = {
+        (points[i], points[j]): coordinate_function(sol, params[i], params[j])
+        for i in (0, 2, 4, 6)
+        for j in (1, 3, 5, 7)
+    }
+    F = lambda A, a: table[A, a]
+    c0, c1 = points[:4], points[4:]
 
     # direct route: chain rule over pair brackets
-    F = lambda A, a: coordinate_function(sol, A, a)
-
-    def log_slots(quad):
-        X, x, Y, y = quad
+    def log_slots(X, x, Y, y):
         return [((X, x), 1), ((Y, y), 1), ((X, y), -1), ((Y, x), -1)]
 
-    def value(quad):
-        X, x, Y, y = quad
+    def value(X, x, Y, y):
         return F(X, x) * F(Y, y) / (F(X, y) * F(Y, x))
 
-    v0 = value(q0)
-    v1 = value(q1)
+    n = sol.oper.order
     ds_value = 0.0
-    for (a, sa) in log_slots(q0):
-        for (b, sb) in log_slots(q1):
-            ds_value += sa * sb / (F(*a) * F(*b)) * ds_pair_bracket(sol, a, b)
-    ds_value *= v0 * v1
+    for a, sa in log_slots(*c0):
+        for b, sb in log_slots(*c1):
+            lk = linking_number(*a, *b)
+            ds_value += sa * sb / (F(*a) * F(*b)) * _pair_bracket(lk, n, F, *a, *b)
+    ds_value *= value(*c0) * value(*c1)
 
     # symbolic route: swapping bracket, then pairwise evaluation
-    pX0, px0, pY0, py0, pX1, px1, pY1, py1 = points
-    cf0 = cross_fraction(pX0, pY0, px0, py0)
-    cf1 = cross_fraction(pX1, pY1, px1, py1)
-    bracket = fraction_bracket(cf0, cf1, alpha)
-    swap_value = bracket.evaluate(
-        lambda P, Q: coordinate_function(sol, P.position, Q.position)
-    )
-    return ds_value, swap_value
+    (X0, x0, Y0, y0), (X1, x1, Y1, y1) = c0, c1
+    cf0 = cross_fraction(X0, Y0, x0, y0)
+    cf1 = cross_fraction(X1, Y1, x1, y1)
+    return ds_value, fraction_bracket(cf0, cf1, alpha).evaluate(F)
 
 
 # -- Frenet validation --------------------------------------------------------
@@ -423,8 +407,7 @@ def frenet_validate(sol: FundamentalSolution, samples) -> dict:
     reported value is the p-dimensional volume they span, so 0 flags a
     degenerate tuple.  Returns the per-sample volumes and their minimum.
     """
-    if not is_psl_trivial(sol):
-        raise EvaluationError("multivalued: holonomy is not trivial in PSL")
+    _require_trivial(sol)
     n = sol.oper.order
     volumes = []
     for supports, weights in samples:

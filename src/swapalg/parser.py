@@ -17,7 +17,9 @@ Point labels resolve in a point configuration; labels may end in '+' or '-'
 context (a representation or a symbolic fixed-point table).  Every value is
 one Laurent element; ``/`` divides by any element with a single term.
 Elements with a denominator print as ``NUM / DEN``, and canonical forms
-round-trip through the parser.
+round-trip through the parser.  Parentheses and unary minus nest at most
+MAX_NESTING levels; deeper input is a ParseError rather than a recursion
+overflow.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ _TOKEN = re.compile(
 )
 
 _CALLS = {"cross", "mf", "elem", "pbeta", "wolpert"}
+
+MAX_NESTING = 200  # 3 stack frames per level, well inside the recursion limit
 
 
 class _Token:
@@ -94,6 +98,7 @@ class _Parser:
         self.index = 0
         self.config = config
         self.universe = universe
+        self.depth = 0
 
     # -- token plumbing -------------------------------------------------
 
@@ -157,19 +162,23 @@ class _Parser:
 
     def factor(self) -> AlgebraElement:
         token = self.current
-        if token.kind == "-":
+        if token.kind in ("-", "("):
+            if self.depth == MAX_NESTING:
+                self.fail(f"nesting deeper than {MAX_NESTING} levels")
+            self.depth += 1
             self.advance()
-            return -self.factor()
+            if token.kind == "-":
+                value = -self.factor()
+            else:
+                value = self.expr()
+                self.expect(")")
+            self.depth -= 1
+            return value
         if token.kind == "num":
             self.advance()
             return AlgebraElement.scalar(self.config, token.value)
         if token.kind == "[":
             return self.generator()
-        if token.kind == "(":
-            self.advance()
-            value = self.expr()
-            self.expect(")")
-            return value
         if token.kind == "ident":
             if token.value in _CALLS:
                 return self.call()

@@ -1,7 +1,5 @@
-import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from swapalg.circle import PointConfig
@@ -13,26 +11,3 @@ def grid_config():
     config = PointConfig()
     points = [config.point(f"p{i}", Fraction(i, 10)) for i in range(10)]
     return config, points
-
-
-def random_config(rng: random.Random, count: int, denominator: int = 499):
-    config = PointConfig()
-    positions = rng.sample(range(denominator), count)
-    points = [
-        config.point(f"p{i}", Fraction(k, denominator))
-        for i, k in enumerate(positions)
-    ]
-    return config, points
-
-
-def random_hyperbolic_sl2(rng: random.Random, low=1.3, high=3.0) -> np.ndarray:
-    lam = rng.uniform(low, high)
-    while True:
-        basis = np.array(
-            [
-                [rng.uniform(-2, 2), rng.uniform(-2, 2)],
-                [rng.uniform(-2, 2), rng.uniform(-2, 2)],
-            ]
-        )
-        if abs(np.linalg.det(basis)) > 0.3:
-            return basis @ np.diag([lam, 1.0 / lam]) @ np.linalg.inv(basis)

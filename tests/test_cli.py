@@ -1,6 +1,13 @@
+import contextlib
+import io
 import math
+import os
+import re
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swapalg.cli import main
 
@@ -232,8 +239,20 @@ def test_identities_on_no_points(tmp_path, capsys):
         ["oper", "--oper", "{oper}", "--cross-ratio", "1/0", "1/8", "3/8", "5/8"],
         ["oper", "--oper", "{oper}", "--coordinate", "1/0", "0"],
         ["oper", "--oper", "{oper}", "--frenet", "-1"],
+        ["oper", "--oper", "{oper}", "--cross-ratio", "1/8", "3/8", "3/8", "7/8"],
+        ["bracket", "--points", "{points}", "(" * 3000 + "1" + ")" * 3000, "[X x]"],
+        ["bracket", "--points", "{points}", "--", "-" * 3000 + "1", "[X x]"],
     ],
-    ids=["truncated-rep", "empty-anchor", "cross-ratio-1/0", "coordinate-1/0", "negative-frenet"],
+    ids=[
+        "truncated-rep",
+        "empty-anchor",
+        "cross-ratio-1/0",
+        "coordinate-1/0",
+        "negative-frenet",
+        "cross-ratio-z=y",
+        "deep-parentheses",
+        "deep-unary-minus",
+    ],
 )
 def test_bad_input_exits_two_with_one_line(files, tmp_path, argv):
     truncated = tmp_path / "truncated.txt"
@@ -334,3 +353,56 @@ def test_vacuous_counts_are_refused(argv):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
+# -- fuzzing the file readers ----------------------------------------------------
+
+_WORDS = [
+    "n", "=", "0", "1", "2", "3", "-1", "99", "1/3", "-1/2", "2/1", "1/0", "0.5",
+    "2.0", "-0.5", "1e400", "nan", "inf", "q2:", "q3:", "k=1", "k=-2", "cos=0.5",
+    "sin=-2", "cos=nan", "element", "a", "b", "#", ":", "\n",
+]
+# free text carries no decimal digits, so every number comes from _WORDS and
+# stays small: an operator order of 999 would ask for gigabytes of frames
+_TOKEN = st.one_of(
+    st.sampled_from(_WORDS),
+    st.text(st.characters(exclude_categories=("Cs", "Nd")), max_size=4),
+)
+# each reader gets a valid file, then token edits; the command runs on it
+_READERS = {
+    "identities": (["identities", "--points"], [], "a = 1/3\nb = 2/3\nc = 0\nd = 5/6\n"),
+    "eval": (["eval", "--rep"], ["elem(a, b)"], REP),
+    "oper": (["oper", "--oper"], ["--steps", "64"], OPER),
+}
+
+
+@st.composite
+def _edited(draw, valid):
+    tokens = re.findall(r"\S+|\n", valid)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.sampled_from(range(len(tokens) + 1)))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if edit == "insert":
+            tokens.insert(i, draw(_TOKEN))
+        elif tokens:
+            i = min(i, len(tokens) - 1)
+            tokens[i : i + 1] = [draw(_TOKEN)] if edit == "replace" else []
+    return " ".join(tokens)
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_file_readers_exit_zero_or_two_with_one_line(reader, data):
+    head, tail, valid = _READERS[reader]
+    text = data.draw(_edited(valid))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.txt")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([*head, path, *tail])
+    assert rc in (0, 2)
+    lines = err.getvalue().splitlines()
+    assert len(lines) <= 1 and all(line.startswith("error:") for line in lines)

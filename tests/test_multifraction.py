@@ -21,7 +21,7 @@ from swapalg.multifraction import (
     multi_fraction,
     wolpert_rhs,
 )
-from conftest import random_config
+from swapalg.verify import _random_config
 
 
 def fresh_words(rng, labels, denominator=499):
@@ -157,7 +157,7 @@ def test_is_balanced_examples(grid_config):
 def test_fraction_bracket_alpha_independence_and_closure():
     rng = random.Random(8)
     for _ in range(30):
-        config, points = random_config(rng, 10)
+        config, points = _random_config(rng, 10, denominator=499)
         i = rng.sample(range(10), 8)
         f = cross_fraction(points[i[0]], points[i[1]], points[i[2]], points[i[3]])
         g = cross_fraction(points[i[4]], points[i[5]], points[i[6]], points[i[7]])
@@ -178,7 +178,7 @@ def test_fraction_bracket_trivial_cases(grid_config):
 
 def test_fraction_bracket_antisymmetry_and_leibniz():
     rng = random.Random(9)
-    config, points = random_config(rng, 10)
+    config, points = _random_config(rng, 10, denominator=499)
     i = list(range(8))
     f = cross_fraction(points[i[0]], points[i[1]], points[i[2]], points[i[3]])
     g = cross_fraction(points[i[4]], points[i[5]], points[i[6]], points[i[7]])
@@ -352,7 +352,7 @@ def test_symbolic_action_must_be_declared():
 
 def test_fraction_bracket_jacobi_identity():
     rng = random.Random(21)
-    config, points = random_config(rng, 12)
+    config, points = _random_config(rng, 12, denominator=499)
     f = cross_fraction(points[0], points[5], points[2], points[8])
     g = cross_fraction(points[1], points[7], points[4], points[10])
     h = cross_fraction(points[3], points[9], points[6], points[11])
@@ -367,7 +367,7 @@ def test_fraction_bracket_jacobi_identity():
 
 def test_equality_is_cross_multiplication():
     rng = random.Random(22)
-    config, points = random_config(rng, 8)
+    config, points = _random_config(rng, 8, denominator=499)
     numer = generator(points[0], points[1]) + 3 * generator(points[2], points[3])
     pad = generator(points[4], points[5])
     ((pad_monomial, _),) = pad.terms()
@@ -394,7 +394,7 @@ def test_bracket_agrees_with_quotient_rule():
     #                            + n1 n2 {d1,d2}, every bracket between polynomials
     rng = random.Random(24)
     for trial in range(12):
-        config, points = random_config(rng, 12)
+        config, points = _random_config(rng, 12, denominator=499)
 
         def draw(kind):
             k = rng.sample(points, 8)

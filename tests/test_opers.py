@@ -315,6 +315,43 @@ def test_ds_crossfraction_bracket_rejects_overlap(circle_solution):
         ds_crossfraction_bracket(circle_solution, q0, q1)
 
 
+def test_ds_crossfraction_bracket_rejects_multivalued():
+    sol = integrate(OperSpec(2, {2: [(0, 5.0, 0.0)]}), 1024)
+    assert holonomy_class(sol) == "elliptic-like"
+    q0 = tuple(grid(j, 1024) for j in (37, 205, 411, 700))
+    q1 = tuple(grid(j, 1024) for j in (120, 333, 590, 901))
+    for second in (q1, q0):  # the self-bracket shortcut comes after the check
+        with pytest.raises(EvaluationError, match="multivalued"):
+            ds_crossfraction_bracket(sol, q0, second)
+
+
+def test_ds_crossfraction_bracket_reads_one_table(circle_solution, monkeypatch):
+    # 4 left by 4 right parameters: 16 pairings, all on one 8-point config
+    import swapalg.opers as opers
+
+    counts = {"pairings": 0, "configs": 0}
+    pairing, config = opers.coordinate_function, opers.PointConfig
+
+    def counted_pairing(*args, **kwargs):
+        counts["pairings"] += 1
+        return pairing(*args, **kwargs)
+
+    def counted_config():
+        counts["configs"] += 1
+        return config()
+
+    monkeypatch.setattr(opers, "coordinate_function", counted_pairing)
+    monkeypatch.setattr(opers, "PointConfig", counted_config)
+    rng = random.Random(4)
+    for _ in range(5):
+        idx = rng.sample(range(1, M), 8)
+        counts.update(pairings=0, configs=0)
+        ds_crossfraction_bracket(
+            circle_solution, tuple(grid(j) for j in idx[:4]), tuple(grid(j) for j in idx[4:])
+        )
+        assert counts == {"pairings": 16, "configs": 1}
+
+
 # -- Frenet validation ------------------------------------------------------------------
 
 

@@ -173,3 +173,13 @@ def test_division_by_zero_is_a_parse_error(config, text, column):
     with pytest.raises(ParseError, match="division by zero") as err:
         parse_expression(text, config)
     assert (err.value.line, err.value.column) == (1, column)
+
+
+def test_nesting_depth_is_bounded(config):
+    one = AlgebraElement.scalar(config, 1)
+    assert parse_expression("(" * 100 + "1" + ")" * 100, config) == one
+    assert parse_expression("-" * 100 + "1", config) == one
+    for text in ("(" * 3000 + "1" + ")" * 3000, "-" * 3000 + "1", "(-" * 1500 + "1"):
+        with pytest.raises(ParseError, match="nesting deeper") as err:
+            parse_expression(text, config)
+        assert (err.value.line, err.value.column) == (1, 201)

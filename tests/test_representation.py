@@ -5,7 +5,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_hyperbolic_sl2
 from swapalg import halfplane
 from swapalg.circle import linking_number
 from swapalg.errors import EvaluationError, NotLoxodromicError, SwapAlgError
@@ -16,16 +15,19 @@ from swapalg.representation import (
     symmetric_square,
     wolpert_check,
 )
-from swapalg.verify import run_suite
+from swapalg.verify import random_hyperbolic_sl2, run_suite
 
 COSH1 = math.cosh(1.0)
 SINH1 = math.sinh(1.0)
 
 
-def two_generator_rep(seed=0, **kwargs):
+def two_generator_rep(seed=0, low=1.3, **kwargs):
     rng = random.Random(seed)
     return Representation(
-        {"a": random_hyperbolic_sl2(rng, **kwargs), "b": random_hyperbolic_sl2(rng, **kwargs)}
+        {
+            "a": random_hyperbolic_sl2(rng, low=low, **kwargs),
+            "b": random_hyperbolic_sl2(rng, low=low, **kwargs),
+        }
     )
 
 
@@ -64,14 +66,14 @@ def test_eigen_split_normalizes_sign_for_odd_dim():
 def test_projectors_resolve_identity():
     rng = random.Random(1)
     for _ in range(10):
-        data = eigen_split(random_hyperbolic_sl2(rng))
+        data = eigen_split(random_hyperbolic_sl2(rng, low=1.3))
         total = data.projector(0) + data.projector(1)
         assert np.max(np.abs(total - np.eye(2))) < 1e-12
 
 
 def test_biorthogonality():
     rng = random.Random(2)
-    data = eigen_split(symmetric_square(random_hyperbolic_sl2(rng)))
+    data = eigen_split(symmetric_square(random_hyperbolic_sl2(rng, low=1.3)))
     gram = data.left @ data.right
     off = gram - np.diag(np.diag(gram))
     assert np.max(np.abs(off)) < 1e-10
@@ -147,7 +149,7 @@ def test_pair_value_annihilates_own_point():
 
 def test_top_vector_annihilated_by_lower_left_data():
     rng = random.Random(6)
-    data = eigen_split(symmetric_square(random_hyperbolic_sl2(rng)))
+    data = eigen_split(symmetric_square(random_hyperbolic_sl2(rng, low=1.3)))
     for j in range(1, 3):
         assert abs(data.left[j] @ data.right[:, 0]) < 1e-10
 
@@ -230,8 +232,8 @@ def test_period_on_symmetric_square():
     rng = random.Random(9)
     rep = Representation(
         {
-            "a": symmetric_square(random_hyperbolic_sl2(rng)),
-            "b": symmetric_square(random_hyperbolic_sl2(rng)),
+            "a": symmetric_square(random_hyperbolic_sl2(rng, low=1.3)),
+            "b": symmetric_square(random_hyperbolic_sl2(rng, low=1.3)),
         }
     )
     assert rep.synthetic_order
@@ -331,8 +333,8 @@ def test_wolpert_random_crossing_pairs():
     rng = random.Random(13)
     produced = 0
     while produced < 10:
-        g = random_hyperbolic_sl2(rng)
-        h = random_hyperbolic_sl2(rng)
+        g = random_hyperbolic_sl2(rng, low=1.3)
+        h = random_hyperbolic_sl2(rng, low=1.3)
         try:
             lhs, rhs = wolpert_check(g, h)
         except SwapAlgError:
@@ -363,8 +365,8 @@ def test_halfplane_oracle_internals():
 def test_linking_gate_matches_halfplane_geometry():
     rng = random.Random(14)
     for _ in range(30):
-        g = random_hyperbolic_sl2(rng)
-        h = random_hyperbolic_sl2(rng)
+        g = random_hyperbolic_sl2(rng, low=1.3)
+        h = random_hyperbolic_sl2(rng, low=1.3)
         rep = Representation({"g": g, "h": h})
         lk = linking_number(
             rep.fixed_point("g", +1),
