@@ -35,7 +35,7 @@ from .opers import (
 )
 from .parser import parse_expression
 from .representation import Representation, wolpert_check
-from .verify import SUITES, run_suite, suite_options
+from .verify import SIX_POINT_MAX_POINTS, SUITES, run_suite, suite_options
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -145,10 +145,10 @@ def _cmd_identities(args) -> int:
     config = PointConfig.from_file(args.points)
     points = config.points()
     reports = [run_suite("linking-axioms", points=points)]
-    if len(points) <= 10:
+    if len(points) <= SIX_POINT_MAX_POINTS:
         reports.append(run_suite("six-point", points=points))
     else:
-        print(f"# six-point enumeration skipped ({len(points)} points > 10)")
+        print(f"# six-point enumeration skipped ({len(points)} points > {SIX_POINT_MAX_POINTS})")
     failed = False
     for report in reports:
         print(report.render())

@@ -126,8 +126,10 @@ class SymbolicWords:
     geometry is available to place them.
     """
 
-    def __init__(self, config: PointConfig | None = None):
-        self.config = config if config is not None else PointConfig()
+    synthetic_order = False  # every position is given
+
+    def __init__(self):
+        self.config = PointConfig()
         self._images: dict[tuple[Word, CirclePoint], CirclePoint] = {}
 
     def register(self, label: str, plus_position, minus_position) -> None:
@@ -195,7 +197,7 @@ def elementary(universe, words) -> BalancedFraction:
     return BalancedFraction(numer, Monomial(denom_pairs))
 
 
-def elementary_bracket_closed_form(universe, gwords, hwords, require_coprime=True) -> AlgebraElement:
+def elementary_bracket_closed_form(universe, gwords, hwords) -> AlgebraElement:
     """Closed form for the bracket of two elementary functions.
 
     With a_{ij} = [g_i+ g_i-, h_j+ h_j-], b_{ij} = [g_{i+1}+ g_i-, h_{j+1}+ h_j-],
@@ -217,15 +219,12 @@ def elementary_bracket_closed_form(universe, gwords, hwords, require_coprime=Tru
     g_pts = [_class_points(universe, w) for w in gwords]
     h_pts = [_class_points(universe, w) for w in hwords]
     config = ensure_same_config(*(p for pair in g_pts + h_pts for p in pair))
-    if require_coprime:
-        for pts in (g_pts, h_pts):
-            for i in range(len(pts)):
-                here = set(pts[i])
-                there = set(pts[(i + 1) % len(pts)])
-                if len(pts) > 1 and here & there:
-                    raise SwapAlgError(
-                        "consecutive words must have disjoint fixed points"
-                    )
+    for pts in (g_pts, h_pts):
+        for i in range(len(pts)):
+            here = set(pts[i])
+            there = set(pts[(i + 1) % len(pts)])
+            if len(pts) > 1 and here & there:
+                raise SwapAlgError("consecutive words must have disjoint fixed points")
     p, q = len(gwords), len(hwords)
     gw = list(gwords)
     hw = list(hwords)
@@ -294,8 +293,12 @@ def wolpert_rhs(universe, gamma, eta) -> AlgebraElement:
     the two length functions when the underlying curves meet exactly once;
     for several intersection points the caller scales by the total
     intersection number instead.  Zero when the fixed-point pairs are
-    unlinked; rejected when they share a point.
+    unlinked; rejected when they share a point, and when the universe's
+    point order is synthetic, since the linking number would then be
+    meaningless.
     """
+    if universe.synthetic_order:
+        raise SwapAlgError("wolpert needs the cyclic order of fixed points, which is synthetic here")
     gamma = parse_word(gamma)
     eta = parse_word(eta)
     g_plus, g_minus = _class_points(universe, gamma)

@@ -56,6 +56,9 @@ from .errors import EvaluationError, SwapAlgError
 from .multifraction import cross_fraction, fraction_bracket
 
 TRIVIAL_HOLONOMY_TOLERANCE = 1e-6
+# the companion matrices on the grid and half grid, (2 steps + 1) n^2
+# floats, are the largest array; this admits order 3 past 10^5 steps
+MAX_GRID_ENTRIES = 1 << 22
 
 
 class OperSpec:
@@ -196,6 +199,12 @@ def _step_matrices(oper: OperSpec, steps: int) -> np.ndarray:
     """The RK4 step matrices S_0..S_{steps-1}: frame(k+1) = S_k frame(k)."""
     if steps < 64:
         raise SwapAlgError("use at least 64 steps")
+    entries = (2 * steps + 1) * oper.order**2
+    if entries > MAX_GRID_ENTRIES:
+        raise SwapAlgError(
+            f"order {oper.order} at {steps} steps needs {entries} matrix entries "
+            f"per grid array, more than {MAX_GRID_ENTRIES}"
+        )
     h = 1.0 / steps
     times = np.arange(2 * steps + 1) * (h / 2.0)  # grid and half-grid points
     mats = _companion_matrices(oper, times)
@@ -226,9 +235,7 @@ def integrate(oper: OperSpec, steps: int = 4096) -> FundamentalSolution:
     computed by a doubling scan: after the pass with offset d, each frame
     holds the product of up to 2d consecutive steps.
     """
-    frames = np.empty((steps + 1, oper.order, oper.order))
-    frames[0] = np.eye(oper.order)
-    frames[1:] = _step_matrices(oper, steps)
+    frames = np.concatenate([np.eye(oper.order)[None], _step_matrices(oper, steps)])
     d = 1
     while d < steps:
         frames[d:] = frames[d:] @ frames[:-d]
@@ -243,11 +250,12 @@ def richardson_error(oper: OperSpec, steps: int) -> float:
     return float(np.max(np.abs(fine - coarse)) / 15.0)
 
 
-def holonomy_class(sol: FundamentalSolution, tolerance: float = TRIVIAL_HOLONOMY_TOLERANCE) -> str:
+def holonomy_class(sol: FundamentalSolution) -> str:
     """One of 'trivial-in-PSL', 'unipotent', 'loxodromic', 'elliptic-like'."""
     h = sol.holonomy
     n = h.shape[0]
     eye = np.eye(n)
+    tolerance = TRIVIAL_HOLONOMY_TOLERANCE
     if np.max(np.abs(h - eye)) < tolerance or np.max(np.abs(h + eye)) < tolerance:
         return "trivial-in-PSL"
     values = np.linalg.eigvals(h)
@@ -261,8 +269,8 @@ def holonomy_class(sol: FundamentalSolution, tolerance: float = TRIVIAL_HOLONOMY
     return "elliptic-like"
 
 
-def is_psl_trivial(sol: FundamentalSolution, tolerance: float = TRIVIAL_HOLONOMY_TOLERANCE) -> bool:
-    return holonomy_class(sol, tolerance) == "trivial-in-PSL"
+def is_psl_trivial(sol: FundamentalSolution) -> bool:
+    return holonomy_class(sol) == "trivial-in-PSL"
 
 
 def _require_trivial(sol: FundamentalSolution) -> None:
@@ -438,8 +446,6 @@ def solve_trivial_holonomy(
     extra_harmonics,
     target_sign: int,
     stages=(1024, 4096),
-    max_iterations: int = 25,
-    tolerance: float = 1e-12,
 ) -> OperSpec:
     """Adjust (constant, cos 2pi t, sin 2pi t) parts of q_2 by Newton
     iteration until the holonomy equals target_sign * Id.
@@ -449,10 +455,11 @@ def solve_trivial_holonomy(
     the holonomy condition is three equations (the fourth entry follows
     from det = 1), matching the three unknowns.  The solve runs through the
     grid resolutions in `stages`, so the final iterate is converged on the
-    finest grid.  Each residual evaluation computes the holonomy alone.
-    The default `tolerance` lets the last Newton step land at the rounding
-    floor: cross fractions of lifts go through holonomy powers, so a
-    residual left at 1e-11 moves large cross fractions by more than 1e-6.
+    finest grid, in at most 25 Newton steps per stage.  Each residual
+    evaluation computes the holonomy alone.  The residual tolerance 1e-12
+    lets the last Newton step land at the rounding floor: cross fractions
+    of lifts go through holonomy powers, so a residual left at 1e-11 moves
+    large cross fractions by more than 1e-6.
     """
     if base.order != 2:
         raise SwapAlgError("the Newton search is implemented for order 2")
@@ -470,8 +477,8 @@ def solve_trivial_holonomy(
     u = np.zeros(3)
     for steps in stages:
         r = residual(u, steps)
-        for _ in range(max_iterations):
-            if np.max(np.abs(r)) < tolerance:
+        for _ in range(25):
+            if np.max(np.abs(r)) < 1e-12:
                 break
             jac = np.empty((3, 3))
             eps = 1e-6
@@ -486,12 +493,13 @@ def solve_trivial_holonomy(
     return build(u)
 
 
-def random_trivial_holonomy_opers(count: int, seed: int, amplitude: float = 2.0) -> list[OperSpec]:
+def random_trivial_holonomy_opers(count: int, seed: int) -> list[OperSpec]:
     """Deterministic family of order-2 operators with holonomy -Id.
 
-    Random harmonics of order >= 2 perturb the Veronese operator and the
-    low modes are solved for; candidates are kept only when the final
-    holonomy is trivial within `TRIVIAL_HOLONOMY_TOLERANCE` at 4096 steps.
+    Random harmonics of order >= 2, amplitudes uniform in [-2, 2], perturb
+    the Veronese operator and the low modes are solved for; candidates are
+    kept only when the final holonomy is trivial within
+    `TRIVIAL_HOLONOMY_TOLERANCE` at 4096 steps.
     """
     import random as _random
 
@@ -501,7 +509,7 @@ def random_trivial_holonomy_opers(count: int, seed: int, amplitude: float = 2.0)
     while len(out) < count and attempts < 20 * count:
         attempts += 1
         extra = [
-            (k, rng.uniform(-amplitude, amplitude), rng.uniform(-amplitude, amplitude))
+            (k, rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
             for k in (2, 3)
         ]
         try:

@@ -90,7 +90,7 @@ class GroupElementData:
         return f"GroupElementData({self.label!r}, eigenvalues={self.eigenvalues})"
 
 
-def eigen_split(matrix, label: str = "", tolerance: float = LOXODROMY_TOLERANCE) -> GroupElementData:
+def eigen_split(matrix, label: str = "") -> GroupElementData:
     """Eigendecomposition of a purely loxodromic unimodular matrix.
 
     Rejects complex or modulus-tied spectra ("not loxodromic") and negative
@@ -119,7 +119,7 @@ def eigen_split(matrix, label: str = "", tolerance: float = LOXODROMY_TOLERANCE)
     right = np.real(vectors[:, order])
     mags = np.abs(values)
     for i in range(n - 1):
-        if mags[i + 1] / mags[i] > 1.0 - tolerance:
+        if mags[i + 1] / mags[i] > 1.0 - LOXODROMY_TOLERANCE:
             raise NotLoxodromicError(
                 f"not loxodromic: eigenvalue moduli too close for {label or matrix}"
             )

@@ -47,6 +47,7 @@ from .opers import (
 from .representation import Representation, symmetric_square, wolpert_check
 
 DEFAULT_SEED = 42
+SIX_POINT_MAX_POINTS = 10  # the six-point suite enumerates n^6 sextuples
 
 
 @dataclass
@@ -131,18 +132,16 @@ def _grid_config(count: int, denominator: int) -> tuple[PointConfig, list]:
     return config, points
 
 
-def _linking_table(points) -> list:
-    """Doubled linking numbers as nested-list integers, for fast loops."""
+def _linking_table(points) -> np.ndarray:
+    """Doubled linking numbers, table[a, b, c, d] = 2 [ab, cd], as int8:
+    every law below is a sum of at most three such products, at most 12
+    in absolute value."""
     n = len(points)
-    table = [[[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                row = table[a][b][c]
-                for d in range(n):
-                    value = linking_number(points[a], points[b], points[c], points[d])
-                    row[d] = int(2 * value)
-    return table
+    values = [
+        int(2 * linking_number(a, b, c, d))
+        for a in points for b in points for c in points for d in points
+    ]
+    return np.array(values, dtype=np.int8).reshape(n, n, n, n)
 
 
 def _random_config(rng: random.Random, count: int, denominator: int = 997):
@@ -191,69 +190,38 @@ def suite_linking_axioms(grid: int = 10, points=None) -> SuiteReport:
         config, points = _grid_config(grid, grid)
     if not points:
         raise SwapAlgError("linking-axioms: no points to check")
-    lk2 = _linking_table(points)
+    L = _linking_table(points)
     n = len(points)
-
-    bad_in1 = bad_in2 = 0
-    for a in range(n):
-        for b in range(n):
-            ab = lk2[a][b]
-            for c in range(n):
-                abc = ab[c]
-                for d in range(n):
-                    if abc[d] + lk2[c][d][a][b] != 0:
-                        bad_in1 += 1
-                    if abc[d] + lk2[a][b][d][c] != 0:
-                        bad_in2 += 1
+    # each law is one array expression over open index grids
+    X, x, Y, y, Z = np.ogrid[:n, :n, :n, :n, :n]
     report.exact(
         "first-antisymmetry",
         "first antisymmetry: [Xx,Yy] + [Yy,Xx] = 0",
-        bad_in1,
+        int(np.count_nonzero(L[X, x, Y, y] + L[Y, y, X, x])),
         detail=f"{n**4} quadruples",
     )
     report.exact(
         "second-antisymmetry",
         "second antisymmetry: [Xx,Yy] + [Xx,yY] = 0",
-        bad_in2,
+        int(np.count_nonzero(L[X, x, Y, y] + L[X, x, y, Y])),
         detail=f"{n**4} quadruples",
     )
-
-    bad_cocycle = 0
-    for a in range(n):
-        for b in range(n):
-            ab = lk2[a][b]
-            for c in range(n):
-                abc = ab[c]
-                for d in range(n):
-                    abd = ab[d]
-                    acd = abc[d]
-                    for e in range(n):
-                        if acd + abd[e] + ab[e][c] != 0:
-                            bad_cocycle += 1
+    # one z at a time, so that no array has more than n^4 entries
+    cocycle = sum(
+        int(np.count_nonzero(L[z, y, X, Y] + L[z, y, Y, Z] + L[z, y, Z, X]))
+        for z in range(n)
+    )
     report.exact(
         "cocycle",
         "cocycle identity: [zy,XY] + [zy,YZ] + [zy,ZX] = 0",
-        bad_cocycle,
+        cocycle,
         detail=f"{n**5} quintuples",
     )
-
-    bad_alt = 0
-    for a in range(n):
-        for b in range(n):
-            if b == a:
-                continue
-            for c in range(n):
-                if c in (a, b):
-                    continue
-                for d in range(n):
-                    if d in (a, b, c):
-                        continue
-                    if lk2[a][b][c][d] * lk2[a][d][c][b] != 0:
-                        bad_alt += 1
+    distinct = (X != x) & (X != Y) & (X != y) & (x != Y) & (x != y) & (Y != y)
     report.exact(
         "alternative",
         "linking alternative: [Xx,Yy].[Xy,Yx] = 0 for distinct points",
-        bad_alt,
+        int(np.count_nonzero((L[X, x, Y, y] * L[X, y, Y, x])[distinct])),
         detail="all injective quadruples",
     )
 
@@ -287,76 +255,43 @@ def suite_six_point(pool: int = 8, points=None) -> SuiteReport:
     report = SuiteReport("six-point", None)
     if points is None:
         config, points = _grid_config(pool, pool)
-    if len(points) > 10:
-        raise SwapAlgError("six-point enumeration is capped at 10 points")
-    lk2 = _linking_table(points)
+    if len(points) > SIX_POINT_MAX_POINTS:
+        raise SwapAlgError(f"six-point enumeration is capped at {SIX_POINT_MAX_POINTS} points")
+    L = _linking_table(points)
     n = len(points)
-
-    bad_in5 = 0
-    indices = range(n)
-    for X in indices:
-        lkX = lk2[X]
-        for x in indices:
-            lkXx = lkX[x]
-            for Y in indices:
-                lkY = lk2[Y]
-                for y in indices:
-                    t1 = lkX[y]
-                    t2 = lkY[x]
-                    t4 = lkY[y]
-                    for Z in indices:
-                        r1 = t1[Z]
-                        r2 = t2[Z]
-                        r3 = lkXx[Z]
-                        r4 = t4[Z]
-                        for z in indices:
-                            if r1[z] + r2[z] != r3[z] + r4[z]:
-                                bad_in5 += 1
+    X, x, Y, y, Z, z = np.ogrid[:n, :n, :n, :n, :n, :n]
     report.exact(
         "four-point-relation",
         "[Xy,Zz] + [Yx,Zz] = [Xx,Zz] + [Yy,Zz]",
-        bad_in5,
+        int(np.count_nonzero(L[X, y, Z, z] + L[Y, x, Z, z] != L[X, x, Z, z] + L[Y, y, Z, z])),
         detail=f"{n**6} sextuples",
     )
-
-    bad_f = bad_g = 0
-    checked = 0
-    for X in indices:
-        for x in indices:
-            pair1 = {X, x}
-            for Y in indices:
-                for y in indices:
-                    common12 = pair1 & {Y, y}
-                    a_xy = lk2[X][x][Y][y]
-                    for Z in indices:
-                        for z in indices:
-                            if common12 and common12 & {Z, z}:
-                                continue
-                            checked += 1
-                            f4 = (
-                                a_xy * lk2[X][y][Z][z]
-                                + lk2[Z][z][X][x] * lk2[Z][x][Y][y]
-                                + lk2[Y][y][Z][z] * lk2[Y][z][X][x]
-                            )
-                            if f4 != 0:
-                                bad_f += 1
-                            g4 = (
-                                a_xy * lk2[Y][x][Z][z]
-                                + lk2[Z][z][X][x] * lk2[X][z][Y][y]
-                                + lk2[Y][y][Z][z] * lk2[Z][y][X][x]
-                            )
-                            if g4 != 0:
-                                bad_g += 1
+    # the identities need not vanish where one point lies in all three pairs
+    off = ~(
+        ((X == Y) | (X == y)) & ((X == Z) | (X == z))
+        | ((x == Y) | (x == y)) & ((x == Z) | (x == z))
+    )
+    first = (
+        L[X, x, Y, y] * L[X, y, Z, z]
+        + L[Z, z, X, x] * L[Z, x, Y, y]
+        + L[Y, y, Z, z] * L[Y, z, X, x]
+    )
+    second = (
+        L[X, x, Y, y] * L[Y, x, Z, z]
+        + L[Z, z, X, x] * L[X, z, Y, y]
+        + L[Y, y, Z, z] * L[Z, y, X, x]
+    )
+    checked = int(np.count_nonzero(off))
     report.exact(
         "six-point-first",
         "first six-point identity vanishes off the common-point locus",
-        bad_f,
+        int(np.count_nonzero(first[off])),
         detail=f"{checked} sextuples",
     )
     report.exact(
         "six-point-second",
         "second six-point identity vanishes off the common-point locus",
-        bad_g,
+        int(np.count_nonzero(second[off])),
         detail=f"{checked} sextuples",
     )
 

@@ -200,6 +200,13 @@ def test_jacobi_verb_on_fractions(files, capsys, expressions):
     assert "zero=true" in out
 
 
+def _limit_memory():
+    # a missing size guard then fails the test instead of filling memory
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
 def _run_cli(*argv):
     import os
     import subprocess
@@ -212,6 +219,7 @@ def _run_cli(*argv):
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=_limit_memory,
     )
 
 
@@ -242,6 +250,9 @@ def test_identities_on_no_points(tmp_path, capsys):
         ["oper", "--oper", "{oper}", "--cross-ratio", "1/8", "3/8", "3/8", "7/8"],
         ["bracket", "--points", "{points}", "(" * 3000 + "1" + ")" * 3000, "[X x]"],
         ["bracket", "--points", "{points}", "--", "-" * 3000 + "1", "[X x]"],
+        ["oper", "--oper", "{oper}", "--steps", "200000000"],
+        ["oper", "--oper", "{order5000}", "--steps", "64"],
+        ["eval", "--rep", "{rep3}", "wolpert(a, b)"],
     ],
     ids=[
         "truncated-rep",
@@ -252,12 +263,21 @@ def test_identities_on_no_points(tmp_path, capsys):
         "cross-ratio-z=y",
         "deep-parentheses",
         "deep-unary-minus",
+        "too-many-steps",
+        "order-5000",
+        "wolpert-synthetic-order",
     ],
 )
 def test_bad_input_exits_two_with_one_line(files, tmp_path, argv):
-    truncated = tmp_path / "truncated.txt"
-    truncated.write_text(REP + "element\n")
-    paths = {**files, "truncated": str(truncated)}
+    paths = dict(files)
+    for name, text in (
+        ("truncated", REP + "element\n"),
+        ("order5000", "n = 5000\n"),
+        ("rep3", "n = 3\nelement a 4 0 0 0 1 0 0 0 0.25\nelement b 2 1 0 1 1 0 0 0 1\n"),
+    ):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        paths[name] = str(path)
     proc = _run_cli(*(arg.format(**paths) for arg in argv))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr

@@ -97,6 +97,25 @@ def test_step_floor_and_grid_snapping(circle_solution):
     assert circle_solution.grid_index(1.0) == M
 
 
+def test_grid_size_is_bounded_before_allocation(monkeypatch):
+    from swapalg import opers
+
+    # the largest grid the package uses: order 3 at 16384 steps
+    assert (2 * 16384 + 1) * 3**2 <= opers.MAX_GRID_ENTRIES
+    # a small bound, so that a missing guard allocates nothing large
+    monkeypatch.setattr(opers, "MAX_GRID_ENTRIES", (2 * 1024 + 1) * 4)
+    integrate(veronese_oper(2), 1024)
+    for call in (
+        lambda: integrate(veronese_oper(2), 1025),
+        lambda: integrate(veronese_oper(3), 1024),
+        lambda: _holonomy(veronese_oper(2), 1025),
+        lambda: richardson_error(veronese_oper(2), 4096),
+        lambda: solve_trivial_holonomy(veronese_oper(2), [(2, 0.8, -0.4)], -1),
+    ):
+        with pytest.raises(SwapAlgError, match="matrix entries"):
+            call()
+
+
 def test_richardson_estimate_is_small():
     assert richardson_error(veronese_oper(2), 256) < 1e-8
 

@@ -5,8 +5,12 @@ strings pin the rendered reports themselves, so a change in the exact
 kernel cannot alter report text unnoticed.
 """
 
+import random
+
+import numpy as np
 import pytest
 
+from swapalg import verify
 from swapalg.verify import run_suite
 
 LINKING_AXIOMS = "\n".join(
@@ -103,3 +107,55 @@ JACOBI = "\n".join(
 )
 def test_report_text_is_pinned(name, options, golden):
     assert run_suite(name, **options).render() == golden
+
+
+def _corrupted_table(seed, n):
+    """Doubled linking numbers replaced by draws from -2..2, filled with the
+    first index outermost and the last innermost."""
+    rng = random.Random(seed)
+    values = [rng.randint(-2, 2) for _ in range(n**4)]
+    return np.array(values, dtype=np.int8).reshape(n, n, n, n)
+
+
+@pytest.mark.parametrize(
+    "name, seed, n, deviations, detail",
+    [
+        (
+            "linking-axioms",
+            7,
+            7,
+            {"first-antisymmetry": 1880, "second-antisymmetry": 1916,
+             "cocycle": 14141, "alternative": 526},
+            None,
+        ),
+        (
+            "six-point",
+            8,
+            6,
+            {"four-point-relation": 27904, "six-point-first": 32130,
+             "six-point-second": 32349},
+            "38790 sextuples",
+        ),
+    ],
+    ids=["linking-axioms", "six-point"],
+)
+def test_laws_count_violations_of_a_corrupted_table(monkeypatch, name, seed, n, deviations, detail):
+    """Negative control: the counts were taken with the earlier per-tuple
+    loops, so a law that reads the table at the wrong indices fails here."""
+    monkeypatch.setattr(verify, "_linking_table", lambda points: _corrupted_table(seed, n))
+    sizes = []
+    count_nonzero = np.count_nonzero
+
+    def recording(values):
+        sizes.append(np.size(values))
+        return count_nonzero(values)
+
+    monkeypatch.setattr(np, "count_nonzero", recording)
+    _, points = verify._grid_config(n, n)
+    rows = {row.name: row for row in run_suite(name, points=points).rows}
+    assert {key: rows[key].deviation for key in deviations} == deviations
+    assert all(type(rows[key].deviation) is int for key in deviations)
+    if name == "linking-axioms":
+        assert max(sizes) <= n**4
+    else:
+        assert rows["six-point-first"].detail == rows["six-point-second"].detail == detail
