@@ -2,7 +2,7 @@
 
 Generators are ordered pairs Xx of points of one configuration, subject to
 the single relation Xx = 0 whenever X = x.  A pair is a tuple of two
-identity-equal points, and a monomial is the unordered set of its (pair,
+identity-equal points, and a monomial is the frozenset of its (pair,
 exponent) powers.  Elements are finite sums of Laurent monomials (generator
 pairs with nonzero integer exponents) with exact rational coefficients and
 no zero coefficient; zero is the empty sum.  Equality is therefore
@@ -72,65 +72,54 @@ def _pair_key(power):
     return power[0].key
 
 
-class Monomial:
-    """A Laurent monomial: generator pairs with nonzero integer exponents.
+class Monomial(frozenset):
+    """A Laurent monomial: the frozenset of its (pair, exponent) powers.
 
-    `powers` is the frozenset of (pair, exponent); equality and hash are the
-    set's.  Canonical order, by pair key, is applied only on read-out:
-    `pairs`, `key()` and `repr`.  `Monomial(pairs)` builds the polynomial
+    Each pair occurs once, with a nonzero integer exponent, so equality and
+    hash are the set's.  Canonical order, by pair key, is applied only on
+    read-out: `pairs` and `repr`.  `Monomial(pairs)` builds the polynomial
     monomial of a multiset of pairs.
     """
 
-    __slots__ = ("powers",)
+    __slots__ = ()
 
-    def __init__(self, pairs=()):
-        self.powers = frozenset(Counter(pairs).items())
+    def __new__(cls, pairs=()):
+        return frozenset.__new__(cls, Counter(pairs).items())
 
     @classmethod
     def _from_exponents(cls, exponents) -> "Monomial":
-        monomial = cls.__new__(cls)
-        monomial.powers = frozenset((p, e) for p, e in exponents.items() if e)
-        return monomial
+        return frozenset.__new__(cls, ((p, e) for p, e in exponents.items() if e))
 
     @property
     def pairs(self) -> tuple[GeneratorPair, ...]:
         """The pairs with multiplicity, in canonical order; polynomials only."""
-        if any(e < 0 for _, e in self.powers):
+        if any(e < 0 for _, e in self):
             raise SwapAlgError("monomial has negative exponents")
-        return tuple(p for p, e in sorted(self.powers, key=_pair_key) for _ in range(e))
+        return tuple(p for p, e in sorted(self, key=_pair_key) for _ in range(e))
 
     @property
     def degree(self) -> int:
-        return sum(e for _, e in self.powers)
+        return sum(e for _, e in self)
 
     def _times(self, powers) -> "Monomial":
-        exponents = dict(self.powers)
+        exponents = dict(self)
         for p, e in powers:
             exponents[p] = exponents.get(p, 0) + e
         return Monomial._from_exponents(exponents)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        if not other.powers:
+        if not other:
             return self
-        if not self.powers:
+        if not self:
             return other
-        return self._times(other.powers)
+        return self._times(other)
 
     def inverse(self) -> "Monomial":
-        return Monomial._from_exponents({p: -e for p, e in self.powers})
-
-    def key(self):
-        return tuple(p.key for p in self.pairs)
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, Monomial) and self.powers == other.powers)
-
-    def __hash__(self):
-        return hash(self.powers)
+        return Monomial._from_exponents({p: -e for p, e in self})
 
     def __repr__(self):
         parts = []
-        for p, e in sorted(self.powers, key=_pair_key):
+        for p, e in sorted(self, key=_pair_key):
             parts += [repr(p)] * e if e > 0 else [f"{p!r}^{e}"]
         return "*".join(parts) or "1"
 
@@ -148,7 +137,7 @@ def _coerce_scalar(value) -> Fraction:
 
 def _canonical_order(term):
     monomial = term[0]
-    return (monomial.degree, monomial.key())
+    return (monomial.degree, tuple(p.key for p in monomial.pairs))
 
 
 def _content(terms) -> Fraction:
@@ -204,7 +193,7 @@ class AlgebraElement:
             return [], ONE, Fraction(0)
         lowest: dict[GeneratorPair, int] = {}
         for m in self._terms:
-            for p, e in m.powers:
+            for p, e in m:
                 if e < lowest.get(p, 0):
                     lowest[p] = e
         denominator = Monomial._from_exponents({p: -e for p, e in lowest.items()})
@@ -222,9 +211,6 @@ class AlgebraElement:
     @property
     def is_zero(self) -> bool:
         return not self._terms
-
-    def coefficient(self, monomial: Monomial) -> Fraction:
-        return self._terms.get(monomial, Fraction(0))
 
     def monomials(self):
         """The monomials with nonzero coefficient, in no particular order."""
@@ -247,9 +233,6 @@ class AlgebraElement:
     def scale(self) -> Fraction:
         """The content: self = scale * numerator / denominator."""
         return self._split()[2]
-
-    def scaled_numerator(self) -> "AlgebraElement":
-        return AlgebraElement(self.config, dict(self._split()[0]))
 
     # -- ring operations ----------------------------------------------
 
@@ -397,7 +380,7 @@ def is_balanced(f: AlgebraElement) -> bool:
     for m in f._terms:
         left: dict[CirclePoint, int] = {}
         right: dict[CirclePoint, int] = {}
-        for (X, x), e in m.powers:
+        for (X, x), e in m:
             left[X] = left.get(X, 0) + e
             right[x] = right.get(x, 0) + e
         if any(left.values()) or any(right.values()):
@@ -437,9 +420,9 @@ def swap_bracket(a: AlgebraElement, b: AlgebraElement, alpha=0) -> AlgebraElemen
             # part replaces p.q by Xy.Yx in m1.m2, the alpha part keeps m1.m2
             swaps = []
             alpha_weight = 0
-            for p, e in ma.powers:
+            for p, e in ma:
                 X, x = p
-                for q, f in mb.powers:
+                for q, f in mb:
                     Y, y = q
                     lk = linking_number(X, x, Y, y)
                     if lk == 0:

@@ -71,12 +71,15 @@ class PointConfig:
 
     Linking numbers are computed on the raw positions; a configuration
     carries no cut.  A cut is given per call, to `linking_number` and the
-    identities built on it.
+    identities built on it.  Once a point is placed by `synthetic_point`,
+    the configuration's order is `synthetic_order` and its points have no
+    linking numbers.
     """
 
     def __init__(self):
         self._by_position: dict[Fraction, CirclePoint] = {}
         self._by_label: dict[str, CirclePoint] = {}
+        self.synthetic_order = False
 
     def point(self, label: str, position) -> CirclePoint:
         pos = as_position(position)
@@ -95,6 +98,11 @@ class PointConfig:
         self._by_position[pos] = pt
         self._by_label[label] = pt
         return pt
+
+    def synthetic_point(self, label: str) -> CirclePoint:
+        """A point just after every point so far, for labels with no position."""
+        self.synthetic_order = True
+        return self.point(label, max(self._by_position, default=0) + Fraction(1, 1 << 40))
 
     def __getitem__(self, label: str) -> CirclePoint:
         try:
@@ -177,9 +185,11 @@ def linking_number(
     """Linking number [Xx, Yy] of the ordered pairs (X, x) and (Y, y).
 
     Computed on raw positions unless a cut is given, in which case the
-    positions are unrolled from it first.
+    positions are unrolled from it first.  Refused on a configuration whose
+    order is synthetic.
     """
-    ensure_same_config(X, x, Y, y)
+    if ensure_same_config(X, x, Y, y).synthetic_order:
+        raise SwapAlgError("linking needs the cyclic order of the points, which is synthetic here")
     a, b, c, d = X.position, x.position, Y.position, y.position
     if cut is not None:
         a, b, c, d = _unroll((a, b, c, d), cut)

@@ -4,10 +4,11 @@ Every object of interest here (cross fractions, multi fractions,
 elementary functions, and their brackets) is a polynomial numerator over a
 coefficient-one monomial denominator, that is, a Laurent polynomial in the
 pair generators.  They are ordinary `AlgebraElement` values, compared
-syntactically and bracketed by `swap_bracket`.  `BalancedFraction` builds
-one from a numerator, a denominator monomial and a scale; the reduced form
-(common pairs cancelled, content pulled out as the scale and signed like
-the leading numerator term) is a view of every element.
+syntactically and bracketed by `swap_bracket`.  `BalancedFraction` only
+builds one, from a numerator, a denominator monomial and a scale; zero, one
+and scalars come from `AlgebraElement.zero`, `one` and `scalar`.  The
+reduced form (common pairs cancelled, content pulled out as the scale and
+signed like the leading numerator term) is a view of every element.
 
 A *cross fraction* is [X; Y; x; y] = Xx.Yy / (Yx.Xy), and a *multi
 fraction* is a ratio prod X_i x_{sigma(i)} / prod X_i x_i for a permutation
@@ -19,7 +20,8 @@ circle points g+ and g-, and elementary functions of tuples of words are
 particular multi fractions built from those points.  Positions of such
 points are supplied by an evaluation backend (a representation), or
 assigned explicitly when working purely symbolically; the bracket only ever
-consumes their cyclic order.
+consumes their cyclic order, and `linking_number` refuses points whose order
+is synthetic.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .algebra import (
 )
 from .circle import CirclePoint, PointConfig, ensure_same_config, linking_number
 from .errors import DegenerateFractionError, SwapAlgError
-from .words import Word, cyclic_root, invert_word, parse_word, word_text
+from .words import Word, canonical_class, invert_word, parse_word, word_text
 
 
 class BalancedFraction(AlgebraElement):
@@ -56,18 +58,6 @@ class BalancedFraction(AlgebraElement):
             numerator.config,
             {m * inverse: c * scale for m, c in numerator._terms.items()},
         )
-
-    @classmethod
-    def zero(cls, config: PointConfig) -> "BalancedFraction":
-        return cls(AlgebraElement.zero(config))
-
-    @classmethod
-    def one(cls, config: PointConfig) -> "BalancedFraction":
-        return cls(AlgebraElement.one(config))
-
-    @classmethod
-    def from_scalar(cls, config: PointConfig, value) -> "BalancedFraction":
-        return cls(AlgebraElement.one(config), ONE, value)
 
 
 # -- cross and multi fractions ---------------------------------------------
@@ -126,8 +116,6 @@ class SymbolicWords:
     geometry is available to place them.
     """
 
-    synthetic_order = False  # every position is given
-
     def __init__(self):
         self.config = PointConfig()
         self._images: dict[tuple[Word, CirclePoint], CirclePoint] = {}
@@ -138,16 +126,12 @@ class SymbolicWords:
 
     def fixed_point(self, word, sign: int) -> CirclePoint:
         word = parse_word(word)
-        base, _exponent = cyclic_root(word)
-        if len(base) != 1:
+        root, sign = canonical_class(word, sign)
+        if len(root) != 1:
             raise SwapAlgError(
                 f"no declared fixed points for composite word {word_text(word)!r}"
             )
-        label, letter_sign = base[0]
-        if letter_sign < 0:
-            sign = -sign
-        suffix = "+" if sign > 0 else "-"
-        return self.config[f"{label}{suffix}"]
+        return self.config[word_text(root) + ("+" if sign > 0 else "-")]
 
     def declare_image(self, word, point: CirclePoint, position) -> CirclePoint:
         word = parse_word(word)
@@ -293,12 +277,9 @@ def wolpert_rhs(universe, gamma, eta) -> AlgebraElement:
     the two length functions when the underlying curves meet exactly once;
     for several intersection points the caller scales by the total
     intersection number instead.  Zero when the fixed-point pairs are
-    unlinked; rejected when they share a point, and when the universe's
-    point order is synthetic, since the linking number would then be
-    meaningless.
+    unlinked; rejected when they share a point, and, by `linking_number`,
+    when their order on the circle is synthetic.
     """
-    if universe.synthetic_order:
-        raise SwapAlgError("wolpert needs the cyclic order of fixed points, which is synthetic here")
     gamma = parse_word(gamma)
     eta = parse_word(eta)
     g_plus, g_minus = _class_points(universe, gamma)

@@ -320,7 +320,7 @@ def weak_cross_ratio(sol: FundamentalSolution, x, y, z, t) -> float:
 def _circle_points(parameters) -> list:
     """One configuration holding the parameters' circle positions."""
     config = PointConfig()
-    return [config.point(f"p{i}", Fraction(v) % 1) for i, v in enumerate(parameters)]
+    return [config.point(f"p{i}", v) for i, v in enumerate(parameters)]
 
 
 def _pair_bracket(lk, n, F, X, x, Y, y) -> float:

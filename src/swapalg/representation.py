@@ -26,11 +26,13 @@ anything else.
 
 For n = 2 the circle positions of fixed points come from the eigenvector
 directions on the projective line, so linking numbers agree with the
-boundary cyclic order.  For n > 2 there is no canonical order: positions
-are assigned in registration order and `synthetic_order` is set, which is
-fine for pure evaluation (periods, widths, traces, determinants) but makes
-linking-dependent quantities meaningless unless the caller supplies
-positions.
+boundary cyclic order.  For n > 2 there is no canonical order: unless the
+caller supplies positions, points are placed in registration order by
+`PointConfig.synthetic_point`.  That is fine for pure evaluation (periods,
+widths, traces, determinants), but `linking_number`, and with it every
+bracket and closed form, refuses such points.  Points at one position
+share one vector and hyperplane; a fixed point whose own data would be
+dropped that way is refused.
 
 Representations are built once and then read only; evaluations are pure.
 Words used concurrently should be resolved in a pre-pass, since resolution
@@ -180,15 +182,19 @@ def _rp1_position(vector) -> Fraction:
     return as_position(Fraction(1.0 - phi / math.pi))
 
 
-class _PointData:
-    __slots__ = ("vector", "hyperplane", "word", "sign", "coordinate")
+def _parallel(u, v) -> bool:
+    """Whether two unit vectors span one line."""
+    return 1.0 - abs(float(u @ v)) < 1e-12
 
-    def __init__(self, vector, hyperplane, word=None, sign=0, coordinate=None):
+
+class _PointData:
+    __slots__ = ("vector", "hyperplane", "word", "sign")
+
+    def __init__(self, vector, hyperplane, word=None, sign=0):
         self.vector = vector
         self.hyperplane = hyperplane
         self.word = word
         self.sign = sign
-        self.coordinate = coordinate
 
 
 class Representation:
@@ -214,13 +220,11 @@ class Representation:
             mats[label] = m
         self.dimension = n
         self.config = PointConfig()
-        self.synthetic_order = n != 2 and position_hint is None
         self._position_hint = position_hint
         self._generators = mats
         self._elements: dict[Word, GroupElementData] = {}
         self._points: dict[CirclePoint, _PointData] = {}
         self._fixed: dict[tuple[Word, int], CirclePoint] = {}
-        self._synthetic_count = 0
         for label in mats:
             self.element(label)
 
@@ -277,24 +281,20 @@ class Representation:
 
     # -- boundary points -------------------------------------------------
 
-    def _register(self, label: str, position: Fraction, data: _PointData) -> CirclePoint:
-        point = self.config.point(label, position)
-        self._points.setdefault(point, data)
-        return point
-
     def _register_fixed(self, word: Word, sign: int, vector, hyperplane) -> CirclePoint:
-        n = self.dimension
-        if n == 2:
-            position = _rp1_position(vector)
-        elif self._position_hint is not None:
-            position = as_position(self._position_hint(word, sign))
-        else:
-            self._synthetic_count += 1
-            position = Fraction(self._synthetic_count, 1 << 40)
         label = word_text(word) + ("+" if sign > 0 else "-")
-        point = self._register(
-            label, position, _PointData(vector, hyperplane, word=word, sign=sign)
-        )
+        if self.dimension == 2:
+            point = self.config.point(label, _rp1_position(vector))
+        elif self._position_hint is not None:
+            point = self.config.point(label, self._position_hint(word, sign))
+        else:
+            point = self.config.synthetic_point(label)
+        held = self._points.setdefault(point, _PointData(vector, hyperplane, word, sign))
+        # points sharing a position (those of commuting words, say) share one data
+        if not (_parallel(held.vector, vector) and _parallel(held.hyperplane, hyperplane)):
+            raise SwapAlgError(
+                f"points {point.label} and {label} share a position but not their eigendata"
+            )
         self._fixed[(word, sign)] = point
         return point
 
@@ -327,9 +327,9 @@ class Representation:
             vector = vector / np.linalg.norm(vector)
             label = f"t={float(coordinate)!r}"
         hyperplane = np.array([vector[1], -vector[0]])
-        return self._register(
-            label, _rp1_position(vector), _PointData(vector, hyperplane, coordinate=coordinate)
-        )
+        point = self.config.point(label, _rp1_position(vector))
+        self._points.setdefault(point, _PointData(vector, hyperplane))
+        return point
 
     def act(self, word, point: CirclePoint) -> CirclePoint:
         """Image of a registered boundary point under a word.

@@ -6,9 +6,16 @@ import numpy as np
 import pytest
 
 from swapalg import halfplane
+from swapalg.algebra import generator, swap_bracket
 from swapalg.circle import linking_number
 from swapalg.errors import EvaluationError, NotLoxodromicError, SwapAlgError
-from swapalg.multifraction import cross_fraction, elementary, multi_fraction, wolpert_rhs
+from swapalg.multifraction import (
+    cross_fraction,
+    elementary,
+    elementary_bracket_closed_form,
+    multi_fraction,
+    wolpert_rhs,
+)
 from swapalg.representation import (
     Representation,
     eigen_split,
@@ -228,17 +235,50 @@ def test_period_equals_width_and_anchor_free():
     assert max(values) - min(values) < 1e-9
 
 
-def test_period_on_symmetric_square():
-    rng = random.Random(9)
-    rep = Representation(
+def symmetric_square_rep(seed=9, **kwargs):
+    rng = random.Random(seed)
+    return Representation(
         {
             "a": symmetric_square(random_hyperbolic_sl2(rng, low=1.3)),
             "b": symmetric_square(random_hyperbolic_sl2(rng, low=1.3)),
-        }
+        },
+        **kwargs,
     )
-    assert rep.synthetic_order
+
+
+def test_period_on_symmetric_square():
+    rep = symmetric_square_rep()
     anchor = rep.fixed_point("b", +1)
+    assert rep.config.synthetic_order
     assert abs(rep.period("a", anchor) - rep.width("a")) < 1e-9
+
+
+def test_brackets_refuse_synthetic_order():
+    rep = symmetric_square_rep()
+    a_pair = generator(rep.fixed_point("a", +1), rep.fixed_point("a", -1))
+    b_pair = generator(rep.fixed_point("b", +1), rep.fixed_point("b", -1))
+    with pytest.raises(SwapAlgError, match="synthetic"):
+        swap_bracket(a_pair, b_pair)
+    with pytest.raises(SwapAlgError, match="synthetic"):
+        elementary_bracket_closed_form(rep, ("a",), ("b",))
+
+
+def test_fixed_points_with_different_eigendata_cannot_share_a_position():
+    thirds = lambda word, sign: Fraction(1 if sign > 0 else 2, 3)
+    rep = symmetric_square_rep(position_hint=thirds)
+    rep.fixed_point("a", +1)
+    with pytest.raises(SwapAlgError, match=r"a\+ and b\+"):
+        rep.fixed_point("b", +1)
+    # commuting generators share their fixed points, and their data
+    rep = Representation({"a": np.diag([2.0, 1.0, 0.5]), "b": np.diag([3.0, 1.0, 1 / 3])}, thirds)
+    assert rep.fixed_point("a", +1) is rep.fixed_point("b", +1)
+
+
+def test_boundary_point_on_a_fixed_point_stays_one_point():
+    rep = Representation({"a": np.diag([2.0, 0.5])})
+    assert rep.boundary_point(None) is rep.fixed_point("a", +1)
+    assert rep.fixed_point("a", -1) is rep.boundary_point(0.0)
+    assert rep.period("a", rep.boundary_point(1.0)) == pytest.approx(rep.width("a"))
 
 
 def test_period_rejects_fixed_point_anchor():
