@@ -8,13 +8,15 @@ The package has three layers:
     cross fractions, multi fractions, elementary functions and length
     functions;
   * a matrix backend (`representation`): eigenvector evaluation of balanced
-    fractions, periods and widths, trace asymptotics, rank tests, and the
-    half-plane cross-check of the length-function bracket;
+    fractions, periods and widths, trace asymptotics, and the half-plane
+    cross-check of the length-function bracket;
   * an operator backend (`opers`): monodromy of periodic differential
     operators, weak cross ratios of the associated curves, coordinate
     observables and their reduced Poisson bracket.
 
-`verify` bundles the identity suites behind the `swapalg` command line.
+Both backends are evaluation universes (a `config` and a `pair_value`) for
+`AlgebraElement.evaluate` and the rank test `multifraction.chi`.  `verify`
+bundles the identity suites behind the `swapalg` command line.
 """
 
 from .algebra import AlgebraElement, GeneratorPair, Monomial, generator, jacobiator, swap_bracket

@@ -110,12 +110,6 @@ class PointConfig:
         except KeyError:
             raise SwapAlgError(f"unknown point label {label!r}") from None
 
-    def __contains__(self, label: str) -> bool:
-        return label in self._by_label
-
-    def labels(self) -> list[str]:
-        return list(self._by_label)
-
     def points(self) -> list[CirclePoint]:
         return sorted(self._by_position.values(), key=lambda p: p.position)
 

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 from .algebra import (
     ONE,
     AlgebraElement,
@@ -273,10 +275,10 @@ def wolpert_rhs(universe, gamma, eta) -> AlgebraElement:
     """[g+ g-, h+ h-] . sum_{v,v' = +-1} v v' T(g^v, h^v').
 
     The alternating four-term sum of order-two elementary functions, scaled
-    by the linking number of the fixed-point pairs.  This is the bracket of
-    the two length functions when the underlying curves meet exactly once;
-    for several intersection points the caller scales by the total
-    intersection number instead.  Zero when the fixed-point pairs are
+    by the linking number of the fixed-point pairs: the bracket of the two
+    length functions when the underlying curves meet exactly once.  At
+    several intersection points each has its own angle, so no rescaling of
+    this term gives the bracket.  Zero when the fixed-point pairs are
     unlinked; rejected when they share a point, and, by `linking_number`,
     when their order on the circle is synthetic.
     """
@@ -295,6 +297,25 @@ def wolpert_rhs(universe, gamma, eta) -> AlgebraElement:
         for vp, hw in ((1, eta), (-1, invert_word(eta))):
             total = total + (v * vp) * elementary(universe, (gw, hw))
     return lk * total
+
+
+def chi(universe, X, x) -> float:
+    """det of the cross-ratio matrix [X_i; X_0; x_j; x_0], i, j >= 1.
+
+    Vanishes for (n+2)-tuples and not for (n+1)-tuples on an
+    n-dimensional representation or an order-n operator.
+    """
+    X, x = list(X), list(x)
+    if len(X) != len(x) or len(X) < 2:
+        raise SwapAlgError("need two tuples of equal length >= 2")
+    p = len(X) - 1
+    if len(set(X[1:])) < p or len(set(x[1:])) < p:
+        raise SwapAlgError("tuple entries must be distinct")
+    if x[0] in X[1:] or X[0] in x[1:]:
+        raise SwapAlgError("tuple entries collide with the base points")
+    value = lambda i, j: cross_fraction(X[i], X[0], x[j], x[0]).evaluate(universe.pair_value)
+    entries = np.array([[value(i, j) for j in range(1, p + 1)] for i in range(1, p + 1)])
+    return float(np.linalg.det(entries))
 
 
 class LengthSeries:

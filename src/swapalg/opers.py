@@ -40,6 +40,11 @@ the weak cross ratio
 
 which is the same cross fraction with its arguments relabelled.
 
+A solution is an evaluation universe like a `Representation`: `point(t)`
+is grid parameter t's point in `config`, and `pair_value` is F at the
+points' positions.  `coordinate_function` and the observables built on it
+read lifts as given.
+
 Everything is deterministic: fixed step size, no adaptivity, and query
 parameters must lie on the integration grid.
 """
@@ -51,7 +56,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circle import PointConfig, linking_number
+from .circle import CirclePoint, PointConfig, linking_number
 from .errors import EvaluationError, SwapAlgError
 from .multifraction import cross_fraction, fraction_bracket
 
@@ -142,13 +147,14 @@ def veronese_oper(order: int) -> OperSpec:
 class FundamentalSolution:
     """Frames of a solution basis on a uniform grid over [0, 1]."""
 
-    __slots__ = ("oper", "steps", "frames", "_inverses", "holonomy", "det_drift")
+    __slots__ = ("oper", "steps", "frames", "_inverses", "holonomy", "det_drift", "config")
 
     def __init__(self, oper: OperSpec, steps: int, frames: np.ndarray):
         self.oper = oper
         self.steps = steps
         self.frames = frames
         self._inverses = None
+        self.config = PointConfig()
         self.holonomy = frames[steps].copy()
         dets = np.linalg.det(frames)
         self.det_drift = float(np.max(np.abs(dets - 1.0)))
@@ -181,6 +187,16 @@ class FundamentalSolution:
         if m == 0:
             return inv
         return np.linalg.matrix_power(self.holonomy, -m) @ inv
+
+    def point(self, t) -> CirclePoint:
+        """Grid parameter t's point in `config`, shared by all its lifts."""
+        r = self.grid_index(t) % self.steps
+        return self.config.point(f"t{r}", Fraction(r, self.steps))
+
+    def pair_value(self, X: CirclePoint, x: CirclePoint) -> float:
+        """F_{X,x} at the points' positions; needs trivial holonomy."""
+        _require_trivial(self)
+        return coordinate_function(self, X.position, x.position)
 
 
 def _companion_matrices(oper: OperSpec, times: np.ndarray) -> np.ndarray:
@@ -317,12 +333,6 @@ def weak_cross_ratio(sol: FundamentalSolution, x, y, z, t) -> float:
 # -- Poisson brackets of coordinate observables ------------------------------
 
 
-def _circle_points(parameters) -> list:
-    """One configuration holding the parameters' circle positions."""
-    config = PointConfig()
-    return [config.point(f"p{i}", v) for i, v in enumerate(parameters)]
-
-
 def _pair_bracket(lk, n, F, X, x, Y, y) -> float:
     """lk (F_{X,y} F_{Y,x} - F_{X,x} F_{Y,y} / n^2), with lk = [Xx, Yy]."""
     if lk == 0:
@@ -340,9 +350,8 @@ def ds_pair_bracket(sol: FundamentalSolution, first, second) -> float:
     corresponding pair algebra (checked against the symbolic route in
     `ds_crossfraction_bracket`).
     """
-    X, x = first
-    Y, y = second
-    points = _circle_points((X, x, Y, y))
+    (X, x), (Y, y) = first, second
+    points = [sol.point(v) for v in (X, x, Y, y)]
     if len(set(points)) != 4:
         raise SwapAlgError("points must be pairwise distinct")
     F = lambda A, a: coordinate_function(sol, A, a)
@@ -362,15 +371,15 @@ def ds_crossfraction_bracket(sol: FundamentalSolution, q0, q1, alpha=0) -> tuple
     cross fractions symbolically and evaluates every generator pair Aa
     from the table (a bracket swaps right points between pairs, so no
     other pair occurs).  The two routes share nothing else but the
-    linking form of one 8-point configuration.  They coincide for every
-    alpha: on balanced fractions the alpha term and the -1/n^2 term both
-    cancel.  Requires +-Id holonomy.
+    linking form of their eight points in `sol.config`.  They coincide for
+    every alpha: on balanced fractions the alpha term and the -1/n^2 term
+    both cancel.  Requires +-Id holonomy.
     """
     _require_trivial(sol)
     if tuple(q0) == tuple(q1):
         return 0.0, 0.0  # bracket of an observable with itself, by antisymmetry
     params = list(q0) + list(q1)
-    points = _circle_points(params)
+    points = [sol.point(v) for v in params]
     if len(set(points)) != 8:
         raise SwapAlgError("the eight points must be pairwise distinct")
     table = {

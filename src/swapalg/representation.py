@@ -50,11 +50,7 @@ from . import halfplane
 from .algebra import AlgebraElement
 from .circle import CirclePoint, PointConfig, as_position, linking_number
 from .errors import EvaluationError, NotLoxodromicError, SwapAlgError
-from .multifraction import (
-    cross_fraction,
-    elementary,
-    wolpert_rhs,
-)
+from .multifraction import chi, cross_fraction, elementary, wolpert_rhs
 from .words import (
     Word,
     canonical_class,
@@ -434,32 +430,7 @@ class Representation:
     def elementary_value(self, words) -> float:
         return self.eval_fraction(elementary(self, words))
 
-    def chi(self, X, x) -> float:
-        """det of the cross-ratio matrix [X_i; X_0; x_j; x_0], i, j >= 1.
-
-        Vanishes for (n+2)-tuples and not for (n+1)-tuples on an
-        n-dimensional representation.
-        """
-        X = list(X)
-        x = list(x)
-        if len(X) != len(x) or len(X) < 2:
-            raise SwapAlgError("need two tuples of equal length >= 2")
-        p = len(X) - 1
-        for j in range(1, p + 1):
-            for i in range(1, j):
-                if X[j] == X[i] or x[j] == x[i]:
-                    raise SwapAlgError("tuple entries must be distinct")
-        if any(X[i] == x[0] for i in range(1, p + 1)) or any(
-            x[j] == X[0] for j in range(1, p + 1)
-        ):
-            raise SwapAlgError("tuple entries collide with the base points")
-        entries = np.array(
-            [
-                [self.cross_ratio(X[i], X[0], x[j], x[0]) for j in range(1, p + 1)]
-                for i in range(1, p + 1)
-            ]
-        )
-        return float(np.linalg.det(entries))
+    chi = chi  # the rank test, with this representation as the universe
 
 
 def wolpert_check(gamma_matrix, eta_matrix) -> tuple[float, float]:

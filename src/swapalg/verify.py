@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import generator, jacobiator, swap_bracket
-from .circle import PointConfig, linking_number, six_point_F, six_point_G
+from .circle import PointConfig, ensure_same_config, linking_number, six_point_F, six_point_G
 from .errors import SwapAlgError
 from .multifraction import (
     SymbolicWords,
@@ -133,15 +133,17 @@ def _grid_config(count: int, denominator: int) -> tuple[PointConfig, list]:
 
 
 def _linking_table(points) -> np.ndarray:
-    """Doubled linking numbers, table[a, b, c, d] = 2 [ab, cd], as int8:
-    every law below is a sum of at most three such products, at most 12
-    in absolute value."""
+    """Doubled linking numbers 2 [ab, cd] as int8 (each law below sums at
+    most three products, at most 12 in absolute value), by the formula of
+    `linking_number` on the signs S[i, j] = sign(r_i - r_j) of position ranks."""
+    if points and ensure_same_config(*points).synthetic_order:
+        raise SwapAlgError("linking needs the cyclic order of the points, which is synthetic here")
+    ranks = {pos: r for r, pos in enumerate(sorted({p.position for p in points}))}
+    r = np.array([ranks[p.position] for p in points])
+    S = np.sign(r[:, None] - r[None, :]).astype(np.int8)
     n = len(points)
-    values = [
-        int(2 * linking_number(a, b, c, d))
-        for a in points for b in points for c in points for d in points
-    ]
-    return np.array(values, dtype=np.int8).reshape(n, n, n, n)
+    a, b, c, d = np.ogrid[:n, :n, :n, :n]
+    return S[a, b] * (S[a, d] * S[d, b] - S[a, c] * S[c, b])
 
 
 def _random_config(rng: random.Random, count: int, denominator: int = 997):

@@ -239,20 +239,22 @@ def test_identities_on_no_points(tmp_path, capsys):
     assert capsys.readouterr().err == "error: linking-axioms: no points to check\n"
 
 
+# isolated cases exercise size guards, so they run in a memory-limited
+# subprocess; the rest go through `main`, where any escaping exception fails
 @pytest.mark.parametrize(
-    "argv",
+    "argv, isolated",
     [
-        ["eval", "--rep", "{truncated}", "elem(a, a)"],
-        ["period", "--rep", "{rep}", "--word", "a b", "--anchor", ""],
-        ["oper", "--oper", "{oper}", "--cross-ratio", "1/0", "1/8", "3/8", "5/8"],
-        ["oper", "--oper", "{oper}", "--coordinate", "1/0", "0"],
-        ["oper", "--oper", "{oper}", "--frenet", "-1"],
-        ["oper", "--oper", "{oper}", "--cross-ratio", "1/8", "3/8", "3/8", "7/8"],
-        ["bracket", "--points", "{points}", "(" * 3000 + "1" + ")" * 3000, "[X x]"],
-        ["bracket", "--points", "{points}", "--", "-" * 3000 + "1", "[X x]"],
-        ["oper", "--oper", "{oper}", "--steps", "200000000"],
-        ["oper", "--oper", "{order5000}", "--steps", "64"],
-        ["eval", "--rep", "{rep3}", "wolpert(a, b)"],
+        (["eval", "--rep", "{truncated}", "elem(a, a)"], False),
+        (["period", "--rep", "{rep}", "--word", "a b", "--anchor", ""], False),
+        (["oper", "--oper", "{oper}", "--cross-ratio", "1/0", "1/8", "3/8", "5/8"], False),
+        (["oper", "--oper", "{oper}", "--coordinate", "1/0", "0"], False),
+        (["oper", "--oper", "{oper}", "--frenet", "-1"], False),
+        (["oper", "--oper", "{oper}", "--cross-ratio", "1/8", "3/8", "3/8", "7/8"], False),
+        (["bracket", "--points", "{points}", "(" * 3000 + "1" + ")" * 3000, "[X x]"], True),
+        (["bracket", "--points", "{points}", "--", "-" * 3000 + "1", "[X x]"], True),
+        (["oper", "--oper", "{oper}", "--steps", "200000000"], True),
+        (["oper", "--oper", "{order5000}", "--steps", "64"], True),
+        (["eval", "--rep", "{rep3}", "wolpert(a, b)"], False),
     ],
     ids=[
         "truncated-rep",
@@ -268,7 +270,7 @@ def test_identities_on_no_points(tmp_path, capsys):
         "wolpert-synthetic-order",
     ],
 )
-def test_bad_input_exits_two_with_one_line(files, tmp_path, argv):
+def test_bad_input_exits_two_with_one_line(files, tmp_path, capsys, argv, isolated):
     paths = dict(files)
     for name, text in (
         ("truncated", REP + "element\n"),
@@ -278,10 +280,15 @@ def test_bad_input_exits_two_with_one_line(files, tmp_path, argv):
         path = tmp_path / f"{name}.txt"
         path.write_text(text)
         paths[name] = str(path)
-    proc = _run_cli(*(arg.format(**paths) for arg in argv))
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    argv = [arg.format(**paths) for arg in argv]
+    if isolated:
+        proc = _run_cli(*argv)
+        code, err = proc.returncode, proc.stderr
+    else:
+        code, err = main(argv), capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -368,11 +375,11 @@ def test_verify_all_converts_tol_values_per_suite(monkeypatch, capsys):
     ],
     ids=["jacobi-count", "wolpert-count", "wilson-max-power-3", "wilson-max-power-8"],
 )
-def test_vacuous_counts_are_refused(argv):
-    proc = _run_cli("verify", *argv)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+def test_vacuous_counts_are_refused(capsys, argv):
+    assert main(["verify", *argv]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 # -- fuzzing the file readers ----------------------------------------------------

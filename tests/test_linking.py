@@ -282,3 +282,25 @@ def test_points_are_identity_equal():
 
 def test_default_cut_of_a_single_point_is_exact_and_opposite():
     assert default_cut([Fraction(2, 3)]) == Fraction(1, 6)
+
+
+def test_linking_table_is_doubled_linking_number():
+    from swapalg.verify import _linking_table
+
+    grid = PointConfig()
+    rng = random.Random(13)
+    scattered = PointConfig()
+    for p in (
+        [grid.point(f"g{i}", Fraction(i, 7)) for i in range(7)],
+        [scattered.point(f"r{i}", Fraction(k, 997)) for i, k in enumerate(rng.sample(range(997), 12))],
+    ):
+        table = _linking_table(p)
+        assert table.dtype.name == "int8"
+        for cut in (None, default_cut(q.position for q in p)):
+            doubled = [
+                2 * linking_number(a, b, c, d, cut=cut) for a in p for b in p for c in p for d in p
+            ]
+            assert table.ravel().tolist() == doubled
+    # like linking_number, the table refuses a synthetic order
+    with pytest.raises(SwapAlgError, match="synthetic"):
+        _linking_table([grid["g1"], grid.synthetic_point("s")])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from swapalg.errors import EvaluationError, SwapAlgError
+from swapalg.multifraction import chi
 from swapalg.opers import (
     OperSpec,
     _companion_matrices,
@@ -345,7 +346,8 @@ def test_ds_crossfraction_bracket_rejects_multivalued():
 
 
 def test_ds_crossfraction_bracket_reads_one_table(circle_solution, monkeypatch):
-    # 4 left by 4 right parameters: 16 pairings, all on one 8-point config
+    # 4 left by 4 right parameters: 16 pairings, on points of the solution's
+    # own configuration; no configuration is built per bracket
     import swapalg.opers as opers
 
     counts = {"pairings": 0, "configs": 0}
@@ -368,7 +370,56 @@ def test_ds_crossfraction_bracket_reads_one_table(circle_solution, monkeypatch):
         ds_crossfraction_bracket(
             circle_solution, tuple(grid(j) for j in idx[:4]), tuple(grid(j) for j in idx[4:])
         )
-        assert counts == {"pairings": 16, "configs": 1}
+        assert counts == {"pairings": 16, "configs": 0}
+        positions = {p.position for p in circle_solution.config.points()}
+        assert all(grid(j) in positions for j in idx)
+
+
+# -- the solution as an evaluation universe --------------------------------------------
+
+
+def _spread_indices(rng, count, steps, gap):
+    """Grid indices at least `gap` steps apart around the circle."""
+    while True:
+        idx = rng.sample(range(steps), count)
+        ring = sorted(idx)
+        if all((b - a) % steps >= gap for a, b in zip(ring, ring[1:] + ring[:1])):
+            return idx
+
+
+def test_chi_detects_rank_two_on_the_veronese_oper():
+    from swapalg.representation import Representation
+
+    assert Representation.chi is chi  # one rank test for both backends
+    steps = 1024
+    sol = integrate(veronese_oper(2), steps)
+    rng = random.Random(42)
+    for _ in range(30):
+        pts = [sol.point(grid(j, steps)) for j in _spread_indices(rng, 8, steps, 16)]
+        assert abs(chi(sol, pts[:4], pts[4:])) <= 1e-8
+        assert abs(chi(sol, pts[:3], pts[3:6])) > 1e-4
+
+
+def test_universe_refuses_multivalued_solutions():
+    sol = integrate(OperSpec(2, {2: [(0, 5.0, 0.0)]}), 1024)
+    pts = [sol.point(grid(j, 1024)) for j in (37, 205, 411, 700, 120, 333)]
+    with pytest.raises(EvaluationError, match="multivalued"):
+        sol.pair_value(pts[0], pts[1])
+    with pytest.raises(EvaluationError, match="multivalued"):
+        chi(sol, pts[:3], pts[3:])
+
+
+def test_points_are_shared_by_lifts_and_pair_values_are_coordinates(circle_solution):
+    t = grid(77)
+    assert circle_solution.point(t) is circle_solution.point(t + 1)
+    assert circle_solution.point(t) is circle_solution.point(t - 2)
+    with pytest.raises(SwapAlgError, match="grid"):
+        circle_solution.point(Fraction(1, 3 * M))
+    rng = random.Random(5)
+    for _ in range(10):
+        Y, y = (grid(j) for j in rng.sample(range(M), 2))
+        value = circle_solution.pair_value(circle_solution.point(Y), circle_solution.point(y))
+        assert value == coordinate_function(circle_solution, Y, y)
 
 
 # -- Frenet validation ------------------------------------------------------------------
