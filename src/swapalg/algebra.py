@@ -6,9 +6,11 @@ identity-equal points, and a monomial is the frozenset of its (pair,
 exponent) powers.  Elements are finite sums of Laurent monomials (generator
 pairs with nonzero integer exponents) with exact rational coefficients and
 no zero coefficient; zero is the empty sum.  Equality is therefore
-syntactic, and needs no order.  Canonical order (pairs by left position,
-then right position; terms by degree, then pairs) is applied only where an
-element is read out: printing, `terms()`, the fraction views and `evaluate`.
+syntactic, and needs no order.  Canonical order (pairs by left point, then
+right point, in the configuration's position order; terms by degree, then
+pairs) is applied only where an element is read out: printing, `terms()`,
+the fraction views and `evaluate`.  It compares the points' integer ranks
+(`PointConfig.ranks`), which order them as their positions do.
 
 Polynomials are the elements without negative exponents.  Every other
 element is a reduced fraction: a polynomial numerator over the monomial
@@ -37,7 +39,7 @@ from fractions import Fraction
 from math import gcd
 from operator import itemgetter
 
-from .circle import CirclePoint, PointConfig, ensure_same_config, linking_number
+from .circle import CirclePoint, PointConfig, doubled_linking, ensure_same_config, linking_ranks
 from .errors import ConfigMismatchError, EvaluationError, SwapAlgError
 
 
@@ -61,7 +63,8 @@ class GeneratorPair(tuple):
 
     @property
     def key(self):
-        """(left position, right position): the canonical sort key."""
+        """(left position, right position), the order canonical sorting
+        follows (it compares the points' ranks, which order them alike)."""
         return (self[0].position, self[1].position)
 
     def __repr__(self):
@@ -69,7 +72,9 @@ class GeneratorPair(tuple):
 
 
 def _pair_key(power):
-    return power[0].key
+    (X, x), _ = power
+    ranks = X.config.ranks()
+    return ranks[X], ranks[x]
 
 
 class Monomial(frozenset):
@@ -135,9 +140,15 @@ def _coerce_scalar(value) -> Fraction:
     raise TypeError(f"expected an exact rational scalar, got {type(value).__name__}")
 
 
-def _canonical_order(term):
-    monomial = term[0]
-    return (monomial.degree, tuple(p.key for p in monomial.pairs))
+def _canonical_order(ranks):
+    """Sort key of a polynomial term: degree, then its pairs' rank keys."""
+
+    def key(term):
+        monomial = term[0]
+        pairs = sorted((ranks[X], ranks[x]) for (X, x), e in monomial for _ in range(e))
+        return len(pairs), pairs
+
+    return key
 
 
 def _content(terms) -> Fraction:
@@ -176,6 +187,8 @@ class AlgebraElement:
 
     @staticmethod
     def from_monomial(config, monomial: Monomial, coeff=Fraction(1)) -> "AlgebraElement":
+        if any(X.config is not config for (X, _), _ in monomial):
+            raise ConfigMismatchError("monomial over a different configuration")
         return AlgebraElement(config, {monomial: _coerce_scalar(coeff)})
 
     # -- inspection ---------------------------------------------------
@@ -198,7 +211,8 @@ class AlgebraElement:
                     lowest[p] = e
         denominator = Monomial._from_exponents({p: -e for p, e in lowest.items()})
         terms = sorted(
-            ((m * denominator, c) for m, c in self._terms.items()), key=_canonical_order
+            ((m * denominator, c) for m, c in self._terms.items()),
+            key=_canonical_order(self.config.ranks()),
         )
         return terms, denominator, _content(terms)
 
@@ -403,12 +417,18 @@ def swap_bracket(a: AlgebraElement, b: AlgebraElement, alpha=0) -> AlgebraElemen
 
         {m1, m2} = sum over p in m1, q in m2 of  e_p f_q (m1/p)(m2/q) {p, q},
 
-    with e_p, f_q the exponents of p in m1 and of q in m2.  On fractions
-    built from cross fractions the result does not depend on alpha.
+    with e_p, f_q the exponents of p in m1 and of q in m2.  The weights are
+    kept doubled, as the integers e_p f_q 2[p, q] of `doubled_linking` on
+    the configuration's ranks, and each accumulated coefficient is halved
+    once at the end.  On fractions built from cross fractions the result
+    does not depend on alpha.
     """
     if a.config is not b.config:
         raise ConfigMismatchError("elements over different configurations")
     alpha = _coerce_scalar(alpha)
+    if not (any(a._terms) and any(b._terms)):
+        return AlgebraElement.zero(a.config)  # a constant brackets to zero, with no linking
+    ranks = linking_ranks(a.config)
     acc: dict[Monomial, Fraction] = {}
 
     def put(monomial, coeff):
@@ -422,12 +442,13 @@ def swap_bracket(a: AlgebraElement, b: AlgebraElement, alpha=0) -> AlgebraElemen
             alpha_weight = 0
             for p, e in ma:
                 X, x = p
+                rX, rx = ranks[X], ranks[x]
                 for q, f in mb:
                     Y, y = q
-                    lk = linking_number(X, x, Y, y)
-                    if lk == 0:
+                    lk2 = doubled_linking(rX, rx, ranks[Y], ranks[y])
+                    if not lk2:
                         continue
-                    weight = e * f * lk
+                    weight = e * f * lk2
                     alpha_weight += weight
                     if X is not y and Y is not x:
                         change = (
@@ -445,7 +466,7 @@ def swap_bracket(a: AlgebraElement, b: AlgebraElement, alpha=0) -> AlgebraElemen
                 put(product._times(change), cab * weight)
             if alpha != 0:
                 put(product, cab * alpha_weight * alpha)
-    return AlgebraElement(a.config, acc)
+    return AlgebraElement(a.config, {m: c / 2 for m, c in acc.items()})
 
 
 def jacobiator(a, b, c, alpha=0) -> AlgebraElement:

@@ -5,16 +5,22 @@ linking form assigns to two ordered pairs (X, x) and (Y, y) the half-integer
 
     [Xx, Yy] = 1/2 (ori(X,x,y) - ori(X,x,Y)),  ori(a,b,c) = Sign(a-b) Sign(a-c) Sign(c-b),
 
-computed on the raw positions.  `ori` is the cyclic orientation of three
-points (0 when two coincide); rotating the circle flips two of its factors,
-so no cut is needed.  The form takes values in {-1, -1/2, 0, 1/2, 1}; for
-four distinct points it counts (with sign) how the chord X->x crosses Y->y.
-A cut, given per call only, is an optional reference route: the positions
-are unrolled from it and the same formula is applied.
+computed on any keys in the order of the raw positions.  `ori` is the
+cyclic orientation of three points (0 when two coincide); rotating the
+circle flips two of its factors, so no cut is needed.  The form takes values
+in {-1, -1/2, 0, 1/2, 1}; for four distinct points it counts (with sign) how
+the chord X->x crosses Y->y.  Without a cut, the keys are the points' integer
+ranks in position order, read from the configuration's rank map
+(`PointConfig.ranks`).  A cut, given per call only, is an optional reference
+route: the `Fraction` positions are unrolled from it and the same formula is
+applied to them.
 
 Everything here is exact: positions are `fractions.Fraction`, linking values
-are `Fraction`, and identity checks compare with exact zero.  All values are
-immutable, so the functions are safe to call concurrently.
+are `Fraction`, and identity checks compare with exact zero.  Points and
+positions are immutable.  A configuration holds one lazily rebuilt rank map,
+which each insertion drops; reading it from several threads at once is safe
+(at worst it is built twice), but inserting points must not race with
+linking on the same configuration.
 """
 
 from __future__ import annotations
@@ -30,6 +36,16 @@ _HALVES = {k: Fraction(k, 2) for k in range(-2, 3)}
 
 def _cmp(a, b) -> int:
     return (a > b) - (a < b)
+
+
+def doubled_linking(a, b, c, d, cmp=_cmp) -> int:
+    """2 [Xx, Yy] from order keys a, b, c, d of X, x, Y, y.
+
+    `cmp(i, j)` is the sign of key i minus key j; keys in the linear order
+    of the points (ranks, positions, or positions unrolled from a cut) all
+    give the same value.
+    """
+    return cmp(a, b) * (cmp(a, d) * cmp(d, b) - cmp(a, c) * cmp(c, b))
 
 
 def as_position(value) -> Fraction:
@@ -69,16 +85,17 @@ class PointConfig:
     aliases the existing point (the two labels denote the same point);
     registering an existing label at a different position is an error.
 
-    Linking numbers are computed on the raw positions; a configuration
-    carries no cut.  A cut is given per call, to `linking_number` and the
-    identities built on it.  Once a point is placed by `synthetic_point`,
-    the configuration's order is `synthetic_order` and its points have no
-    linking numbers.
+    Linking numbers are computed on the points' ranks in position order
+    (`ranks`); a configuration carries no cut.  A cut is given per call, to
+    `linking_number` and the identities built on it.  Once a point is
+    placed by `synthetic_point`, the configuration's order is
+    `synthetic_order` and its points have no linking numbers.
     """
 
     def __init__(self):
         self._by_position: dict[Fraction, CirclePoint] = {}
         self._by_label: dict[str, CirclePoint] = {}
+        self._ranks: dict[CirclePoint, int] | None = None
         self.synthetic_order = False
 
     def point(self, label: str, position) -> CirclePoint:
@@ -97,7 +114,16 @@ class PointConfig:
         pt = CirclePoint(label, pos, self)
         self._by_position[pos] = pt
         self._by_label[label] = pt
+        self._ranks = None
         return pt
+
+    def ranks(self) -> dict[CirclePoint, int]:
+        """{point: index in position order}, rebuilt on first use after an
+        insertion.  Ranks order the points exactly as their positions do."""
+        ranks = self._ranks
+        if ranks is None:
+            ranks = self._ranks = {p: r for r, p in enumerate(self.points())}
+        return ranks
 
     def synthetic_point(self, label: str) -> CirclePoint:
         """A point just after every point so far, for labels with no position."""
@@ -173,21 +199,29 @@ def _unroll(positions: Sequence[Fraction], cut) -> list[Fraction]:
     return [(p - cut) % 1 for p in positions]
 
 
+def linking_ranks(config: PointConfig) -> dict[CirclePoint, int]:
+    """The configuration's rank map, as the linking form's order keys;
+    refused when the order is synthetic."""
+    if config.synthetic_order:
+        raise SwapAlgError("linking needs the cyclic order of the points, which is synthetic here")
+    return config.ranks()
+
+
 def linking_number(
     X: CirclePoint, x: CirclePoint, Y: CirclePoint, y: CirclePoint, cut=None
 ) -> Fraction:
     """Linking number [Xx, Yy] of the ordered pairs (X, x) and (Y, y).
 
-    Computed on raw positions unless a cut is given, in which case the
-    positions are unrolled from it first.  Refused on a configuration whose
-    order is synthetic.
+    Computed on the points' ranks unless a cut is given, in which case the
+    `Fraction` positions are unrolled from it and compared instead.
+    Refused on a configuration whose order is synthetic.
     """
-    if ensure_same_config(X, x, Y, y).synthetic_order:
-        raise SwapAlgError("linking needs the cyclic order of the points, which is synthetic here")
-    a, b, c, d = X.position, x.position, Y.position, y.position
-    if cut is not None:
-        a, b, c, d = _unroll((a, b, c, d), cut)
-    return _HALVES[_cmp(a, b) * (_cmp(a, d) * _cmp(d, b) - _cmp(a, c) * _cmp(c, b))]
+    ranks = linking_ranks(ensure_same_config(X, x, Y, y))
+    if cut is None:
+        keys = ranks[X], ranks[x], ranks[Y], ranks[y]
+    else:
+        keys = _unroll((X.position, x.position, Y.position, y.position), cut)
+    return _HALVES[doubled_linking(*keys)]
 
 
 def six_point_F(X, x, Y, y, Z, z, cut=None) -> Fraction:

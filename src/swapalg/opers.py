@@ -147,7 +147,9 @@ def veronese_oper(order: int) -> OperSpec:
 class FundamentalSolution:
     """Frames of a solution basis on a uniform grid over [0, 1]."""
 
-    __slots__ = ("oper", "steps", "frames", "_inverses", "holonomy", "det_drift", "config")
+    __slots__ = (
+        "oper", "steps", "frames", "_inverses", "holonomy", "holonomy_kind", "det_drift", "config"
+    )
 
     def __init__(self, oper: OperSpec, steps: int, frames: np.ndarray):
         self.oper = oper
@@ -156,6 +158,7 @@ class FundamentalSolution:
         self._inverses = None
         self.config = PointConfig()
         self.holonomy = frames[steps].copy()
+        self.holonomy_kind = _classify_holonomy(self.holonomy)
         dets = np.linalg.det(frames)
         self.det_drift = float(np.max(np.abs(dets - 1.0)))
 
@@ -268,7 +271,10 @@ def richardson_error(oper: OperSpec, steps: int) -> float:
 
 def holonomy_class(sol: FundamentalSolution) -> str:
     """One of 'trivial-in-PSL', 'unipotent', 'loxodromic', 'elliptic-like'."""
-    h = sol.holonomy
+    return sol.holonomy_kind
+
+
+def _classify_holonomy(h: np.ndarray) -> str:
     n = h.shape[0]
     eye = np.eye(n)
     tolerance = TRIVIAL_HOLONOMY_TOLERANCE

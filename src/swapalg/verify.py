@@ -21,7 +21,15 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import generator, jacobiator, swap_bracket
-from .circle import PointConfig, ensure_same_config, linking_number, six_point_F, six_point_G
+from .circle import (
+    PointConfig,
+    doubled_linking,
+    ensure_same_config,
+    linking_number,
+    linking_ranks,
+    six_point_F,
+    six_point_G,
+)
 from .errors import SwapAlgError
 from .multifraction import (
     SymbolicWords,
@@ -134,16 +142,14 @@ def _grid_config(count: int, denominator: int) -> tuple[PointConfig, list]:
 
 def _linking_table(points) -> np.ndarray:
     """Doubled linking numbers 2 [ab, cd] as int8 (each law below sums at
-    most three products, at most 12 in absolute value), by the formula of
-    `linking_number` on the signs S[i, j] = sign(r_i - r_j) of position ranks."""
-    if points and ensure_same_config(*points).synthetic_order:
-        raise SwapAlgError("linking needs the cyclic order of the points, which is synthetic here")
-    ranks = {pos: r for r, pos in enumerate(sorted({p.position for p in points}))}
-    r = np.array([ranks[p.position] for p in points])
+    most three products, at most 12 in absolute value): `doubled_linking`
+    over index grids, on the signs S[i, j] = sign(r_i - r_j) of the
+    configuration's ranks."""
+    ranks = linking_ranks(ensure_same_config(*points)) if points else {}
+    r = np.array([ranks[p] for p in points])
     S = np.sign(r[:, None] - r[None, :]).astype(np.int8)
     n = len(points)
-    a, b, c, d = np.ogrid[:n, :n, :n, :n]
-    return S[a, b] * (S[a, d] * S[d, b] - S[a, c] * S[c, b])
+    return doubled_linking(*np.ogrid[:n, :n, :n, :n], cmp=lambda i, j: S[i, j])
 
 
 def _random_config(rng: random.Random, count: int, denominator: int = 997):

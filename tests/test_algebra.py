@@ -13,7 +13,7 @@ from swapalg.algebra import (
     jacobiator,
     swap_bracket,
 )
-from swapalg.circle import PointConfig, linking_number
+from swapalg.circle import PointConfig, default_cut, linking_number
 from swapalg.errors import ConfigMismatchError, SwapAlgError
 from swapalg.multifraction import multi_fraction
 from swapalg.verify import _random_config
@@ -160,6 +160,9 @@ def test_config_mixing_rejected():
         a * b
     with pytest.raises(ConfigMismatchError):
         swap_bracket(a, b)
+    # canonical order and brackets read the ranks of the element's own configuration
+    with pytest.raises(ConfigMismatchError):
+        AlgebraElement.from_monomial(c2, a.monomials()[0])
 
 
 def test_canonical_printing(grid_config):
@@ -231,3 +234,65 @@ def test_elements_do_not_depend_on_insertion_order():
             assert repr(a.terms()) == repr(b.terms()) and a.terms() == b.terms()
             assert a.evaluate(pair_value) == b.evaluate(pair_value)
     assert not built[0][2].is_zero
+
+
+def _reference_bracket(a, b, alpha):
+    """Sum of e_p f_q (m1/p)(m2/q){p, q} over the powers of each pair of
+    terms, in ring operations, with `Fraction` linking numbers from the cut
+    route."""
+    config = a.config
+    out = AlgebraElement.zero(config)
+    for m1, c1 in a.terms():
+        for m2, c2 in b.terms():
+            rest = AlgebraElement.from_monomial(config, m1 * m2, c1 * c2)
+            for (X, x), e in m1:
+                for (Y, y), f in m2:
+                    cut = default_cut(pt.position for pt in (X, x, Y, y))
+                    lk = linking_number(X, x, Y, y, cut=cut)
+                    Xx, Yy = generator(X, x), generator(Y, y)
+                    pq = lk * (generator(X, y) * generator(Y, x) + alpha * Xx * Yy)
+                    out = out + e * f * rest / (Xx * Yy) * pq
+    return out
+
+
+def test_bracket_matches_reference_leibniz_expansion():
+    rng = random.Random(21)
+
+    def laurent(points):
+        out = AlgebraElement.zero(points[0].config)
+        for _ in range(rng.randint(2, 3)):
+            term = AlgebraElement.scalar(
+                points[0].config, Fraction(rng.choice([-5, -3, -2, 2, 3, 7]), rng.choice([1, 2, 3, 5]))
+            )
+            for _ in range(rng.randint(1, 3)):
+                X, x = rng.sample(points, 2)
+                g = generator(X, x)
+                e = rng.choice([-2, -1, 1, 2])
+                term = term * (g**e if e > 0 else g.inverse() ** -e)
+            out = out + term
+        return out
+
+    nonzero = 0
+    for _ in range(20):
+        config, points = _random_config(rng, 7, denominator=101)
+        a, b = laurent(points), laurent(points)
+        for alpha in (Fraction(0), Fraction(1), Fraction(-1, 4)):
+            bracket = swap_bracket(a, b, alpha)
+            assert bracket == _reference_bracket(a, b, alpha)
+            nonzero += not bracket.is_zero
+    assert nonzero > 30
+
+
+def test_synthetic_order_is_refused_only_where_linking_is_needed():
+    config = PointConfig()
+    X, x = config.point("X", Fraction(1, 5)), config.point("x", Fraction(3, 5))
+    Y, y = config.point("Y", Fraction(2, 5)), config.synthetic_point("y")
+    Xx, Yy = generator(X, x), generator(Y, y)
+    with pytest.raises(SwapAlgError, match="synthetic"):
+        swap_bracket(Xx, Yy)
+    with pytest.raises(SwapAlgError, match="synthetic"):
+        swap_bracket(Xx + 2, Yy, 1)
+    three = AlgebraElement.scalar(config, 3)
+    assert swap_bracket(three, Yy, 1).is_zero
+    assert swap_bracket(Xx, three).is_zero
+    assert swap_bracket(three, AlgebraElement.zero(config)).is_zero

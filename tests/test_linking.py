@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -304,3 +305,57 @@ def test_linking_table_is_doubled_linking_number():
     # like linking_number, the table refuses a synthetic order
     with pytest.raises(SwapAlgError, match="synthetic"):
         _linking_table([grid["g1"], grid.synthetic_point("s")])
+
+
+def test_rank_route_matches_cut_route_across_insertions():
+    """Points added to a configuration shift the ranks of the points after
+    them; linking on ranks must still match the cut route (on the points
+    before any insertion, test_linking_table_is_doubled_linking_number
+    compares both routes on every quadruple)."""
+    from swapalg.verify import _linking_table
+
+    rng = random.Random(14)
+    grid = PointConfig()
+    scattered = PointConfig()
+    for config, old, every_new_quadruple in (
+        (grid, [grid.point(f"g{i}", Fraction(i + 1, 9)) for i in range(7)], True),
+        (
+            scattered,
+            [scattered.point(f"r{i}", Fraction(k, 997)) for i, k in enumerate(rng.sample(range(1, 996), 12))],
+            False,
+        ),
+    ):
+        ps = sorted(p.position for p in old)
+        middle = rng.choice([(a + b) / 2 for a, b in zip(ps, ps[1:])])
+        points = list(old)
+        # below the minimum, above the maximum, then in a gap
+        for k, pos in enumerate((ps[0] / 2, (ps[-1] + 1) / 2, middle)):
+            new = config.point(f"n{k}", pos)
+            points.append(new)
+            if every_new_quadruple:
+                quads = [q for q in itertools.product(points, repeat=4) if new in q]
+            else:
+                quads = []
+                for _ in range(1000):
+                    q = [rng.choice(points) for _ in range(3)]
+                    q.insert(rng.randrange(4), new)
+                    quads.append(q)
+            quads += [[rng.choice(old) for _ in range(4)] for _ in range(300)]
+            cut = default_cut(p.position for p in points)
+            for q in quads:
+                assert linking_number(*q) == linking_number(*q, cut=cut), q
+        assert _linking_table(points).ravel().tolist() == [
+            2 * linking_number(*q) for q in itertools.product(points, repeat=4)
+        ]
+
+
+def test_rank_map_is_dropped_by_each_insertion():
+    config = PointConfig()
+    a, c = config.point("a", Fraction(1, 5)), config.point("c", Fraction(3, 5))
+    assert config.ranks() == {a: 0, c: 1}
+    b = config.point("b", Fraction(2, 5))
+    assert config.ranks() == {a: 0, b: 1, c: 2}
+    # a known label or an aliased position adds no point and keeps the map
+    ranks = config.ranks()
+    assert config.point("b", Fraction(2, 5)) is b and config.point("bb", Fraction(7, 5)) is b
+    assert config.ranks() is ranks

@@ -74,6 +74,24 @@ def test_small_positive_constant_is_elliptic_like():
     assert holonomy_class(sol) == "elliptic-like"
 
 
+def test_holonomy_is_classified_once_per_solution(monkeypatch):
+    import swapalg.opers as opers
+
+    sol = integrate(veronese_oper(2), 256)
+    loxodromic = integrate(OperSpec(2, {2: [(0, -1.0, 0.0)]}), 128)
+
+    def forbidden(h):
+        raise AssertionError("holonomy classified again")
+
+    monkeypatch.setattr(opers, "_classify_holonomy", forbidden)
+    assert holonomy_class(sol) == "trivial-in-PSL"
+    X, x = sol.point(grid(1, 256)), sol.point(grid(100, 256))
+    assert sol.pair_value(X, x) == coordinate_function(sol, X.position, x.position)
+    oper_cross_fraction(sol, grid(1, 256), grid(50, 256), grid(100, 256), grid(150, 256))
+    with pytest.raises(EvaluationError, match="multivalued"):
+        oper_cross_fraction(loxodromic, grid(1, 128), grid(5, 128), grid(9, 128), grid(13, 128))
+
+
 def test_determinant_conserved(circle_solution):
     assert circle_solution.det_drift < 1e-8
 
