@@ -9,8 +9,8 @@ no zero coefficient; zero is the empty sum.  Equality is therefore
 syntactic, and needs no order.  Canonical order (pairs by left point, then
 right point, in the configuration's position order; terms by degree, then
 pairs) is applied only where an element is read out: printing, `terms()`,
-the fraction views and `evaluate`.  It compares the points' integer ranks
-(`PointConfig.ranks`), which order them as their positions do.
+the fraction views and `evaluate`.  It compares the points' order keys
+(`CirclePoint.order_key`), which order them as their positions do.
 
 Polynomials are the elements without negative exponents.  Every other
 element is a reduced fraction: a polynomial numerator over the monomial
@@ -39,7 +39,7 @@ from fractions import Fraction
 from math import gcd
 from operator import itemgetter
 
-from .circle import CirclePoint, PointConfig, doubled_linking, ensure_same_config, linking_ranks
+from .circle import CirclePoint, PointConfig, doubled_linking, ensure_same_config, require_point_order
 from .errors import ConfigMismatchError, EvaluationError, SwapAlgError
 
 
@@ -64,7 +64,7 @@ class GeneratorPair(tuple):
     @property
     def key(self):
         """(left position, right position), the order canonical sorting
-        follows (it compares the points' ranks, which order them alike)."""
+        follows (it compares the points' order keys, which order them alike)."""
         return (self[0].position, self[1].position)
 
     def __repr__(self):
@@ -73,8 +73,7 @@ class GeneratorPair(tuple):
 
 def _pair_key(power):
     (X, x), _ = power
-    ranks = X.config.ranks()
-    return ranks[X], ranks[x]
+    return X.order_key, x.order_key
 
 
 class Monomial(frozenset):
@@ -140,15 +139,10 @@ def _coerce_scalar(value) -> Fraction:
     raise TypeError(f"expected an exact rational scalar, got {type(value).__name__}")
 
 
-def _canonical_order(ranks):
-    """Sort key of a polynomial term: degree, then its pairs' rank keys."""
-
-    def key(term):
-        monomial = term[0]
-        pairs = sorted((ranks[X], ranks[x]) for (X, x), e in monomial for _ in range(e))
-        return len(pairs), pairs
-
-    return key
+def _canonical_order(term):
+    """Sort key of a polynomial term: degree, then its pairs' order keys."""
+    pairs = sorted((X.order_key, x.order_key) for (X, x), e in term[0] for _ in range(e))
+    return len(pairs), pairs
 
 
 def _content(terms) -> Fraction:
@@ -212,7 +206,7 @@ class AlgebraElement:
         denominator = Monomial._from_exponents({p: -e for p, e in lowest.items()})
         terms = sorted(
             ((m * denominator, c) for m, c in self._terms.items()),
-            key=_canonical_order(self.config.ranks()),
+            key=_canonical_order,
         )
         return terms, denominator, _content(terms)
 
@@ -419,8 +413,8 @@ def swap_bracket(a: AlgebraElement, b: AlgebraElement, alpha=0) -> AlgebraElemen
 
     with e_p, f_q the exponents of p in m1 and of q in m2.  The weights are
     kept doubled, as the integers e_p f_q 2[p, q] of `doubled_linking` on
-    the configuration's ranks, and each accumulated coefficient is halved
-    once at the end.  On fractions built from cross fractions the result
+    the points' order keys, and each accumulated coefficient is halved once
+    at the end.  On fractions built from cross fractions the result
     does not depend on alpha.
     """
     if a.config is not b.config:
@@ -428,7 +422,7 @@ def swap_bracket(a: AlgebraElement, b: AlgebraElement, alpha=0) -> AlgebraElemen
     alpha = _coerce_scalar(alpha)
     if not (any(a._terms) and any(b._terms)):
         return AlgebraElement.zero(a.config)  # a constant brackets to zero, with no linking
-    ranks = linking_ranks(a.config)
+    require_point_order(a.config)
     acc: dict[Monomial, Fraction] = {}
 
     def put(monomial, coeff):
@@ -442,10 +436,10 @@ def swap_bracket(a: AlgebraElement, b: AlgebraElement, alpha=0) -> AlgebraElemen
             alpha_weight = 0
             for p, e in ma:
                 X, x = p
-                rX, rx = ranks[X], ranks[x]
+                kX, kx = X.order_key, x.order_key
                 for q, f in mb:
                     Y, y = q
-                    lk2 = doubled_linking(rX, rx, ranks[Y], ranks[y])
+                    lk2 = doubled_linking(kX, kx, Y.order_key, y.order_key)
                     if not lk2:
                         continue
                     weight = e * f * lk2

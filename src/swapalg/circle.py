@@ -9,18 +9,15 @@ computed on any keys in the order of the raw positions.  `ori` is the
 cyclic orientation of three points (0 when two coincide); rotating the
 circle flips two of its factors, so no cut is needed.  The form takes values
 in {-1, -1/2, 0, 1/2, 1}; for four distinct points it counts (with sign) how
-the chord X->x crosses Y->y.  Without a cut, the keys are the points' integer
-ranks in position order, read from the configuration's rank map
-(`PointConfig.ranks`).  A cut, given per call only, is an optional reference
-route: the `Fraction` positions are unrolled from it and the same formula is
-applied to them.
+the chord X->x crosses Y->y.  Without a cut, the keys are the points' order
+keys (`CirclePoint.order_key`), which order them exactly as their positions
+do.  A cut, given per call only, is an optional reference route: the
+`Fraction` positions are unrolled from it and the same formula is applied to
+them.
 
 Everything here is exact: positions are `fractions.Fraction`, linking values
-are `Fraction`, and identity checks compare with exact zero.  Points and
-positions are immutable.  A configuration holds one lazily rebuilt rank map,
-which each insertion drops; reading it from several threads at once is safe
-(at worst it is built twice), but inserting points must not race with
-linking on the same configuration.
+are `Fraction`, and identity checks compare with exact zero.  Points,
+positions and order keys are immutable.
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ def doubled_linking(a, b, c, d, cmp=_cmp) -> int:
     """2 [Xx, Yy] from order keys a, b, c, d of X, x, Y, y.
 
     `cmp(i, j)` is the sign of key i minus key j; keys in the linear order
-    of the points (ranks, positions, or positions unrolled from a cut) all
+    of the points (order keys, ranks, or positions unrolled from a cut) all
     give the same value.
     """
     return cmp(a, b) * (cmp(a, d) * cmp(d, b) - cmp(a, c) * cmp(c, b))
@@ -65,14 +62,20 @@ class CirclePoint:
     point for a known position, so two points are equal (same configuration,
     same position) exactly when they are the same object.  Labels are
     bookkeeping for parsing and printing.
+
+    `order_key` is ``(float(position), position)``: float conversion is
+    monotone, and the `Fraction` breaks float ties exactly, so keys order
+    points exactly as their positions do, and distinct floats decide a
+    comparison without touching the `Fraction`.
     """
 
-    __slots__ = ("label", "position", "config")
+    __slots__ = ("label", "position", "config", "order_key")
 
     def __init__(self, label: str, position: Fraction, config: "PointConfig"):
         self.label = label
         self.position = position
         self.config = config
+        self.order_key = (float(position), position)
 
     def __repr__(self):
         return f"CirclePoint({self.label!r}, {self.position})"
@@ -85,8 +88,8 @@ class PointConfig:
     aliases the existing point (the two labels denote the same point);
     registering an existing label at a different position is an error.
 
-    Linking numbers are computed on the points' ranks in position order
-    (`ranks`); a configuration carries no cut.  A cut is given per call, to
+    Linking numbers are computed on the points' order keys; a
+    configuration carries no cut.  A cut is given per call, to
     `linking_number` and the identities built on it.  Once a point is
     placed by `synthetic_point`, the configuration's order is
     `synthetic_order` and its points have no linking numbers.
@@ -95,7 +98,6 @@ class PointConfig:
     def __init__(self):
         self._by_position: dict[Fraction, CirclePoint] = {}
         self._by_label: dict[str, CirclePoint] = {}
-        self._ranks: dict[CirclePoint, int] | None = None
         self.synthetic_order = False
 
     def point(self, label: str, position) -> CirclePoint:
@@ -114,16 +116,7 @@ class PointConfig:
         pt = CirclePoint(label, pos, self)
         self._by_position[pos] = pt
         self._by_label[label] = pt
-        self._ranks = None
         return pt
-
-    def ranks(self) -> dict[CirclePoint, int]:
-        """{point: index in position order}, rebuilt on first use after an
-        insertion.  Ranks order the points exactly as their positions do."""
-        ranks = self._ranks
-        if ranks is None:
-            ranks = self._ranks = {p: r for r, p in enumerate(self.points())}
-        return ranks
 
     def synthetic_point(self, label: str) -> CirclePoint:
         """A point just after every point so far, for labels with no position."""
@@ -137,7 +130,7 @@ class PointConfig:
             raise SwapAlgError(f"unknown point label {label!r}") from None
 
     def points(self) -> list[CirclePoint]:
-        return sorted(self._by_position.values(), key=lambda p: p.position)
+        return sorted(self._by_position.values(), key=lambda p: p.order_key)
 
     @classmethod
     def from_text(cls, text: str) -> "PointConfig":
@@ -199,12 +192,10 @@ def _unroll(positions: Sequence[Fraction], cut) -> list[Fraction]:
     return [(p - cut) % 1 for p in positions]
 
 
-def linking_ranks(config: PointConfig) -> dict[CirclePoint, int]:
-    """The configuration's rank map, as the linking form's order keys;
-    refused when the order is synthetic."""
+def require_point_order(config: PointConfig) -> None:
+    """Refuse linking on a configuration whose order is synthetic."""
     if config.synthetic_order:
         raise SwapAlgError("linking needs the cyclic order of the points, which is synthetic here")
-    return config.ranks()
 
 
 def linking_number(
@@ -212,13 +203,13 @@ def linking_number(
 ) -> Fraction:
     """Linking number [Xx, Yy] of the ordered pairs (X, x) and (Y, y).
 
-    Computed on the points' ranks unless a cut is given, in which case the
-    `Fraction` positions are unrolled from it and compared instead.
+    Computed on the points' order keys unless a cut is given, in which
+    case the `Fraction` positions are unrolled from it and compared instead.
     Refused on a configuration whose order is synthetic.
     """
-    ranks = linking_ranks(ensure_same_config(X, x, Y, y))
+    require_point_order(ensure_same_config(X, x, Y, y))
     if cut is None:
-        keys = ranks[X], ranks[x], ranks[Y], ranks[y]
+        keys = X.order_key, x.order_key, Y.order_key, y.order_key
     else:
         keys = _unroll((X.position, x.position, Y.position, y.position), cut)
     return _HALVES[doubled_linking(*keys)]

@@ -219,11 +219,11 @@ def elementary_bracket_closed_form(universe, gwords, hwords) -> AlgebraElement:
     for i in range(p):
         gi_p, gi_m = g_pts[i]
         gn_p, _ = g_pts[(i + 1) % p]
-        t_gg = elementary(universe, (gw[i], gw[(i + 1) % p])) if p > 1 else None
+        t_gg = elementary(universe, (gw[i], gw[(i + 1) % p]))  # T(g, g) = 1 when p = 1
         for j in range(q):
             hj_p, hj_m = h_pts[j]
             hn_p, _ = h_pts[(j + 1) % q]
-            t_hh = elementary(universe, (hw[j], hw[(j + 1) % q])) if q > 1 else None
+            t_hh = elementary(universe, (hw[j], hw[(j + 1) % q]))
             a = lk(gi_p, gi_m, hj_p, hj_m)
             b = lk(gn_p, gi_m, hn_p, hj_m)
             c = lk(gi_p, gi_m, hn_p, hj_m)
@@ -231,24 +231,14 @@ def elementary_bracket_closed_form(universe, gwords, hwords) -> AlgebraElement:
             if a != 0:
                 total = total + a * elementary(universe, (gw[i], hw[j]))
             if b != 0:
-                term = elementary(
-                    universe, (hw[(j + 1) % q], hw[j], gw[(i + 1) % p], gw[i])
-                )
-                if t_hh is not None:
-                    term = term / t_hh
-                if t_gg is not None:
-                    term = term / t_gg
-                total = total + b * term
+                term = elementary(universe, (hw[(j + 1) % q], hw[j], gw[(i + 1) % p], gw[i]))
+                total = total + b * term / t_hh / t_gg
             if c != 0:
                 term = elementary(universe, (gw[i], hw[(j + 1) % q], hw[j]))
-                if t_hh is not None:
-                    term = term / t_hh
-                total = total - c * term
+                total = total - c * term / t_hh
             if d != 0:
                 term = elementary(universe, (hw[j], gw[(i + 1) % p], gw[i]))
-                if t_gg is not None:
-                    term = term / t_gg
-                total = total - d * term
+                total = total - d * term / t_gg
     return total * elementary(universe, gwords) * elementary(universe, hwords)
 
 

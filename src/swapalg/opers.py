@@ -81,6 +81,12 @@ class OperSpec:
             self.coefficients[index] = tuple(
                 (int(k), float(c), float(s)) for k, c, s in harmonics
             )
+            for k, c, s in self.coefficients[index]:
+                for name, value in (("cos", c), ("sin", s)):
+                    if not math.isfinite(value):
+                        raise SwapAlgError(
+                            f"q{index} harmonic k={k}: {name}={value} is not finite"
+                        )
 
     def coefficient_values(self, index: int, times: np.ndarray) -> np.ndarray:
         out = np.zeros_like(times)
@@ -236,14 +242,21 @@ def _step_matrices(oper: OperSpec, steps: int) -> np.ndarray:
     return eye + (h / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _require_finite(values: np.ndarray, steps: int) -> None:
+    if not np.isfinite(values).all():
+        raise SwapAlgError(f"the solutions overflow: frames are not finite at {steps} steps")
+
+
 def _holonomy(oper: OperSpec, steps: int) -> np.ndarray:
     """frame(1) alone, as a pairwise tree product of the step matrices."""
-    mats = _step_matrices(oper, steps)
-    while len(mats) > 1:
-        if len(mats) % 2:
-            mats[-2] = mats[-1] @ mats[-2]
-            mats = mats[:-1]
-        mats = mats[1::2] @ mats[::2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mats = _step_matrices(oper, steps)
+        while len(mats) > 1:
+            if len(mats) % 2:
+                mats[-2] = mats[-1] @ mats[-2]
+                mats = mats[:-1]
+            mats = mats[1::2] @ mats[::2]
+    _require_finite(mats[0], steps)
     return mats[0]
 
 
@@ -252,13 +265,16 @@ def integrate(oper: OperSpec, steps: int = 4096) -> FundamentalSolution:
 
     The frames are the prefix products of the per-step RK4 matrices,
     computed by a doubling scan: after the pass with offset d, each frame
-    holds the product of up to 2d consecutive steps.
+    holds the product of up to 2d consecutive steps.  Every frame must be
+    finite: an intermediate frame can overflow while frame(1) does not.
     """
-    frames = np.concatenate([np.eye(oper.order)[None], _step_matrices(oper, steps)])
-    d = 1
-    while d < steps:
-        frames[d:] = frames[d:] @ frames[:-d]
-        d *= 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        frames = np.concatenate([np.eye(oper.order)[None], _step_matrices(oper, steps)])
+        d = 1
+        while d < steps:
+            frames[d:] = frames[d:] @ frames[:-d]
+            d *= 2
+    _require_finite(frames, steps)
     return FundamentalSolution(oper, steps, frames)
 
 

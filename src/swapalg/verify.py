@@ -26,7 +26,7 @@ from .circle import (
     doubled_linking,
     ensure_same_config,
     linking_number,
-    linking_ranks,
+    require_point_order,
     six_point_F,
     six_point_G,
 )
@@ -143,10 +143,12 @@ def _grid_config(count: int, denominator: int) -> tuple[PointConfig, list]:
 def _linking_table(points) -> np.ndarray:
     """Doubled linking numbers 2 [ab, cd] as int8 (each law below sums at
     most three products, at most 12 in absolute value): `doubled_linking`
-    over index grids, on the signs S[i, j] = sign(r_i - r_j) of the
-    configuration's ranks."""
-    ranks = linking_ranks(ensure_same_config(*points)) if points else {}
-    r = np.array([ranks[p] for p in points])
+    over index grids, on the signs S[i, j] = sign(r_i - r_j) of the points'
+    ranks r, read off one sort by order key."""
+    if points:
+        require_point_order(ensure_same_config(*points))
+    rank = {p: r for r, p in enumerate(sorted(set(points), key=lambda p: p.order_key))}
+    r = np.array([rank[p] for p in points])
     S = np.sign(r[:, None] - r[None, :]).astype(np.int8)
     n = len(points)
     return doubled_linking(*np.ogrid[:n, :n, :n, :n], cmp=lambda i, j: S[i, j])

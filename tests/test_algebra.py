@@ -160,7 +160,7 @@ def test_config_mixing_rejected():
         a * b
     with pytest.raises(ConfigMismatchError):
         swap_bracket(a, b)
-    # canonical order and brackets read the ranks of the element's own configuration
+    # an element's monomials are over its own configuration
     with pytest.raises(ConfigMismatchError):
         AlgebraElement.from_monomial(c2, a.monomials()[0])
 

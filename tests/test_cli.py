@@ -242,19 +242,24 @@ def test_identities_on_no_points(tmp_path, capsys):
 # isolated cases exercise size guards, so they run in a memory-limited
 # subprocess; the rest go through `main`, where any escaping exception fails
 @pytest.mark.parametrize(
-    "argv, isolated",
+    "argv, isolated, says",
     [
-        (["eval", "--rep", "{truncated}", "elem(a, a)"], False),
-        (["period", "--rep", "{rep}", "--word", "a b", "--anchor", ""], False),
-        (["oper", "--oper", "{oper}", "--cross-ratio", "1/0", "1/8", "3/8", "5/8"], False),
-        (["oper", "--oper", "{oper}", "--coordinate", "1/0", "0"], False),
-        (["oper", "--oper", "{oper}", "--frenet", "-1"], False),
-        (["oper", "--oper", "{oper}", "--cross-ratio", "1/8", "3/8", "3/8", "7/8"], False),
-        (["bracket", "--points", "{points}", "(" * 3000 + "1" + ")" * 3000, "[X x]"], True),
-        (["bracket", "--points", "{points}", "--", "-" * 3000 + "1", "[X x]"], True),
-        (["oper", "--oper", "{oper}", "--steps", "200000000"], True),
-        (["oper", "--oper", "{order5000}", "--steps", "64"], True),
-        (["eval", "--rep", "{rep3}", "wolpert(a, b)"], False),
+        (["eval", "--rep", "{truncated}", "elem(a, a)"], False, ""),
+        (["period", "--rep", "{rep}", "--word", "a b", "--anchor", ""], False, ""),
+        (["oper", "--oper", "{oper}", "--cross-ratio", "1/0", "1/8", "3/8", "5/8"], False, ""),
+        (["oper", "--oper", "{oper}", "--coordinate", "1/0", "0"], False, ""),
+        (["oper", "--oper", "{oper}", "--frenet", "-1"], False, ""),
+        (["oper", "--oper", "{oper}", "--cross-ratio", "1/8", "3/8", "3/8", "7/8"], False, ""),
+        (["bracket", "--points", "{points}", "(" * 3000 + "1" + ")" * 3000, "[X x]"], True, ""),
+        (["bracket", "--points", "{points}", "--", "-" * 3000 + "1", "[X x]"], True, ""),
+        (["oper", "--oper", "{oper}", "--steps", "200000000"], True, ""),
+        (["oper", "--oper", "{order5000}", "--steps", "64"], True, ""),
+        (["eval", "--rep", "{rep3}", "wolpert(a, b)"], False, ""),
+        # numpy warnings reach stderr only outside pytest's warning capture
+        (["oper", "--oper", "{cos_huge}", "--steps", "128"], True, "not finite at 128 steps"),
+        (["oper", "--oper", "{cos_nan}", "--steps", "128"], True, "q2 harmonic k=0: cos=nan"),
+        (["oper", "--oper", "{cos_inf}", "--steps", "128"], True, "q2 harmonic k=0: cos=inf"),
+        (["oper", "--oper", "{cos_overflow}", "--steps", "128"], True, "not finite at 128 steps"),
     ],
     ids=[
         "truncated-rep",
@@ -268,14 +273,22 @@ def test_identities_on_no_points(tmp_path, capsys):
         "too-many-steps",
         "order-5000",
         "wolpert-synthetic-order",
+        "oper-cos-1e300",
+        "oper-cos-nan",
+        "oper-cos-inf",
+        "oper-solutions-overflow",
     ],
 )
-def test_bad_input_exits_two_with_one_line(files, tmp_path, capsys, argv, isolated):
+def test_bad_input_exits_two_with_one_line(files, tmp_path, capsys, argv, isolated, says):
     paths = dict(files)
     for name, text in (
         ("truncated", REP + "element\n"),
         ("order5000", "n = 5000\n"),
         ("rep3", "n = 3\nelement a 4 0 0 0 1 0 0 0 0.25\nelement b 2 1 0 1 1 0 0 0 1\n"),
+        ("cos_huge", "n = 2\nq2: k=0 cos=1e300 sin=0\n"),
+        ("cos_nan", "n = 2\nq2: k=0 cos=nan sin=0\n"),
+        ("cos_inf", "n = 2\nq2: k=0 cos=inf sin=0\n"),
+        ("cos_overflow", "n = 2\nq2: k=0 cos=-1e6 sin=0\n"),
     ):
         path = tmp_path / f"{name}.txt"
         path.write_text(text)
@@ -287,8 +300,8 @@ def test_bad_input_exits_two_with_one_line(files, tmp_path, capsys, argv, isolat
     else:
         code, err = main(argv), capsys.readouterr().err
     assert code == 2
-    assert "Traceback" not in err
-    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err and "Warning" not in err
+    assert err.startswith("error:") and err.count("\n") == 1 and says in err
 
 
 @pytest.mark.parametrize(

@@ -277,7 +277,9 @@ def test_points_are_identity_equal():
 
     config = PointConfig()
     a = config.point("a", Fraction(1, 3))
-    assert config.point("b", Fraction(4, 3)) is a
+    # a known label and an aliased position return the existing point
+    assert config.point("a", Fraction(1, 3)) is a and config.point("b", Fraction(4, 3)) is a
+    assert config.points() == [a]
     assert CirclePoint.__eq__ is object.__eq__ and CirclePoint.__hash__ is object.__hash__
 
 
@@ -308,10 +310,11 @@ def test_linking_table_is_doubled_linking_number():
 
 
 def test_rank_route_matches_cut_route_across_insertions():
-    """Points added to a configuration shift the ranks of the points after
-    them; linking on ranks must still match the cut route (on the points
-    before any insertion, test_linking_table_is_doubled_linking_number
-    compares both routes on every quadruple)."""
+    """Points added below, above and between the old points of a
+    configuration shift the ranks of the points after them; linking on
+    order keys must still match the cut route (on the points before any
+    insertion, test_linking_table_is_doubled_linking_number compares both
+    routes on every quadruple)."""
     from swapalg.verify import _linking_table
 
     rng = random.Random(14)
@@ -349,13 +352,31 @@ def test_rank_route_matches_cut_route_across_insertions():
         ]
 
 
-def test_rank_map_is_dropped_by_each_insertion():
+def test_order_keys_break_float_ties_exactly():
+    """Positions that round to the same float (around 1/3, and a position
+    below the smallest float next to 0) keep their exact order."""
+    from swapalg.algebra import generator, swap_bracket
+    from swapalg.verify import _linking_table
+
+    third, tiny = Fraction(1, 3), Fraction(1, 10**30)
+    positions = [third + tiny, Fraction(7, 10), third, Fraction(1, 10**400), third - tiny, Fraction(0)]
+    assert len({float(pos) for pos in positions}) == 3
     config = PointConfig()
-    a, c = config.point("a", Fraction(1, 5)), config.point("c", Fraction(3, 5))
-    assert config.ranks() == {a: 0, c: 1}
-    b = config.point("b", Fraction(2, 5))
-    assert config.ranks() == {a: 0, b: 1, c: 2}
-    # a known label or an aliased position adds no point and keeps the map
-    ranks = config.ranks()
-    assert config.point("b", Fraction(2, 5)) is b and config.point("bb", Fraction(7, 5)) is b
-    assert config.ranks() is ranks
+    points = [config.point(f"t{i}", pos) for i, pos in enumerate(positions)]
+    assert [p.position for p in config.points()] == sorted(positions)
+    cut = default_cut(positions)
+    quads = list(itertools.product(points, repeat=4))
+    for q in quads:
+        assert linking_number(*q) == linking_number(*q, cut=cut), q
+    assert _linking_table(points).ravel().tolist() == [2 * linking_number(*q) for q in quads]
+    # the order the bracket prints is the position order
+    t = points
+    bracket = swap_bracket(
+        generator(t[0], t[4]) * generator(t[2], t[5]), generator(t[3], t[2]) + generator(t[4], t[1]), 1
+    )
+    terms = bracket.terms()
+    assert len(terms) > 2
+    keys = [(m.degree, [p.key for p in m.pairs]) for m, _ in terms]
+    assert keys == sorted(keys)
+    for m, _ in terms:
+        assert repr(m) == "*".join(repr(p) for p in sorted(m.pairs, key=lambda p: p.key))
