@@ -25,7 +25,11 @@ The swapping bracket of two generators is
 
 where [ , ] is the linking form and `a` is any rational parameter.  It
 extends to the whole algebra by bilinearity and the Leibniz rule in each
-slot, and satisfies the Jacobi identity, making the algebra Poisson.
+slot, and satisfies the Jacobi identity, making the algebra Poisson.  It is
+computed on integers: the coefficients of each operand as numerators over
+their common denominator, the Leibniz weights as doubled linking numbers,
+and one exact `Fraction` made per result monomial over the product of the
+denominators.
 
 Values are immutable; operations build fresh elements, and expansion order
 never affects the result (terms are accumulated into a canonical map), so
@@ -108,8 +112,12 @@ class Monomial(frozenset):
     def _times(self, powers) -> "Monomial":
         exponents = dict(self)
         for p, e in powers:
-            exponents[p] = exponents.get(p, 0) + e
-        return Monomial._from_exponents(exponents)
+            e += exponents.get(p, 0)
+            if e:
+                exponents[p] = e
+            else:
+                del exponents[p]
+        return frozenset.__new__(Monomial, exponents.items())
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not other:
@@ -404,6 +412,15 @@ def generator(X: CirclePoint, x: CirclePoint) -> AlgebraElement:
     return AlgebraElement.from_monomial(config, Monomial((GeneratorPair(X, x),)))
 
 
+def _integer_terms(element: AlgebraElement):
+    """The terms as (monomial, integer numerator) over one common denominator,
+    the lcm of the coefficients' denominators: (terms, denominator)."""
+    den = 1
+    for c in element._terms.values():
+        den = den * c.denominator // gcd(den, c.denominator)
+    return [(m, c.numerator * (den // c.denominator)) for m, c in element._terms.items()], den
+
+
 def swap_bracket(a: AlgebraElement, b: AlgebraElement, alpha=0) -> AlgebraElement:
     """Swapping bracket {a, b}_alpha, extended by bilinearity and Leibniz.
 
@@ -411,11 +428,15 @@ def swap_bracket(a: AlgebraElement, b: AlgebraElement, alpha=0) -> AlgebraElemen
 
         {m1, m2} = sum over p in m1, q in m2 of  e_p f_q (m1/p)(m2/q) {p, q},
 
-    with e_p, f_q the exponents of p in m1 and of q in m2.  The weights are
-    kept doubled, as the integers e_p f_q 2[p, q] of `doubled_linking` on
-    the points' order keys, and each accumulated coefficient is halved once
-    at the end.  On fractions built from cross fractions the result
-    does not depend on alpha.
+    with e_p, f_q the exponents of p in m1 and of q in m2.  The arithmetic
+    is on integers over one common denominator: each operand's coefficients
+    become integer numerators over the lcm of their denominators (da, db),
+    the weights are the integers e_p f_q 2[p, q] of `doubled_linking` on
+    the points' order keys, and alpha = s/t scales the swapped terms by t
+    and the alpha terms by s.  Each output monomial's integer sum becomes
+    one `Fraction` over 2 da db t, and a sum that cancels to zero is
+    dropped.  On fractions built from cross fractions the result does not
+    depend on alpha.
     """
     if a.config is not b.config:
         raise ConfigMismatchError("elements over different configurations")
@@ -423,13 +444,12 @@ def swap_bracket(a: AlgebraElement, b: AlgebraElement, alpha=0) -> AlgebraElemen
     if not (any(a._terms) and any(b._terms)):
         return AlgebraElement.zero(a.config)  # a constant brackets to zero, with no linking
     require_point_order(a.config)
-    acc: dict[Monomial, Fraction] = {}
-
-    def put(monomial, coeff):
-        acc[monomial] = acc.get(monomial, 0) + coeff
-
-    for ma, ca in a._terms.items():
-        for mb, cb in b._terms.items():
+    terms_a, da = _integer_terms(a)
+    terms_b, db = _integer_terms(b)
+    swap_scale, alpha_scale = alpha.denominator, alpha.numerator
+    acc: dict[Monomial, int] = {}
+    for ma, na in terms_a:
+        for mb, nb in terms_b:
             # {p, q} = lk (Xy.Yx + alpha p.q) for p = Xx, q = Yy: the swapped
             # part replaces p.q by Xy.Yx in m1.m2, the alpha part keeps m1.m2
             swaps = []
@@ -455,12 +475,15 @@ def swap_bracket(a: AlgebraElement, b: AlgebraElement, alpha=0) -> AlgebraElemen
             if not swaps and not alpha_weight:
                 continue
             product = ma * mb
-            cab = ca * cb
+            nab = na * nb
+            scaled = nab * swap_scale
             for change, weight in swaps:
-                put(product._times(change), cab * weight)
-            if alpha != 0:
-                put(product, cab * alpha_weight * alpha)
-    return AlgebraElement(a.config, {m: c / 2 for m, c in acc.items()})
+                m = product._times(change)
+                acc[m] = acc.get(m, 0) + scaled * weight
+            if alpha_scale and alpha_weight:
+                acc[product] = acc.get(product, 0) + nab * alpha_weight * alpha_scale
+    den = 2 * da * db * swap_scale
+    return AlgebraElement(a.config, {m: Fraction(n, den) for m, n in acc.items() if n})
 
 
 def jacobiator(a, b, c, alpha=0) -> AlgebraElement:

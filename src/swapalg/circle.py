@@ -50,9 +50,11 @@ def as_position(value) -> Fraction:
 
     Floats are converted exactly (they are dyadic rationals), so positions
     obtained from numeric backends stay consistent with their float order.
+    A `Fraction` already in [0, 1) is returned as it is.
     """
-    pos = Fraction(value)
-    return pos % 1
+    if isinstance(value, Fraction) and 0 <= value.numerator < value.denominator:
+        return value
+    return Fraction(value) % 1
 
 
 class CirclePoint:
@@ -87,6 +89,10 @@ class PointConfig:
     Labels are unique.  Registering a second label at an existing position
     aliases the existing point (the two labels denote the same point);
     registering an existing label at a different position is an error.
+    Points are found by position through a map keyed by the position's
+    (numerator, denominator): a normalized `Fraction` is determined by
+    these two integers, and an integer tuple hashes far faster than the
+    `Fraction` does.
 
     Linking numbers are computed on the points' order keys; a
     configuration carries no cut.  A cut is given per call, to
@@ -96,7 +102,7 @@ class PointConfig:
     """
 
     def __init__(self):
-        self._by_position: dict[Fraction, CirclePoint] = {}
+        self._by_position: dict[tuple[int, int], CirclePoint] = {}
         self._by_label: dict[str, CirclePoint] = {}
         self.synthetic_order = False
 
@@ -109,19 +115,21 @@ class PointConfig:
                     f"label {label!r} already registered at {existing.position}"
                 )
             return existing
-        alias = self._by_position.get(pos)
+        key = (pos.numerator, pos.denominator)
+        alias = self._by_position.get(key)
         if alias is not None:
             self._by_label[label] = alias
             return alias
         pt = CirclePoint(label, pos, self)
-        self._by_position[pos] = pt
+        self._by_position[key] = pt
         self._by_label[label] = pt
         return pt
 
     def synthetic_point(self, label: str) -> CirclePoint:
         """A point just after every point so far, for labels with no position."""
         self.synthetic_order = True
-        return self.point(label, max(self._by_position, default=0) + Fraction(1, 1 << 40))
+        last = max((p.position for p in self._by_position.values()), default=0)
+        return self.point(label, last + Fraction(1, 1 << 40))
 
     def __getitem__(self, label: str) -> CirclePoint:
         try:

@@ -165,7 +165,9 @@ class FundamentalSolution:
         self.config = PointConfig()
         self.holonomy = frames[steps].copy()
         self.holonomy_kind = _classify_holonomy(self.holonomy)
-        dets = np.linalg.det(frames)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dets = np.linalg.det(frames)
+        _require_finite(dets, steps, "frame determinants")
         self.det_drift = float(np.max(np.abs(dets - 1.0)))
 
     # -- grid access -----------------------------------------------------
@@ -242,9 +244,9 @@ def _step_matrices(oper: OperSpec, steps: int) -> np.ndarray:
     return eye + (h / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _require_finite(values: np.ndarray, steps: int) -> None:
+def _require_finite(values: np.ndarray, steps: int, what: str = "frames") -> None:
     if not np.isfinite(values).all():
-        raise SwapAlgError(f"the solutions overflow: frames are not finite at {steps} steps")
+        raise SwapAlgError(f"the solutions overflow: {what} are not finite at {steps} steps")
 
 
 def _holonomy(oper: OperSpec, steps: int) -> np.ndarray:
@@ -267,6 +269,8 @@ def integrate(oper: OperSpec, steps: int = 4096) -> FundamentalSolution:
     computed by a doubling scan: after the pass with offset d, each frame
     holds the product of up to 2d consecutive steps.  Every frame must be
     finite: an intermediate frame can overflow while frame(1) does not.
+    So must every frame's determinant, which can overflow while the
+    frames do not.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         frames = np.concatenate([np.eye(oper.order)[None], _step_matrices(oper, steps)])

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -255,32 +256,59 @@ def _reference_bracket(a, b, alpha):
     return out
 
 
+def _laurent(rng, points, denominators=(1, 2, 3, 5)):
+    """A random Laurent element of two or three terms, of degree up to 3 in
+    pairs with exponents +-1, +-2, and coefficients over `denominators`."""
+    out = AlgebraElement.zero(points[0].config)
+    for _ in range(rng.randint(2, 3)):
+        term = AlgebraElement.scalar(
+            points[0].config, Fraction(rng.choice([-5, -3, -2, 2, 3, 7]), rng.choice(denominators))
+        )
+        for _ in range(rng.randint(1, 3)):
+            X, x = rng.sample(points, 2)
+            g = generator(X, x)
+            e = rng.choice([-2, -1, 1, 2])
+            term = term * (g**e if e > 0 else g.inverse() ** -e)
+        out = out + term
+    return out
+
+
 def test_bracket_matches_reference_leibniz_expansion():
     rng = random.Random(21)
-
-    def laurent(points):
-        out = AlgebraElement.zero(points[0].config)
-        for _ in range(rng.randint(2, 3)):
-            term = AlgebraElement.scalar(
-                points[0].config, Fraction(rng.choice([-5, -3, -2, 2, 3, 7]), rng.choice([1, 2, 3, 5]))
-            )
-            for _ in range(rng.randint(1, 3)):
-                X, x = rng.sample(points, 2)
-                g = generator(X, x)
-                e = rng.choice([-2, -1, 1, 2])
-                term = term * (g**e if e > 0 else g.inverse() ** -e)
-            out = out + term
-        return out
-
     nonzero = 0
     for _ in range(20):
         config, points = _random_config(rng, 7, denominator=101)
-        a, b = laurent(points), laurent(points)
+        a, b = _laurent(rng, points), _laurent(rng, points)
         for alpha in (Fraction(0), Fraction(1), Fraction(-1, 4)):
             bracket = swap_bracket(a, b, alpha)
             assert bracket == _reference_bracket(a, b, alpha)
             nonzero += not bracket.is_zero
     assert nonzero > 30
+
+
+def test_bracket_over_coprime_denominators():
+    """Coefficient denominators coprime across the operands, alpha
+    denominators coprime to 2 and to them: the one common denominator of
+    the integer accumulation must carry every factor.  Stored coefficients
+    stay nonzero normalized `Fraction`s, and {a, a} = {a, -a} = 0 cancels
+    every accumulated sum."""
+    rng = random.Random(8)
+    nonzero = 0
+    for _ in range(12):
+        config, points = _random_config(rng, 7, denominator=101)
+        a = _laurent(rng, points, denominators=(3, 7))
+        b = _laurent(rng, points, denominators=(5, 11))
+        for alpha in (Fraction(5, 3), Fraction(-7, 6), Fraction(4, 13)):
+            bracket = swap_bracket(a, b, alpha)
+            assert bracket == _reference_bracket(a, b, alpha)
+            for c in bracket._terms.values():
+                assert type(c) is Fraction and c != 0
+                assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+            nonzero += not bracket.is_zero
+            for x in (a, b):
+                assert swap_bracket(x, x, alpha)._terms == {}
+                assert swap_bracket(x, -x, alpha)._terms == {}
+    assert nonzero > 20
 
 
 def test_synthetic_order_is_refused_only_where_linking_is_needed():

@@ -260,6 +260,7 @@ def test_identities_on_no_points(tmp_path, capsys):
         (["oper", "--oper", "{cos_nan}", "--steps", "128"], True, "q2 harmonic k=0: cos=nan"),
         (["oper", "--oper", "{cos_inf}", "--steps", "128"], True, "q2 harmonic k=0: cos=inf"),
         (["oper", "--oper", "{cos_overflow}", "--steps", "128"], True, "not finite at 128 steps"),
+        (["oper", "--oper", "{det_overflow}", "--steps", "128"], True, "determinants are not finite"),
     ],
     ids=[
         "truncated-rep",
@@ -277,6 +278,7 @@ def test_identities_on_no_points(tmp_path, capsys):
         "oper-cos-nan",
         "oper-cos-inf",
         "oper-solutions-overflow",
+        "oper-det-overflow",
     ],
 )
 def test_bad_input_exits_two_with_one_line(files, tmp_path, capsys, argv, isolated, says):
@@ -289,6 +291,7 @@ def test_bad_input_exits_two_with_one_line(files, tmp_path, capsys, argv, isolat
         ("cos_nan", "n = 2\nq2: k=0 cos=nan sin=0\n"),
         ("cos_inf", "n = 2\nq2: k=0 cos=inf sin=0\n"),
         ("cos_overflow", "n = 2\nq2: k=0 cos=-1e6 sin=0\n"),
+        ("det_overflow", "n = 2\nq2: k=0 cos=-3e5 sin=0\n"),
     ):
         path = tmp_path / f"{name}.txt"
         path.write_text(text)

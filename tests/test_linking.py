@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from swapalg.circle import (
     PointConfig,
+    as_position,
     cocycle_defect,
     default_cut,
     linking_number,
@@ -281,6 +282,32 @@ def test_points_are_identity_equal():
     assert config.point("a", Fraction(1, 3)) is a and config.point("b", Fraction(4, 3)) is a
     assert config.points() == [a]
     assert CirclePoint.__eq__ is object.__eq__ and CirclePoint.__hash__ is object.__hash__
+
+
+@pytest.mark.parametrize(
+    "value",
+    [Fraction(0), Fraction(-1, 3), Fraction(4, 3), Fraction(1), 1, 0.25, Fraction(1, 10**400)],
+    ids=["0", "-1/3", "4/3", "1", "int-1", "float-0.25", "1/10^400"],
+)
+def test_as_position_is_the_fraction_mod_one(value):
+    pos = as_position(value)
+    assert type(pos) is Fraction and pos == Fraction(value) % 1
+
+
+def test_points_are_found_by_exact_position():
+    config = PointConfig()
+    a = config.point("a", Fraction(1, 3))
+    assert config.point("b", Fraction(4, 3)) is a
+    c = config.point("c", 1 / 3)  # the float is a dyadic rational, not 1/3
+    assert c is not a and c.position == Fraction(1 / 3)
+    # the largest position is neither the last inserted nor the largest
+    # (numerator, denominator) pair
+    top = config.point("d", Fraction(2, 3))
+    config.point("e", Fraction(1, 10**400))
+    config.point("f", Fraction(3, 100))
+    s = config.synthetic_point("s")
+    assert s.position == Fraction(2, 3) + Fraction(1, 1 << 40)
+    assert config.points()[-2:] == [top, s]
 
 
 def test_default_cut_of_a_single_point_is_exact_and_opposite():
