@@ -6,14 +6,17 @@ An operator of order n,
 
 with 1-periodic trigonometric-polynomial coefficients, is integrated as the
 companion first-order system with a classical fixed-step fourth-order
-Runge-Kutta scheme.  The system is linear, so each step is a matrix S_k
-that does not depend on the state; all of them are built at once, and the
-frames are their prefix products S_{k-1} ... S_0.  The search for trivial
-holonomy and the step-halving error estimate need only the holonomy, the
-full product, which they take by a pairwise tree product of the same
-matrices without forming the frames.  The companion matrix is trace free
-(there is no psi^(n-1) term), so the frame determinant is conserved; the
-drift measures integration error.
+Runge-Kutta scheme.  The coefficients are sampled once into a table on
+the grid and half grid; the system is linear, so each step is a matrix S_k
+that does not depend on the state, and all of them are built at once from
+the table.  The frames are their prefix products S_{k-1} ... S_0.  The
+search for trivial holonomy and the step-halving error estimate need only
+the holonomy, the full product, which they take by a pairwise tree product
+of the same matrices without forming the frames.  The Newton search
+samples the harmonics it does not change once per grid, so a residual
+adds only its unknown modes to that table.  The companion matrix is
+trace free (there is no psi^(n-1) term), so the frame determinant is
+conserved; the drift measures integration error.
 
 The frame at t has columns (psi_j, psi_j', ..., psi_j^(n-1)) for the basis
 of solutions with frame(0) = Id; the holonomy is frame(1).  The one
@@ -46,7 +49,9 @@ points' positions.  `coordinate_function` and the observables built on it
 read lifts as given.
 
 Everything is deterministic: fixed step size, no adaptivity, and query
-parameters must lie on the integration grid.
+parameters must lie on the integration grid.  An exact rational is placed
+on it in integers and must lie on it exactly; a float may miss it by 1e-9
+of a step.  Lifts of `MAX_LIFT_PERIODS` periods or more are refused.
 """
 
 from __future__ import annotations
@@ -64,6 +69,11 @@ TRIVIAL_HOLONOMY_TOLERANCE = 1e-6
 # the companion matrices on the grid and half grid, (2 steps + 1) n^2
 # floats, are the largest array; this admits order 3 past 10^5 steps
 MAX_GRID_ENTRIES = 1 << 22
+# lifts reach frames through holonomy powers, whose rounding grows with
+# the power: lifting one argument of a cross fraction on the Veronese
+# operator at 4096 steps moves it by 1.5e-8 relative at 2^20 periods,
+# 2.4e-7 at 2^24 and 1.6e-2 at 2^40 (medians over 50 random quadruples)
+MAX_LIFT_PERIODS = 1 << 20
 
 
 class OperSpec:
@@ -173,10 +183,25 @@ class FundamentalSolution:
     # -- grid access -----------------------------------------------------
 
     def grid_index(self, t) -> int:
-        """Index of a parameter on the grid; rejects off-grid values."""
-        scaled = Fraction(t) * self.steps if isinstance(t, Fraction) else float(t) * self.steps
-        j = round(float(scaled))
-        if abs(float(scaled) - j) > 1e-9:
+        """Index of a parameter on the grid; rejects off-grid values.
+
+        An exact rational (int or Fraction) must lie on the grid exactly,
+        checked in integers; a float may miss it by 1e-9 of a step.  Lifts
+        of `MAX_LIFT_PERIODS` periods or more are refused.
+        """
+        limit = MAX_LIFT_PERIODS * self.steps
+        if isinstance(t, (int, Fraction)):
+            j, rest = divmod(t.numerator * self.steps, t.denominator)
+            within = abs(j) < limit
+        else:
+            scaled = float(t) * self.steps
+            within = abs(scaled) < limit  # false for nan and inf
+            j = round(scaled) if within else 0
+            rest = abs(scaled - j) > 1e-9
+        if not within:
+            text = str(t) if len(str(t)) <= 40 else str(t)[:20] + "..."
+            raise SwapAlgError(f"parameter {text} lies {MAX_LIFT_PERIODS} or more periods from 0")
+        if rest:
             raise SwapAlgError(f"parameter {t} does not lie on the {self.steps}-point grid")
         return j
 
@@ -210,38 +235,56 @@ class FundamentalSolution:
         return coordinate_function(self, X.position, x.position)
 
 
-def _companion_matrices(oper: OperSpec, times: np.ndarray) -> np.ndarray:
-    n = oper.order
-    count = len(times)
-    mats = np.zeros((count, n, n))
+def _grid_times(order: int, steps: int) -> np.ndarray:
+    """The grid and half-grid parameters k h / 2, k = 0..2 steps.
+
+    Owns the step floor and the size guard, so both run before any array
+    of the grid's size is made.
+    """
+    if steps < 64:
+        raise SwapAlgError("use at least 64 steps")
+    entries = (2 * steps + 1) * order**2
+    if entries > MAX_GRID_ENTRIES:
+        raise SwapAlgError(
+            f"order {order} at {steps} steps needs {entries} matrix entries "
+            f"per grid array, more than {MAX_GRID_ENTRIES}"
+        )
+    h = 1.0 / steps
+    return np.arange(2 * steps + 1) * (h / 2.0)
+
+
+def _coefficient_table(oper: OperSpec, steps: int) -> np.ndarray:
+    """q_2..q_n on the grid and half grid: row i - 2 holds q_i at k h / 2."""
+    times = _grid_times(oper.order, steps)
+    return np.array([oper.coefficient_values(i, times) for i in range(2, oper.order + 1)])
+
+
+def _step_matrices(table: np.ndarray, steps: int) -> np.ndarray:
+    """The RK4 step matrices S_0..S_{steps-1} of a coefficient table:
+    frame(k+1) = S_k frame(k)."""
+    n = len(table) + 1
+    mats = np.zeros((2 * steps + 1, n, n))  # the companion matrices
     for i in range(n - 1):
         mats[:, i, i + 1] = 1.0
     for index in range(2, n + 1):
         # q_index multiplies psi^(n-index), i.e. state component n-index
-        mats[:, n - 1, n - index] = -oper.coefficient_values(index, times)
-    return mats
-
-
-def _step_matrices(oper: OperSpec, steps: int) -> np.ndarray:
-    """The RK4 step matrices S_0..S_{steps-1}: frame(k+1) = S_k frame(k)."""
-    if steps < 64:
-        raise SwapAlgError("use at least 64 steps")
-    entries = (2 * steps + 1) * oper.order**2
-    if entries > MAX_GRID_ENTRIES:
-        raise SwapAlgError(
-            f"order {oper.order} at {steps} steps needs {entries} matrix entries "
-            f"per grid array, more than {MAX_GRID_ENTRIES}"
-        )
+        mats[:, n - 1, n - index] = -table[index - 2]
     h = 1.0 / steps
-    times = np.arange(2 * steps + 1) * (h / 2.0)  # grid and half-grid points
-    mats = _companion_matrices(oper, times)
     a0, a1, a2 = mats[:-1:2], mats[1::2], mats[2::2]
-    eye = np.eye(oper.order)
-    # the RK4 stages applied to y = Id, where k1 = a0
+    eye = np.eye(n)
+    # the RK4 stages applied to y = Id, where k1 = a0, and the step
+    # eye + (h / 6) (a0 + 2 k2 + 2 k3 + k4); the sum is taken in that order
+    # in one buffer as the stages come, so that at most two stages of the
+    # grid are alive at once
     k2 = a1 @ (eye + (h / 2.0) * a0)
     k3 = a1 @ (eye + (h / 2.0) * k2)
-    k4 = a2 @ (eye + h * k3)
-    return eye + (h / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
+    total = a0 + 2.0 * k2
+    del k2
+    total += 2.0 * k3
+    total += a2 @ (eye + h * k3)  # k4
+    total *= h / 6.0
+    total += eye
+    return total
 
 
 def _require_finite(values: np.ndarray, steps: int, what: str = "frames") -> None:
@@ -249,10 +292,10 @@ def _require_finite(values: np.ndarray, steps: int, what: str = "frames") -> Non
         raise SwapAlgError(f"the solutions overflow: {what} are not finite at {steps} steps")
 
 
-def _holonomy(oper: OperSpec, steps: int) -> np.ndarray:
+def _table_holonomy(table: np.ndarray, steps: int) -> np.ndarray:
     """frame(1) alone, as a pairwise tree product of the step matrices."""
     with np.errstate(over="ignore", invalid="ignore"):
-        mats = _step_matrices(oper, steps)
+        mats = _step_matrices(table, steps)
         while len(mats) > 1:
             if len(mats) % 2:
                 mats[-2] = mats[-1] @ mats[-2]
@@ -260,6 +303,10 @@ def _holonomy(oper: OperSpec, steps: int) -> np.ndarray:
             mats = mats[1::2] @ mats[::2]
     _require_finite(mats[0], steps)
     return mats[0]
+
+
+def _holonomy(oper: OperSpec, steps: int) -> np.ndarray:
+    return _table_holonomy(_coefficient_table(oper, steps), steps)
 
 
 def integrate(oper: OperSpec, steps: int = 4096) -> FundamentalSolution:
@@ -273,7 +320,8 @@ def integrate(oper: OperSpec, steps: int = 4096) -> FundamentalSolution:
     frames do not.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        frames = np.concatenate([np.eye(oper.order)[None], _step_matrices(oper, steps)])
+        mats = _step_matrices(_coefficient_table(oper, steps), steps)
+        frames = np.concatenate([np.eye(oper.order)[None], mats])
         d = 1
         while d < steps:
             frames[d:] = frames[d:] @ frames[:-d]
@@ -490,28 +538,43 @@ def solve_trivial_holonomy(
     the holonomy condition is three equations (the fourth entry follows
     from det = 1), matching the three unknowns.  The solve runs through the
     grid resolutions in `stages`, so the final iterate is converged on the
-    finest grid, in at most 25 Newton steps per stage.  Each residual
-    evaluation computes the holonomy alone.  The residual tolerance 1e-12
-    lets the last Newton step land at the rounding floor: cross fractions
-    of lifts go through holonomy powers, so a residual left at 1e-11 moves
-    large cross fractions by more than 1e-6.
+    finest grid, in at most 25 Newton steps per stage.  Each stage samples
+    the fixed harmonics, cos 2pi t and sin 2pi t on its grid once; a
+    residual is that table plus the three unknown modes, added in the
+    order `OperSpec.coefficient_values` adds them (c0, then a1 cos + b1 sin
+    as one term), so every iterate is the one that sampling `build(u)`
+    afresh would give, bit for bit.  Each residual evaluation then takes
+    the holonomy alone.  The residual tolerance 1e-12 lets the last Newton
+    step land at the rounding floor: cross fractions of lifts go through
+    holonomy powers, so a residual left at 1e-11 moves large cross
+    fractions by more than 1e-6.
     """
     if base.order != 2:
         raise SwapAlgError("the Newton search is implemented for order 2")
     target = target_sign * np.eye(2)
     fixed = list(base.coefficients.get(2, ())) + list(extra_harmonics)
+    fixed_oper = OperSpec(2, {2: fixed})
 
     def build(u):
         c0, a1, b1 = u
         return OperSpec(2, {2: fixed + [(0, c0, 0.0), (1, a1, b1)]})
 
-    def residual(u, steps):
-        d = _holonomy(build(u), steps) - target
-        return np.array([d[0, 0], d[0, 1], d[1, 0]])
-
     u = np.zeros(3)
     for steps in stages:
-        r = residual(u, steps)
+        times = _grid_times(2, steps)
+        fixed_q2 = fixed_oper.coefficient_values(2, times)
+        w = 2.0 * math.pi * times
+        cos1, sin1 = np.cos(w), np.sin(w)
+        del times, w  # only the three tables stay alive through the stage
+
+        def residual(u):
+            c0, a1, b1 = u
+            # the k = 0 mode samples as c0 cos 0 + 0.0 sin 0 = c0 + 0.0
+            q2 = fixed_q2 + (c0 + 0.0) + (a1 * cos1 + b1 * sin1)
+            d = _table_holonomy(q2[None], steps) - target
+            return np.array([d[0, 0], d[0, 1], d[1, 0]])
+
+        r = residual(u)
         for _ in range(25):
             if np.max(np.abs(r)) < 1e-12:
                 break
@@ -520,9 +583,9 @@ def solve_trivial_holonomy(
             for col in range(3):
                 du = np.zeros(3)
                 du[col] = eps
-                jac[:, col] = (residual(u + du, steps) - r) / eps
+                jac[:, col] = (residual(u + du) - r) / eps
             u = u - np.linalg.solve(jac, r)
-            r = residual(u, steps)
+            r = residual(u)
         else:
             raise SwapAlgError("holonomy search did not converge")
     return build(u)

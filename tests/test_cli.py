@@ -249,6 +249,9 @@ def test_identities_on_no_points(tmp_path, capsys):
         (["oper", "--oper", "{oper}", "--cross-ratio", "1/0", "1/8", "3/8", "5/8"], False, ""),
         (["oper", "--oper", "{oper}", "--coordinate", "1/0", "0"], False, ""),
         (["oper", "--oper", "{oper}", "--frenet", "-1"], False, ""),
+        (["oper", "--oper", "{oper}", "--coordinate", "1e400", "0"], False, "periods"),
+        (["oper", "--oper", "{oper}", "--coordinate", "1e30", "0"], False, "periods"),
+        (["oper", "--oper", "{oper}", "--cross-ratio", "1e400", "1/8", "3/8", "5/8"], False, "periods"),
         (["oper", "--oper", "{oper}", "--cross-ratio", "1/8", "3/8", "3/8", "7/8"], False, ""),
         (["bracket", "--points", "{points}", "(" * 3000 + "1" + ")" * 3000, "[X x]"], True, ""),
         (["bracket", "--points", "{points}", "--", "-" * 3000 + "1", "[X x]"], True, ""),
@@ -268,6 +271,9 @@ def test_identities_on_no_points(tmp_path, capsys):
         "cross-ratio-1/0",
         "coordinate-1/0",
         "negative-frenet",
+        "coordinate-1e400",
+        "coordinate-1e30",
+        "cross-ratio-1e400",
         "cross-ratio-z=y",
         "deep-parentheses",
         "deep-unary-minus",

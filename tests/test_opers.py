@@ -9,7 +9,6 @@ from swapalg.errors import EvaluationError, SwapAlgError
 from swapalg.multifraction import chi
 from swapalg.opers import (
     OperSpec,
-    _companion_matrices,
     _holonomy,
     coordinate_function,
     ds_crossfraction_bracket,
@@ -116,6 +115,39 @@ def test_step_floor_and_grid_snapping(circle_solution):
     assert circle_solution.grid_index(1.0) == M
 
 
+def test_exact_rationals_index_the_grid_in_integers(circle_solution):
+    for j in (0, 1, M // 3, M - 1):
+        for m in range(-3, 4):
+            assert circle_solution.grid_index(Fraction(j, M) + m) == j + m * M
+    # an exact rational off the grid by any amount is refused; a float
+    # keeps the 1e-9-of-a-step tolerance
+    with pytest.raises(SwapAlgError, match="grid"):
+        circle_solution.grid_index(Fraction(1, 4) + Fraction(1, 10**15))
+    assert circle_solution.grid_index(0.25 + 1e-15) == M // 4
+
+
+def test_lifts_are_bounded(circle_solution):
+    from swapalg.opers import MAX_LIFT_PERIODS
+
+    last = Fraction(MAX_LIFT_PERIODS) - Fraction(1, M)
+    assert circle_solution.grid_index(last) == MAX_LIFT_PERIODS * M - 1
+    assert circle_solution.grid_index(-last) == 1 - MAX_LIFT_PERIODS * M
+    for t in (
+        Fraction(MAX_LIFT_PERIODS),
+        -Fraction(MAX_LIFT_PERIODS),
+        Fraction(10**400),
+        10**30,
+        float(MAX_LIFT_PERIODS),
+        1e30,
+        math.inf,
+        math.nan,
+    ):
+        with pytest.raises(SwapAlgError, match="periods"):
+            circle_solution.grid_index(t)
+    with pytest.raises(SwapAlgError, match="periods"):
+        coordinate_function(circle_solution, Fraction(10**30), 0)
+
+
 def test_grid_size_is_bounded_before_allocation(monkeypatch):
     from swapalg import opers
 
@@ -143,7 +175,12 @@ def _loop_frames(oper, steps):
     """Reference integrator: one classical RK4 step at a time on the frame."""
     n = oper.order
     h = 1.0 / steps
-    mats = _companion_matrices(oper, np.arange(2 * steps + 1) * (h / 2.0))
+    times = np.arange(2 * steps + 1) * (h / 2.0)
+    mats = np.zeros((len(times), n, n))
+    for i in range(n - 1):
+        mats[:, i, i + 1] = 1.0
+    for index in range(2, n + 1):
+        mats[:, n - 1, n - index] = -oper.coefficient_values(index, times)
     frames = np.empty((steps + 1, n, n))
     frames[0] = np.eye(n)
     y = frames[0]
@@ -493,6 +530,71 @@ def test_newton_search_converges_to_the_rounding_floor():
     base = oper_cross_fraction(sol, X, x, Y, y)
     lifted = oper_cross_fraction(sol, X + 1, x, Y - 2, y)
     assert abs(lifted - base) <= 1e-6
+
+
+def _reference_newton(base, extra, target_sign, stages=(1024, 4096)):
+    """The Newton search with every residual sampled afresh from an OperSpec."""
+    target = target_sign * np.eye(2)
+    fixed = list(base.coefficients[2]) + list(extra)
+
+    def build(u):
+        c0, a1, b1 = u
+        return OperSpec(2, {2: fixed + [(0, c0, 0.0), (1, a1, b1)]})
+
+    def residual(u, steps):
+        d = _holonomy(build(u), steps) - target
+        return np.array([d[0, 0], d[0, 1], d[1, 0]])
+
+    u = np.zeros(3)
+    for steps in stages:
+        r = residual(u, steps)
+        for _ in range(25):
+            if np.max(np.abs(r)) < 1e-12:
+                break
+            eps = 1e-6
+            jac = np.column_stack(
+                [(residual(u + du, steps) - r) / eps for du in eps * np.eye(3)]
+            )
+            u = u - np.linalg.solve(jac, r)
+            r = residual(u, steps)
+        else:
+            raise SwapAlgError("holonomy search did not converge")
+    return build(u)
+
+
+def test_newton_search_matches_the_afresh_reference_bit_for_bit():
+    # a shifted constant term makes the unknown modes of order 1, so that
+    # the order in which a residual adds them shows in the last bits
+    rng = random.Random(11)
+    for _ in range(3):
+        base = OperSpec(2, {2: [(0, PI2 + rng.uniform(-1.0, 1.0), 0.0)]})
+        extra = [(k, rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)) for k in (2, 3)]
+        got = solve_trivial_holonomy(base, extra, target_sign=-1)
+        want = _reference_newton(base, extra, target_sign=-1)
+        assert got.coefficients[2] == want.coefficients[2]
+
+
+def test_newton_search_samples_one_table_per_stage(monkeypatch):
+    import swapalg.opers as opers
+
+    counts = {"samples": 0, "holonomies": 0}
+    sample, holonomy = OperSpec.coefficient_values, opers._table_holonomy
+
+    def counted_sample(self, index, times):
+        counts["samples"] += 1
+        return sample(self, index, times)
+
+    def counted_holonomy(table, steps):
+        counts["holonomies"] += 1
+        return holonomy(table, steps)
+
+    monkeypatch.setattr(OperSpec, "coefficient_values", counted_sample)
+    monkeypatch.setattr(opers, "_table_holonomy", counted_holonomy)
+    stages = (256, 512, 1024)
+    solve_trivial_holonomy(veronese_oper(2), [(2, 0.8, -0.4)], -1, stages=stages)
+    # the fixed harmonics once per stage, whatever the number of residuals
+    assert counts["samples"] == len(stages)
+    assert counts["holonomies"] > 4 * len(stages)
 
 
 def test_random_trivial_holonomy_family_is_deterministic():
