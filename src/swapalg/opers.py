@@ -161,7 +161,15 @@ def veronese_oper(order: int) -> OperSpec:
 
 
 class FundamentalSolution:
-    """Frames of a solution basis on a uniform grid over [0, 1]."""
+    """Frames of a solution basis on a uniform grid over [0, 1].
+
+    `frames` has shape (steps + 1, n, n).  The frame determinants, and the
+    frame inverses that `frame_inverse` builds on first use, are taken in
+    closed form for n <= 3 (the adjugate over the determinant, computed
+    entry by entry over the stack) and by `np.linalg` for larger n.  The
+    inverse holonomy is the last of those inverses, so a negative
+    holonomy power inverts nothing.
+    """
 
     __slots__ = (
         "oper", "steps", "frames", "_inverses", "holonomy", "holonomy_kind", "det_drift", "config"
@@ -176,7 +184,7 @@ class FundamentalSolution:
         self.holonomy = frames[steps].copy()
         self.holonomy_kind = _classify_holonomy(self.holonomy)
         with np.errstate(over="ignore", invalid="ignore"):
-            dets = np.linalg.det(frames)
+            dets = _det(frames.transpose(1, 2, 0))
         _require_finite(dets, steps, "frame determinants")
         self.det_drift = float(np.max(np.abs(dets - 1.0)))
 
@@ -212,17 +220,27 @@ class FundamentalSolution:
         base = self.frames[r]
         if m == 0:
             return base
-        return base @ np.linalg.matrix_power(self.holonomy, m)
+        return base @ self._holonomy_power(m)
 
     def frame_inverse(self, t) -> np.ndarray:
         j = self.grid_index(t)
         m, r = divmod(j, self.steps)
-        if self._inverses is None:
-            self._inverses = np.linalg.inv(self.frames)
-        inv = self._inverses[r]
+        inv = self._frame_inverses()[r]
         if m == 0:
             return inv
-        return np.linalg.matrix_power(self.holonomy, -m) @ inv
+        return self._holonomy_power(-m) @ inv
+
+    def _frame_inverses(self) -> np.ndarray:
+        if self._inverses is None:
+            cf_inverses = _inverse(self.frames.transpose(1, 2, 0))
+            self._inverses = np.ascontiguousarray(cf_inverses.transpose(2, 0, 1))
+        return self._inverses
+
+    def _holonomy_power(self, m: int) -> np.ndarray:
+        """H^m; a negative power raises the inverse holonomy, frame(1)^-1."""
+        if m > 0:
+            return np.linalg.matrix_power(self.holonomy, m)
+        return np.linalg.matrix_power(self._frame_inverses()[self.steps], -m)
 
     def point(self, t) -> CirclePoint:
         """Grid parameter t's point in `config`, shared by all its lifts."""
@@ -259,32 +277,112 @@ def _coefficient_table(oper: OperSpec, steps: int) -> np.ndarray:
     return np.array([oper.coefficient_values(i, times) for i in range(2, oper.order + 1)])
 
 
+# -- the stack kernel ---------------------------------------------------------
+#
+# Stacks of N small matrices are laid out components-first, (n, n, N): entry
+# (i, j) of every matrix is one contiguous array, and the arithmetic is
+# elementwise over those arrays.  numpy's `@` hands a stack to BLAS one small
+# matrix at a time, and the strided (N, n, n) elementwise form is slower
+# still.  Products go entry by entry at every n.  Determinants and inverses
+# are closed forms for n <= 3 and go through `np.linalg` above that, where
+# closed forms grow long.
+
+_ELEMENTWISE_MAX_ORDER = 3
+
+
+def _companion_times(row: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """A y for companion matrices A whose last row is (row, 0).
+
+    Rows 0..n-2 of A y are rows 1..n-1 of y; its last row combines the rows
+    of y with the coefficients: n (n - 1) multiply-adds per matrix.
+    """
+    out = np.empty_like(y)
+    out[:-1] = y[1:]
+    last = row[0] * y[0]
+    for k in range(1, len(row)):
+        last += row[k] * y[k]
+    out[-1] = last
+    return out
+
+
 def _step_matrices(table: np.ndarray, steps: int) -> np.ndarray:
-    """The RK4 step matrices S_0..S_{steps-1} of a coefficient table:
-    frame(k+1) = S_k frame(k)."""
+    """The RK4 step matrices S_0..S_{steps-1} of a coefficient table,
+    frame(k+1) = S_k frame(k), components-first: shape (n, n, steps).
+
+    Every product in an RK4 step of a linear system has a companion matrix
+    on the left, so each is a row shift plus one new row (`_companion_times`).
+    """
     n = len(table) + 1
-    mats = np.zeros((2 * steps + 1, n, n))  # the companion matrices
-    for i in range(n - 1):
-        mats[:, i, i + 1] = 1.0
-    for index in range(2, n + 1):
-        # q_index multiplies psi^(n-index), i.e. state component n-index
-        mats[:, n - 1, n - index] = -table[index - 2]
     h = 1.0 / steps
-    a0, a1, a2 = mats[:-1:2], mats[1::2], mats[2::2]
-    eye = np.eye(n)
+    # q_index multiplies psi^(n-index), i.e. state component n-index, so
+    # row[k] = -q_(n-k) is the companion matrix's last row at each time
+    row = -table[::-1]
+    row0, row1, row2 = row[:, :-1:2], row[:, 1::2], row[:, 2::2]
+    a0 = np.zeros((n, n, steps))
+    for i in range(n - 1):
+        a0[i, i + 1] = 1.0
+    a0[-1, :-1] = row0
+    eye = np.eye(n)[:, :, None]
     # the RK4 stages applied to y = Id, where k1 = a0, and the step
     # eye + (h / 6) (a0 + 2 k2 + 2 k3 + k4); the sum is taken in that order
     # in one buffer as the stages come, so that at most two stages of the
     # grid are alive at once
-    k2 = a1 @ (eye + (h / 2.0) * a0)
-    k3 = a1 @ (eye + (h / 2.0) * k2)
+    k2 = _companion_times(row1, eye + (h / 2.0) * a0)
+    k3 = _companion_times(row1, eye + (h / 2.0) * k2)
     total = a0 + 2.0 * k2
     del k2
     total += 2.0 * k3
-    total += a2 @ (eye + h * k3)  # k4
+    total += _companion_times(row2, eye + h * k3)  # k4
     total *= h / 6.0
     total += eye
     return total
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The products a_k b_k of two components-first stacks, in a new array."""
+    n = len(a)
+    out = np.empty((n, n, a.shape[-1]))
+    for i in range(n):
+        for j in range(n):
+            entry = out[i, j]
+            np.multiply(a[i, 0], b[0, j], out=entry)
+            for k in range(1, n):
+                entry += a[i, k] * b[k, j]
+    return out
+
+
+def _det(m: np.ndarray) -> np.ndarray:
+    """Determinants of a components-first stack (first-row expansion)."""
+    n = len(m)
+    if n > _ELEMENTWISE_MAX_ORDER:
+        return np.linalg.det(np.moveaxis(m, -1, 0))
+    if n == 2:
+        return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    return (
+        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
+        + m[0, 1] * (m[1, 2] * m[2, 0] - m[1, 0] * m[2, 2])
+        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
+    )
+
+
+def _inverse(m: np.ndarray) -> np.ndarray:
+    """Inverses of a components-first stack: the adjugate over `_det`."""
+    n = len(m)
+    if n > _ELEMENTWISE_MAX_ORDER:
+        return np.moveaxis(np.linalg.inv(np.moveaxis(m, -1, 0)), 0, -1)
+    adj = np.empty(m.shape)
+    if n == 2:
+        adj[0, 0], adj[0, 1] = m[1, 1], -m[0, 1]
+        adj[1, 0], adj[1, 1] = -m[1, 0], m[0, 0]
+    else:
+        # with indices taken mod 3 the cofactor needs no sign
+        for i in range(3):
+            i1, i2 = (i + 1) % 3, (i + 2) % 3
+            for j in range(3):
+                j1, j2 = (j + 1) % 3, (j + 2) % 3
+                adj[j, i] = m[i1, j1] * m[i2, j2] - m[i1, j2] * m[i2, j1]
+    adj /= _det(m)
+    return adj
 
 
 def _require_finite(values: np.ndarray, steps: int, what: str = "frames") -> None:
@@ -293,16 +391,20 @@ def _require_finite(values: np.ndarray, steps: int, what: str = "frames") -> Non
 
 
 def _table_holonomy(table: np.ndarray, steps: int) -> np.ndarray:
-    """frame(1) alone, as a pairwise tree product of the step matrices."""
+    """frame(1) alone, as a pairwise tree product of the step matrices.
+
+    Each level multiplies neighbouring matrices of the components-first
+    stack with `_product`, an odd one out first folded into its neighbour.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         mats = _step_matrices(table, steps)
-        while len(mats) > 1:
-            if len(mats) % 2:
-                mats[-2] = mats[-1] @ mats[-2]
-                mats = mats[:-1]
-            mats = mats[1::2] @ mats[::2]
-    _require_finite(mats[0], steps)
-    return mats[0]
+        while mats.shape[-1] > 1:
+            if mats.shape[-1] % 2:
+                mats[..., -2:-1] = _product(mats[..., -1:], mats[..., -2:-1])
+                mats = mats[..., :-1]
+            mats = _product(mats[..., 1::2], mats[..., ::2])
+    _require_finite(mats, steps)
+    return mats[:, :, 0]
 
 
 def _holonomy(oper: OperSpec, steps: int) -> np.ndarray:
@@ -313,21 +415,24 @@ def integrate(oper: OperSpec, steps: int = 4096) -> FundamentalSolution:
     """Fixed-step classical fourth-order integration of the companion system.
 
     The frames are the prefix products of the per-step RK4 matrices,
-    computed by a doubling scan: after the pass with offset d, each frame
-    holds the product of up to 2d consecutive steps.  Every frame must be
-    finite: an intermediate frame can overflow while frame(1) does not.
-    So must every frame's determinant, which can overflow while the
-    frames do not.
+    computed by a doubling scan over the components-first stack with
+    `_product`: after the pass with offset d, each frame holds the product
+    of up to 2d consecutive steps.
+    The stack is transposed once at the end to the (steps + 1, n, n)
+    frames.  Every frame must be finite: an intermediate frame can overflow
+    while frame(1) does not.  So must every frame's determinant, which can
+    overflow while the frames do not.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         mats = _step_matrices(_coefficient_table(oper, steps), steps)
-        frames = np.concatenate([np.eye(oper.order)[None], mats])
+        frames = np.concatenate([np.eye(oper.order)[:, :, None], mats], axis=2)
+        del mats
         d = 1
         while d < steps:
-            frames[d:] = frames[d:] @ frames[:-d]
+            frames[..., d:] = _product(frames[..., d:], frames[..., :-d])
             d *= 2
     _require_finite(frames, steps)
-    return FundamentalSolution(oper, steps, frames)
+    return FundamentalSolution(oper, steps, np.ascontiguousarray(frames.transpose(2, 0, 1)))
 
 
 def richardson_error(oper: OperSpec, steps: int) -> float:

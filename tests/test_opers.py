@@ -9,7 +9,10 @@ from swapalg.errors import EvaluationError, SwapAlgError
 from swapalg.multifraction import chi
 from swapalg.opers import (
     OperSpec,
+    _coefficient_table,
+    _det,
     _holonomy,
+    _step_matrices,
     coordinate_function,
     ds_crossfraction_bracket,
     ds_pair_bracket,
@@ -199,7 +202,55 @@ ORACLE_OPERS = {
     "veronese-2": veronese_oper(2),
     "veronese-3": veronese_oper(3),
     "harmonics": OperSpec(2, {2: [(0, PI2, 0.0), (2, 0.8, -0.4), (3, 0.3, 0.5)]}),
+    # q3 makes the companion row of order 3 a sum of two products
+    "harmonics-3": OperSpec(
+        3, {2: [(0, 4 * PI2, 0.0), (2, 0.5, -0.3)], 3: [(1, 0.7, 0.2), (2, -0.4, 0.9)]}
+    ),
+    # above order 3, determinants and inverses go through LAPACK
+    "harmonics-4": OperSpec(
+        4, {2: [(0, 1.0, 0.0), (1, 0.5, -0.3)], 3: [(1, 0.4, 0.2)], 4: [(2, -0.3, 0.6)]}
+    ),
 }
+
+
+def _matmul_steps(oper, steps):
+    """Reference step build: the companion matrices as a stack, the RK4
+    stages as `@` products, summed in the order `_step_matrices` sums them."""
+    n = oper.order
+    table = _coefficient_table(oper, steps)
+    mats = np.zeros((2 * steps + 1, n, n))
+    for i in range(n - 1):
+        mats[:, i, i + 1] = 1.0
+    for index in range(2, n + 1):
+        mats[:, n - 1, n - index] = -table[index - 2]
+    h = 1.0 / steps
+    a0, a1, a2 = mats[:-1:2], mats[1::2], mats[2::2]
+    eye = np.eye(n)
+    k2 = a1 @ (eye + (h / 2.0) * a0)
+    k3 = a1 @ (eye + (h / 2.0) * k2)
+    k4 = a2 @ (eye + h * k3)
+    total = a0 + 2.0 * k2
+    total += 2.0 * k3
+    total += k4
+    total *= h / 6.0
+    total += eye
+    return total
+
+
+@pytest.mark.parametrize("steps", [64, 100, 1023, 4096])
+@pytest.mark.parametrize("name", sorted(ORACLE_OPERS))
+def test_step_build_matches_the_matmul_reference(name, steps):
+    oper = ORACLE_OPERS[name]
+    ref = _matmul_steps(oper, steps)
+    got = _step_matrices(_coefficient_table(oper, steps), steps).transpose(2, 0, 1)
+    if len(oper.coefficients) <= 1:
+        # one nonzero product per companion row: the row operations round
+        # exactly as @ does
+        assert np.array_equal(got, ref)
+    else:
+        # OpenBLAS fuses the multiply-adds of a row, which an elementwise
+        # sum cannot: each fused add skips one rounding
+        assert np.max(np.abs(got - ref)) <= 4 * np.finfo(float).eps * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("steps", [64, 100, 1023, 4096])
@@ -221,6 +272,35 @@ def test_prefix_scan_matches_step_loop(name, steps):
         for j in (0, 1, steps // 3, steps - 1):
             t = Fraction(j, steps) + m
             assert np.max(np.abs(sol.frame_inverse(t) @ sol.frame(t) - eye)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", [k for k in sorted(ORACLE_OPERS) if ORACLE_OPERS[k].order <= 3])
+def test_closed_form_det_and_inverse_match_lapack(name):
+    sol = integrate(ORACLE_OPERS[name], 1023)
+    want = np.linalg.det(sol.frames)
+    got = _det(sol.frames.transpose(1, 2, 0))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    want = np.linalg.inv(sol.frames)
+    got = np.array([sol.frame_inverse(Fraction(j, 1023)) for j in range(1024)])
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_negative_holonomy_powers_invert_nothing(circle_solution, monkeypatch):
+    # H^-m is the m-th power of the inverse holonomy, the last of the
+    # frames' inverses; matrix_power would invert H again on every call
+    power = np.linalg.matrix_power
+
+    def nonnegative_power(a, m):
+        assert m >= 0, "the holonomy is inverted again"
+        return power(a, m)
+
+    monkeypatch.setattr(np.linalg, "matrix_power", nonnegative_power)
+    sol = circle_solution
+    for m in (-3, -1, 1, 3):
+        t = Fraction(100, M) + m
+        assert np.max(np.abs(sol.frame_inverse(t) @ sol.frame(t) - np.eye(2))) <= 1e-12
+        want = sol.frames[100] @ power(sol.holonomy, m)
+        assert np.max(np.abs(sol.frame(t) - want)) <= 1e-12
 
 
 # -- weak cross ratios -----------------------------------------------------------
