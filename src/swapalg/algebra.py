@@ -4,13 +4,16 @@ Generators are ordered pairs Xx of points of one configuration, subject to
 the single relation Xx = 0 whenever X = x.  A pair is a tuple of two
 identity-equal points, and a monomial is the frozenset of its (pair,
 exponent) powers.  Elements are finite sums of Laurent monomials (generator
-pairs with nonzero integer exponents) with exact rational coefficients and
-no zero coefficient; zero is the empty sum.  Equality is therefore
-syntactic, and needs no order.  Canonical order (pairs by left point, then
-right point, in the configuration's position order; terms by degree, then
-pairs) is applied only where an element is read out: printing, `terms()`,
-the fraction views and `evaluate`.  It compares the points' order keys
-(`CirclePoint.order_key`), which order them as their positions do.
+pairs with nonzero integer exponents) with exact rational coefficients,
+stored in one integer form: a nonzero integer numerator per monomial over
+one positive integer denominator, with gcd 1 over them all; zero is the
+empty sum over 1.  Equality is therefore syntactic, and needs no order.
+Canonical order (pairs by left point, then right point, in the
+configuration's position order; terms by degree, then pairs) is applied
+only where an element is read out: printing, `terms()`, the fraction views
+and `evaluate`, which are also the only places where coefficients become
+`Fraction`s.  It compares the points' order keys (`CirclePoint.order_key`),
+which order them as their positions do.
 
 Polynomials are the elements without negative exponents.  Every other
 element is a reduced fraction: a polynomial numerator over the monomial
@@ -26,10 +29,9 @@ The swapping bracket of two generators is
 where [ , ] is the linking form and `a` is any rational parameter.  It
 extends to the whole algebra by bilinearity and the Leibniz rule in each
 slot, and satisfies the Jacobi identity, making the algebra Poisson.  It is
-computed on integers: the coefficients of each operand as numerators over
-their common denominator, the Leibniz weights as doubled linking numbers,
-and one exact `Fraction` made per result monomial over the product of the
-denominators.
+computed on the operands' stored integers, with doubled linking numbers as
+the Leibniz weights, over the product of the denominators; one gcd pass
+brings the result to the integer form, so nested brackets stay in integers.
 
 Values are immutable; operations build fresh elements, and expansion order
 never affects the result (terms are accumulated into a canonical map), so
@@ -139,11 +141,13 @@ class Monomial(frozenset):
 ONE = Monomial()
 
 
-def _coerce_scalar(value) -> Fraction:
+def _ratio(value) -> tuple[int, int]:
+    """An exact rational scalar as (numerator, positive denominator) in
+    lowest terms."""
     if isinstance(value, Fraction):
-        return value
+        return value.numerator, value.denominator
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value), 1
     raise TypeError(f"expected an exact rational scalar, got {type(value).__name__}")
 
 
@@ -153,45 +157,60 @@ def _canonical_order(term):
     return len(pairs), pairs
 
 
-def _content(terms) -> Fraction:
-    """gcd of the coefficients, signed like the leading (first) term."""
-    num = 0
-    den = 1
-    for _, c in terms:
-        num = gcd(num, c.numerator)
-        den = den * c.denominator // gcd(den, c.denominator)
-    content = Fraction(num, den)
-    return -content if terms[0][1] < 0 else content
+def _element(config: PointConfig, numerators: dict, denominator: int = 1) -> "AlgebraElement":
+    """The element sum(n m) / denominator, from its normal form: nonzero
+    integer numerators, a positive denominator, and gcd 1 over them all."""
+    element = object.__new__(AlgebraElement)
+    element.config = config
+    element._numerators = numerators
+    element._denominator = denominator
+    return element
+
+
+def _reduced(config: PointConfig, numerators: dict, denominator: int) -> "AlgebraElement":
+    """The element sum(n m) / denominator, brought to normal form: zero
+    numerators dropped, one gcd pass over the rest and the denominator."""
+    numerators = {m: n for m, n in numerators.items() if n}
+    g = gcd(denominator, *numerators.values())
+    if g != 1:
+        numerators = {m: n // g for m, n in numerators.items()}
+        denominator //= g
+    return _element(config, numerators, denominator)
 
 
 class AlgebraElement:
-    """A finite rational combination of Laurent monomials over one configuration."""
+    """A finite rational combination of Laurent monomials over one configuration.
 
-    __slots__ = ("config", "_terms")
+    Stored as integer numerators per monomial over one positive integer
+    denominator, in normal form (no zero numerator, gcd 1 over the
+    numerators and the denominator), so equal elements store equal data.
+    Elements are built by the constructors below, by `generator` and
+    `BalancedFraction`, and by the operations; every monomial is over the
+    element's own configuration.
+    """
 
-    def __init__(self, config: PointConfig, terms: dict | None = None):
-        self.config = config
-        self._terms = {m: c for m, c in (terms or {}).items() if c != 0}
+    __slots__ = ("config", "_numerators", "_denominator")
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero(config: PointConfig) -> "AlgebraElement":
-        return AlgebraElement(config, {})
+        return _element(config, {})
 
     @staticmethod
     def one(config: PointConfig) -> "AlgebraElement":
-        return AlgebraElement(config, {ONE: Fraction(1)})
+        return _element(config, {ONE: 1})
 
     @staticmethod
     def scalar(config: PointConfig, value) -> "AlgebraElement":
-        return AlgebraElement(config, {ONE: _coerce_scalar(value)})
+        return AlgebraElement.from_monomial(config, ONE, value)
 
     @staticmethod
-    def from_monomial(config, monomial: Monomial, coeff=Fraction(1)) -> "AlgebraElement":
+    def from_monomial(config, monomial: Monomial, coeff=1) -> "AlgebraElement":
         if any(X.config is not config for (X, _), _ in monomial):
             raise ConfigMismatchError("monomial over a different configuration")
-        return AlgebraElement(config, {monomial: _coerce_scalar(coeff)})
+        num, den = _ratio(coeff)
+        return _reduced(config, {monomial: num}, den)
 
     # -- inspection ---------------------------------------------------
 
@@ -201,45 +220,47 @@ class AlgebraElement:
         The denominator is the smallest monomial clearing every negative
         exponent, so no pair divides it and all numerator monomials at
         once.  Numerator terms come in canonical order, by (degree, pair
-        keys), with their coefficients; the content is their gcd, signed
-        like the leading term, and 0 for the zero element.
+        keys), with their integer numerators over `_denominator`; the
+        content is the gcd of those integers, signed like the leading
+        term, and 0 for the zero element.
         """
-        if not self._terms:
-            return [], ONE, Fraction(0)
+        if not self._numerators:
+            return [], ONE, 0
         lowest: dict[GeneratorPair, int] = {}
-        for m in self._terms:
+        for m in self._numerators:
             for p, e in m:
                 if e < lowest.get(p, 0):
                     lowest[p] = e
         denominator = Monomial._from_exponents({p: -e for p, e in lowest.items()})
         terms = sorted(
-            ((m * denominator, c) for m, c in self._terms.items()),
+            ((m * denominator, n) for m, n in self._numerators.items()),
             key=_canonical_order,
         )
-        return terms, denominator, _content(terms)
+        content = gcd(*(n for _, n in terms))
+        return terms, denominator, -content if terms[0][1] < 0 else content
 
     def terms(self):
         """Terms in canonical order, as (monomial, coefficient) pairs."""
         terms, denominator, _ = self._split()
         inverse = denominator.inverse()
-        return [(m * inverse, c) for m, c in terms]
+        return [(m * inverse, Fraction(n, self._denominator)) for m, n in terms]
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._numerators
 
     def monomials(self):
         """The monomials with nonzero coefficient, in no particular order."""
-        return list(self._terms)
+        return list(self._numerators)
 
     def degrees(self) -> set[int]:
-        return {m.degree for m in self._terms}
+        return {m.degree for m in self._numerators}
 
     @property
     def numerator(self) -> "AlgebraElement":
         """The numerator of the reduced fraction, a polynomial of content one."""
         terms, _, content = self._split()
-        return AlgebraElement(self.config, {m: c / content for m, c in terms})
+        return _element(self.config, {m: n // content for m, n in terms})
 
     @property
     def denominator(self) -> Monomial:
@@ -248,7 +269,7 @@ class AlgebraElement:
     @property
     def scale(self) -> Fraction:
         """The content: self = scale * numerator / denominator."""
-        return self._split()[2]
+        return Fraction(self._split()[2], self._denominator)
 
     # -- ring operations ----------------------------------------------
 
@@ -262,15 +283,18 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check(other)
-        acc = dict(self._terms)
-        for m, c in other._terms.items():
-            acc[m] = acc.get(m, 0) + c
-        return AlgebraElement(self.config, acc)
+        # cross-multiply over the lcm of the two denominators
+        g = gcd(self._denominator, other._denominator)
+        fa, fb = other._denominator // g, self._denominator // g
+        acc = {m: n * fa for m, n in self._numerators.items()}
+        for m, n in other._numerators.items():
+            acc[m] = acc.get(m, 0) + n * fb
+        return _reduced(self.config, acc, self._denominator * fa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AlgebraElement(self.config, {m: -c for m, c in self._terms.items()})
+        return _element(self.config, {m: -n for m, n in self._numerators.items()}, self._denominator)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -282,17 +306,18 @@ class AlgebraElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _coerce_scalar(other)
-            return AlgebraElement(self.config, {m: c * v for m, v in self._terms.items()})
+            num, den = _ratio(other)
+            acc = {m: n * num for m, n in self._numerators.items()}
+            return _reduced(self.config, acc, self._denominator * den)
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check(other)
-        acc: dict[Monomial, Fraction] = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
+        acc: dict[Monomial, int] = {}
+        for ma, na in self._numerators.items():
+            for mb, nb in other._numerators.items():
                 m = ma * mb
-                acc[m] = acc.get(m, 0) + ca * cb
-        return AlgebraElement(self.config, acc)
+                acc[m] = acc.get(m, 0) + na * nb
+        return _reduced(self.config, acc, self._denominator * other._denominator)
 
     def __rmul__(self, other):
         return self * other
@@ -301,10 +326,13 @@ class AlgebraElement:
         """Reciprocal; defined for a single nonzero term."""
         if self.is_zero:
             raise ZeroDivisionError("zero has no inverse")
-        if len(self._terms) != 1:
+        if len(self._numerators) != 1:
             raise SwapAlgError("only monomial fractions are invertible")
-        ((monomial, coeff),) = self._terms.items()
-        return AlgebraElement(self.config, {monomial.inverse(): 1 / coeff})
+        ((monomial, num),) = self._numerators.items()
+        den = self._denominator
+        if num < 0:
+            num, den = -num, -den
+        return _element(self.config, {monomial.inverse(): den}, num)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -326,17 +354,22 @@ class AlgebraElement:
             other = AlgebraElement.scalar(self.config, other)
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self.config is other.config and self._terms == other._terms
+        return (
+            self.config is other.config
+            and self._denominator == other._denominator
+            and self._numerators == other._numerators
+        )
 
     def __hash__(self):
-        return hash((id(self.config), frozenset(self._terms.items())))
+        return hash((id(self.config), self._denominator, frozenset(self._numerators.items())))
 
     def __repr__(self):
         if self.is_zero:
             return "0"
         terms, denominator, content = self._split()
         parts = []
-        for m, c in terms:
+        for m, n in terms:
+            c = Fraction(n, self._denominator)
             if m.degree == 0:
                 parts.append(str(c))
             elif c == 1:
@@ -348,7 +381,7 @@ class AlgebraElement:
         num = " + ".join(parts).replace("+ -", "- ")
         if denominator.degree == 0:
             return num
-        if len(terms) > 1 or content != 1:
+        if len(terms) > 1 or content != self._denominator:
             num = f"({num})"
         den = repr(denominator)
         if denominator.degree > 1:
@@ -376,12 +409,12 @@ class AlgebraElement:
         if den == 0.0:
             raise EvaluationError("degenerate evaluation: denominator vanishes")
         num = 0.0
-        for m, c in terms:
-            v = float(c / content)
+        for m, n in terms:
+            v = float(n // content)
             for p in m.pairs:
                 v *= pair_value(p.left, p.right)
             num += v
-        return float(content) * num / den
+        return float(Fraction(content, self._denominator)) * num / den
 
 
 def is_balanced(f: AlgebraElement) -> bool:
@@ -393,7 +426,7 @@ def is_balanced(f: AlgebraElement) -> bool:
     exactly the ones whose numeric value is independent of the per-point
     scale choices of an evaluation backend.  Zero counts as balanced.
     """
-    for m in f._terms:
+    for m in f._numerators:
         left: dict[CirclePoint, int] = {}
         right: dict[CirclePoint, int] = {}
         for (X, x), e in m:
@@ -409,16 +442,7 @@ def generator(X: CirclePoint, x: CirclePoint) -> AlgebraElement:
     config = ensure_same_config(X, x)
     if X is x:
         return AlgebraElement.zero(config)
-    return AlgebraElement.from_monomial(config, Monomial((GeneratorPair(X, x),)))
-
-
-def _integer_terms(element: AlgebraElement):
-    """The terms as (monomial, integer numerator) over one common denominator,
-    the lcm of the coefficients' denominators: (terms, denominator)."""
-    den = 1
-    for c in element._terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    return [(m, c.numerator * (den // c.denominator)) for m, c in element._terms.items()], den
+    return _element(config, {frozenset.__new__(Monomial, ((GeneratorPair(X, x), 1),)): 1})
 
 
 def swap_bracket(a: AlgebraElement, b: AlgebraElement, alpha=0) -> AlgebraElement:
@@ -429,27 +453,23 @@ def swap_bracket(a: AlgebraElement, b: AlgebraElement, alpha=0) -> AlgebraElemen
         {m1, m2} = sum over p in m1, q in m2 of  e_p f_q (m1/p)(m2/q) {p, q},
 
     with e_p, f_q the exponents of p in m1 and of q in m2.  The arithmetic
-    is on integers over one common denominator: each operand's coefficients
-    become integer numerators over the lcm of their denominators (da, db),
-    the weights are the integers e_p f_q 2[p, q] of `doubled_linking` on
-    the points' order keys, and alpha = s/t scales the swapped terms by t
-    and the alpha terms by s.  Each output monomial's integer sum becomes
-    one `Fraction` over 2 da db t, and a sum that cancels to zero is
-    dropped.  On fractions built from cross fractions the result does not
-    depend on alpha.
+    is on the operands' integers as stored, numerators over their
+    denominators da and db: the weights are the integers e_p f_q 2[p, q]
+    of `doubled_linking` on the points' order keys, and alpha = s/t scales
+    the swapped terms by t and the alpha terms by s.  The integer sums lie
+    over 2 da db t, and one gcd pass brings them to normal form, dropping
+    the sums that cancel.  On fractions built from cross fractions the
+    result does not depend on alpha.
     """
     if a.config is not b.config:
         raise ConfigMismatchError("elements over different configurations")
-    alpha = _coerce_scalar(alpha)
-    if not (any(a._terms) and any(b._terms)):
+    alpha_scale, swap_scale = _ratio(alpha)
+    if not (any(a._numerators) and any(b._numerators)):
         return AlgebraElement.zero(a.config)  # a constant brackets to zero, with no linking
     require_point_order(a.config)
-    terms_a, da = _integer_terms(a)
-    terms_b, db = _integer_terms(b)
-    swap_scale, alpha_scale = alpha.denominator, alpha.numerator
     acc: dict[Monomial, int] = {}
-    for ma, na in terms_a:
-        for mb, nb in terms_b:
+    for ma, na in a._numerators.items():
+        for mb, nb in b._numerators.items():
             # {p, q} = lk (Xy.Yx + alpha p.q) for p = Xx, q = Yy: the swapped
             # part replaces p.q by Xy.Yx in m1.m2, the alpha part keeps m1.m2
             swaps = []
@@ -465,9 +485,12 @@ def swap_bracket(a: AlgebraElement, b: AlgebraElement, alpha=0) -> AlgebraElemen
                     weight = e * f * lk2
                     alpha_weight += weight
                     if X is not y and Y is not x:
+                        # the checks of GeneratorPair hold: the points are
+                        # distinct, and every monomial of an element is over
+                        # the element's configuration
                         change = (
-                            (GeneratorPair(X, y), 1),
-                            (GeneratorPair(Y, x), 1),
+                            (tuple.__new__(GeneratorPair, (X, y)), 1),
+                            (tuple.__new__(GeneratorPair, (Y, x)), 1),
                             (p, -1),
                             (q, -1),
                         )
@@ -482,8 +505,7 @@ def swap_bracket(a: AlgebraElement, b: AlgebraElement, alpha=0) -> AlgebraElemen
                 acc[m] = acc.get(m, 0) + scaled * weight
             if alpha_scale and alpha_weight:
                 acc[product] = acc.get(product, 0) + nab * alpha_weight * alpha_scale
-    den = 2 * da * db * swap_scale
-    return AlgebraElement(a.config, {m: Fraction(n, den) for m, n in acc.items() if n})
+    return _reduced(a.config, acc, 2 * a._denominator * b._denominator * swap_scale)
 
 
 def jacobiator(a, b, c, alpha=0) -> AlgebraElement:

@@ -40,7 +40,7 @@ from .algebra import (
     swap_bracket,
 )
 from .circle import CirclePoint, PointConfig, ensure_same_config, linking_number
-from .errors import DegenerateFractionError, SwapAlgError
+from .errors import ConfigMismatchError, DegenerateFractionError, SwapAlgError
 from .words import Word, canonical_class, invert_word, parse_word, word_text
 
 
@@ -49,17 +49,24 @@ class BalancedFraction(AlgebraElement):
 
     A constructor only: the value is an ordinary Laurent element, and its
     reduced numerator, denominator and scale are views of every element.
+    It keeps the numerator's integers and denominator (times the scale's,
+    when the scale is not 1) and divides each monomial by `denominator`,
+    which must be over the numerator's configuration.
     """
 
     __slots__ = ()
 
     def __init__(self, numerator: AlgebraElement, denominator: Monomial = ONE, scale=1):
-        inverse = denominator.inverse()
+        config = numerator.config
+        if any(X.config is not config for (X, _), _ in denominator):
+            raise ConfigMismatchError("denominator over a different configuration")
         scale = Fraction(scale)
-        super().__init__(
-            numerator.config,
-            {m * inverse: c * scale for m, c in numerator._terms.items()},
-        )
+        if scale != 1:
+            numerator = numerator * scale
+        inverse = denominator.inverse()
+        self.config = config
+        self._numerators = {m * inverse: n for m, n in numerator._numerators.items()}
+        self._denominator = numerator._denominator
 
 
 # -- cross and multi fractions ---------------------------------------------

@@ -16,7 +16,8 @@ of the same matrices without forming the frames.  The Newton search
 samples the harmonics it does not change once per grid, so a residual
 adds only its unknown modes to that table.  The companion matrix is
 trace free (there is no psi^(n-1) term), so the frame determinant is
-conserved; the drift measures integration error.
+conserved; the drift measures integration error, and a solution whose
+drift exceeds `MAX_DET_DRIFT` is refused.
 
 The frame at t has columns (psi_j, psi_j', ..., psi_j^(n-1)) for the basis
 of solutions with frame(0) = Id; the holonomy is frame(1).  The one
@@ -74,6 +75,13 @@ MAX_GRID_ENTRIES = 1 << 22
 # operator at 4096 steps moves it by 1.5e-8 relative at 2^20 periods,
 # 2.4e-7 at 2^24 and 1.6e-2 at 2^40 (medians over 50 random quadruples)
 MAX_LIFT_PERIODS = 1 << 20
+# frame determinants are exactly 1 for the true solutions; a drift beyond
+# this bound means the frames have lost their leading digits (to step error
+# or to cancellation among huge entries), so no pairing of them means
+# anything.  The Veronese operator of order 3 drifts 7.9e-7 at 64 steps,
+# q_2 = -100 drifts 1.3e-5 and q_2 = -300 drifts 3.1e-2 there, and
+# q_2 = -1000 drifts 1.4e11 at 64 steps and 2.7e11 at 4096.
+MAX_DET_DRIFT = 1e-3
 
 
 class OperSpec:
@@ -168,7 +176,8 @@ class FundamentalSolution:
     closed form for n <= 3 (the adjugate over the determinant, computed
     entry by entry over the stack) and by `np.linalg` for larger n.  The
     inverse holonomy is the last of those inverses, so a negative
-    holonomy power inverts nothing.
+    holonomy power inverts nothing.  Frames whose determinants drift from
+    1 by more than `MAX_DET_DRIFT` are refused.
     """
 
     __slots__ = (
@@ -187,6 +196,11 @@ class FundamentalSolution:
             dets = _det(frames.transpose(1, 2, 0))
         _require_finite(dets, steps, "frame determinants")
         self.det_drift = float(np.max(np.abs(dets - 1.0)))
+        if self.det_drift > MAX_DET_DRIFT:
+            raise SwapAlgError(
+                f"the solutions are unreliable: frame determinants drift {self.det_drift:.3e} "
+                f"from 1 at {steps} steps, beyond {MAX_DET_DRIFT:g}"
+            )
 
     # -- grid access -----------------------------------------------------
 
@@ -421,7 +435,8 @@ def integrate(oper: OperSpec, steps: int = 4096) -> FundamentalSolution:
     The stack is transposed once at the end to the (steps + 1, n, n)
     frames.  Every frame must be finite: an intermediate frame can overflow
     while frame(1) does not.  So must every frame's determinant, which can
-    overflow while the frames do not.
+    overflow while the frames do not, and it must stay within
+    `MAX_DET_DRIFT` of 1.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         mats = _step_matrices(_coefficient_table(oper, steps), steps)

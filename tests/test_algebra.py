@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from swapalg.algebra import (
     AlgebraElement,
+    _canonical_order,
     GeneratorPair,
     Monomial,
     generator,
@@ -16,8 +17,10 @@ from swapalg.algebra import (
 )
 from swapalg.circle import PointConfig, default_cut, linking_number
 from swapalg.errors import ConfigMismatchError, SwapAlgError
-from swapalg.multifraction import multi_fraction
-from swapalg.verify import _random_config
+from swapalg.multifraction import BalancedFraction, cross_fraction, multi_fraction
+from swapalg.opers import integrate, veronese_oper
+from swapalg.representation import Representation
+from swapalg.verify import _random_config, random_hyperbolic_sl2
 
 
 def test_generator_basics(grid_config):
@@ -164,6 +167,10 @@ def test_config_mixing_rejected():
     # an element's monomials are over its own configuration
     with pytest.raises(ConfigMismatchError):
         AlgebraElement.from_monomial(c2, a.monomials()[0])
+    with pytest.raises(ConfigMismatchError):
+        BalancedFraction(a, b.monomials()[0])
+    with pytest.raises(TypeError):
+        AlgebraElement(c1, {a.monomials()[0]: 1})  # no unchecked public constructor
 
 
 def test_canonical_printing(grid_config):
@@ -286,12 +293,22 @@ def test_bracket_matches_reference_leibniz_expansion():
     assert nonzero > 30
 
 
+def _assert_normal_form(element):
+    """Nonzero integer numerators over a positive integer denominator, with
+    gcd 1 over the numerators and the denominator."""
+    den = element._denominator
+    assert type(den) is int and den > 0
+    assert all(type(n) is int and n != 0 for n in element._numerators.values())
+    assert gcd(den, *element._numerators.values()) == 1
+
+
 def test_bracket_over_coprime_denominators():
     """Coefficient denominators coprime across the operands, alpha
     denominators coprime to 2 and to them: the one common denominator of
-    the integer accumulation must carry every factor.  Stored coefficients
-    stay nonzero normalized `Fraction`s, and {a, a} = {a, -a} = 0 cancels
-    every accumulated sum."""
+    the integer accumulation must carry every factor.  Results are stored
+    in normal form (nonzero integer numerators over a positive denominator,
+    gcd 1 over them all), and {a, a} = {a, -a} = 0 cancels every
+    accumulated sum."""
     rng = random.Random(8)
     nonzero = 0
     for _ in range(12):
@@ -301,13 +318,11 @@ def test_bracket_over_coprime_denominators():
         for alpha in (Fraction(5, 3), Fraction(-7, 6), Fraction(4, 13)):
             bracket = swap_bracket(a, b, alpha)
             assert bracket == _reference_bracket(a, b, alpha)
-            for c in bracket._terms.values():
-                assert type(c) is Fraction and c != 0
-                assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+            _assert_normal_form(bracket)
             nonzero += not bracket.is_zero
             for x in (a, b):
-                assert swap_bracket(x, x, alpha)._terms == {}
-                assert swap_bracket(x, -x, alpha)._terms == {}
+                for zero in (swap_bracket(x, x, alpha), swap_bracket(x, -x, alpha)):
+                    assert zero._numerators == {} and zero._denominator == 1
     assert nonzero > 20
 
 
@@ -324,3 +339,182 @@ def test_synthetic_order_is_refused_only_where_linking_is_needed():
     assert swap_bracket(three, Yy, 1).is_zero
     assert swap_bracket(Xx, three).is_zero
     assert swap_bracket(three, AlgebraElement.zero(config)).is_zero
+
+
+# -- the integer form against a `Fraction` reference model --------------------
+
+ALPHAS = (Fraction(0), Fraction(1), Fraction(-1, 4), Fraction(5, 3))
+
+
+def _model(element):
+    """The element as the map {monomial: Fraction coefficient} it denotes."""
+    return dict(element.terms())
+
+
+def _model_add(A, B, sign=1):
+    out = dict(A)
+    for m, c in B.items():
+        out[m] = out.get(m, 0) + sign * c
+    return {m: c for m, c in out.items() if c}
+
+
+def _model_mul(A, B):
+    out = {}
+    for m1, c1 in A.items():
+        for m2, c2 in B.items():
+            out[m1 * m2] = out.get(m1 * m2, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _model_bracket(A, B, alpha):
+    """e_p f_q c1 c2 [p, q] (m1 m2 Xy.Yx / (p q) + alpha m1 m2) over every
+    pair of terms and every pair of their powers, with `Fraction` linking
+    numbers from the cut route."""
+    out, linking = {}, {}
+    for m1, c1 in A.items():
+        for m2, c2 in B.items():
+            for p, e in m1:
+                for q, f in m2:
+                    (X, x), (Y, y) = p, q
+                    if (p, q) not in linking:
+                        cut = default_cut(pt.position for pt in (X, x, Y, y))
+                        linking[p, q] = linking_number(X, x, Y, y, cut=cut)
+                    weight = e * f * c1 * c2 * linking[p, q]
+                    if not weight:
+                        continue
+                    product = m1 * m2
+                    out[product] = out.get(product, 0) + alpha * weight
+                    if X is not y and Y is not x:
+                        swapped = product._times(
+                            ((GeneratorPair(X, y), 1), (GeneratorPair(Y, x), 1), (p, -1), (q, -1))
+                        )
+                        out[swapped] = out.get(swapped, 0) + weight
+    return {m: c for m, c in out.items() if c}
+
+
+def _model_fraction(A):
+    """(numerator terms, denominator monomial, |content|) of the reduced
+    fraction: the denominator clears the lowest exponent of every pair, and
+    the content is the gcd of the coefficients' numerators over the lcm of
+    their denominators."""
+    lowest = {}
+    for m in A:
+        for p, e in m:
+            lowest[p] = min(lowest.get(p, 0), e)
+    denominator = Monomial._from_exponents({p: -e for p, e in lowest.items()})
+    num, den = 0, 1
+    for c in A.values():
+        num = gcd(num, c.numerator)
+        den = den * c.denominator // gcd(den, c.denominator)
+    return {m * denominator: c for m, c in A.items()}, denominator, Fraction(num, den)
+
+
+def _check_read_out(element, A):
+    numer, denominator, content = _model_fraction(A)
+    scale = element.scale
+    assert element.denominator == denominator
+    assert abs(scale) == content
+    if A:
+        assert _model(element.numerator) == {m: c / scale for m, c in numer.items()}
+        assert element.numerator.terms()[0][1] > 0  # the content is signed like the leading term
+    else:
+        assert element.numerator.is_zero and element.scale == 0
+
+
+@pytest.mark.parametrize("alpha", ALPHAS, ids=str)
+def test_integer_form_matches_fraction_reference_model(alpha):
+    """Ring operations, read-out and the bracket agree with the same
+    operations on {monomial: Fraction} maps: Laurent elements with coprime
+    coefficient denominators, and squares and quotients of cross fractions
+    (exponents beyond +-1)."""
+    rng = random.Random(f"reference-model:{alpha}")
+    nonzero = 0
+    for _ in range(3):
+        config, points = _random_config(rng, 7, denominator=101)
+        f, g = cross_fraction(*rng.sample(points, 4)), cross_fraction(*rng.sample(points, 4))
+        elements = [
+            _laurent(rng, points, denominators=(3, 7)),
+            _laurent(rng, points, denominators=(5, 11)),
+            f * f,
+            Fraction(-2, 3) * f / g,
+            Fraction(3, 4) * f * f / g - Fraction(2, 9) * g,
+        ]
+        s = Fraction(rng.choice([-9, -2, 1, 4]), rng.choice([1, 2, 9, 13]))
+        for a in elements:
+            A = _model(a)
+            _assert_normal_form(a)
+            _check_read_out(a, A)
+            assert _model(s * a) == {m: s * c for m, c in A.items()} and (a * 0).is_zero
+            if len(A) == 1:
+                ((m, c),) = A.items()
+                _assert_normal_form(a.inverse())
+                assert _model(a.inverse()) == {m.inverse(): 1 / c}
+            for b in elements:
+                B = _model(b)
+                for result, expected in (
+                    (a + b, _model_add(A, B)),
+                    (a - b, _model_add(A, B, -1)),
+                    (a * b, _model_mul(A, B)),
+                    (swap_bracket(a, b, alpha), _model_bracket(A, B, alpha)),
+                ):
+                    _assert_normal_form(result)
+                    assert _model(result) == expected
+                _check_read_out(result, expected)
+                nonzero += bool(expected)
+                assert (a == b) == (A == B)
+                same = (a + b) - b
+                assert same == a and hash(same) == hash(a)
+    assert nonzero > 40
+
+
+def _fraction_evaluate(element, pair_value):
+    """`evaluate` with `Fraction` coefficients: each numerator term's
+    coefficient c as float(c / content), summed in canonical order, times
+    float(content) over the denominator's value."""
+    if element.is_zero:
+        return 0.0
+    denominator = element.denominator
+    terms = sorted(((m * denominator, c) for m, c in element.terms()), key=_canonical_order)
+    num, den = 0, 1
+    for _, c in terms:
+        num = gcd(num, c.numerator)
+        den = den * c.denominator // gcd(den, c.denominator)
+    content = Fraction(num, den) if terms[0][1] > 0 else -Fraction(num, den)
+    value = 1.0
+    for p in denominator.pairs:
+        value *= pair_value(p.left, p.right)
+    total = 0.0
+    for m, c in terms:
+        v = float(c / content)
+        for p in m.pairs:
+            v *= pair_value(p.left, p.right)
+        total += v
+    return float(content) * total / value
+
+
+def _balanced_elements(rng, points, count):
+    """Cross fractions, their brackets, squares and quotients, and rational
+    combinations of them: balanced elements with contents other than 1."""
+    out = []
+    for _ in range(count):
+        f, g = cross_fraction(*rng.sample(points, 4)), cross_fraction(*rng.sample(points, 4))
+        c = Fraction(rng.choice([-7, -2, 3, 5]), rng.choice([1, 3, 4, 9]))
+        out += [f, swap_bracket(f, g), f * f / g + c * g, c * swap_bracket(f * g, g, Fraction(1, 3))]
+    return out
+
+
+def test_evaluate_matches_the_fraction_formula_bit_for_bit():
+    rng = random.Random(5)
+    rep = Representation(
+        {"a": random_hyperbolic_sl2(rng, low=1.3), "b": random_hyperbolic_sl2(rng, low=1.3)}
+    )
+    rep_points = [rep.fixed_point(w, s) for w in ("a", "b", "a b", "a b'") for s in (1, -1)]
+    sol = integrate(veronese_oper(2), 512)
+    sol_points = [sol.point(Fraction(j, 512)) for j in rng.sample(range(512), 8)]
+    checked = 0
+    for universe, points in ((rep, rep_points), (sol, sol_points)):
+        for element in _balanced_elements(rng, points, 20):
+            value = element.evaluate(universe.pair_value)
+            assert value.hex() == _fraction_evaluate(element, universe.pair_value).hex()
+            checked += not element.is_zero and element.scale != 1
+    assert checked > 40

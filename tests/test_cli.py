@@ -264,6 +264,7 @@ def test_identities_on_no_points(tmp_path, capsys):
         (["oper", "--oper", "{cos_inf}", "--steps", "128"], True, "q2 harmonic k=0: cos=inf"),
         (["oper", "--oper", "{cos_overflow}", "--steps", "128"], True, "not finite at 128 steps"),
         (["oper", "--oper", "{det_overflow}", "--steps", "128"], True, "determinants are not finite"),
+        (["oper", "--oper", "{det_drift}", "--steps", "128"], True, "drift 8.740e+245 from 1"),
     ],
     ids=[
         "truncated-rep",
@@ -285,6 +286,7 @@ def test_identities_on_no_points(tmp_path, capsys):
         "oper-cos-inf",
         "oper-solutions-overflow",
         "oper-det-overflow",
+        "oper-det-drift",
     ],
 )
 def test_bad_input_exits_two_with_one_line(files, tmp_path, capsys, argv, isolated, says):
@@ -298,6 +300,7 @@ def test_bad_input_exits_two_with_one_line(files, tmp_path, capsys, argv, isolat
         ("cos_inf", "n = 2\nq2: k=0 cos=inf sin=0\n"),
         ("cos_overflow", "n = 2\nq2: k=0 cos=-1e6 sin=0\n"),
         ("det_overflow", "n = 2\nq2: k=0 cos=-3e5 sin=0\n"),
+        ("det_drift", "n = 2\nq2: k=0 cos=-1e5 sin=0\n"),
     ):
         path = tmp_path / f"{name}.txt"
         path.write_text(text)

@@ -80,6 +80,9 @@ def test_content_normalization(grid_config):
     assert f.scale == 2
     coeffs = sorted(c for _, c in f.numerator.terms())
     assert coeffs == [Fraction(2), Fraction(3)]
+    scaled = BalancedFraction(numer, scale=Fraction(-5, 9))
+    assert scaled == Fraction(-5, 9) * f and scaled.scale == Fraction(-10, 9)
+    assert BalancedFraction(numer, scale=0).is_zero
 
 
 def test_fraction_arithmetic(grid_config):

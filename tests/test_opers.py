@@ -8,6 +8,7 @@ import pytest
 from swapalg.errors import EvaluationError, SwapAlgError
 from swapalg.multifraction import chi
 from swapalg.opers import (
+    MAX_DET_DRIFT,
     OperSpec,
     _coefficient_table,
     _det,
@@ -103,6 +104,16 @@ def test_third_order_veronese():
     assert holonomy_class(sol) == "trivial-in-PSL"
     assert np.max(np.abs(sol.holonomy - np.eye(3))) < 1e-7
     assert sol.det_drift < 1e-8
+
+
+def test_drifting_determinants_are_refused():
+    assert integrate(veronese_oper(3), 64).det_drift < 1e-6
+    assert integrate(OperSpec(2, {2: [(0, -100.0, 0.0)]}), 64).det_drift < MAX_DET_DRIFT
+    # the solutions grow like e^sqrt(1000): step error at 64 steps,
+    # cancellation among entries near 1e13 at 4096
+    for steps in (64, 4096):
+        with pytest.raises(SwapAlgError, match="determinants drift"):
+            integrate(OperSpec(2, {2: [(0, -1000.0, 0.0)]}), steps)
 
 
 def test_step_floor_and_grid_snapping(circle_solution):
