@@ -68,7 +68,10 @@ class CirclePoint:
     `order_key` is ``(float(position), position)``: float conversion is
     monotone, and the `Fraction` breaks float ties exactly, so keys order
     points exactly as their positions do, and distinct floats decide a
-    comparison without touching the `Fraction`.
+    comparison without touching the `Fraction`.  The float is the integer
+    true division ``numerator / denominator``, correctly rounded, the one
+    `Fraction.__float__` makes through the generic `numbers.Rational`
+    method.
     """
 
     __slots__ = ("label", "position", "config", "order_key")
@@ -77,7 +80,7 @@ class CirclePoint:
         self.label = label
         self.position = position
         self.config = config
-        self.order_key = (float(position), position)
+        self.order_key = (position.numerator / position.denominator, position)
 
     def __repr__(self):
         return f"CirclePoint({self.label!r}, {self.position})"

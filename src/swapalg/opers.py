@@ -82,6 +82,13 @@ MAX_LIFT_PERIODS = 1 << 20
 # q_2 = -100 drifts 1.3e-5 and q_2 = -300 drifts 3.1e-2 there, and
 # q_2 = -1000 drifts 1.4e11 at 64 steps and 2.7e11 at 4096.
 MAX_DET_DRIFT = 1e-3
+# a later Newton stage keeps its first step, taken with the Jacobian carried
+# from the stage before (a chord step), only when the step shrinks max|r| at
+# least this many times over.  On the oper workload's harmonics the
+# 4096-step stage starts near 1e-11 and the chord step lands at the
+# rounding floor, near 1e-14; a smaller gain means the carried Jacobian is
+# off, and the step is taken again with a fresh one.
+_CHORD_SHRINK = 10.0
 
 
 class OperSpec:
@@ -668,6 +675,17 @@ def solve_trivial_holonomy(
     step land at the rounding floor: cross fractions of lifts go through
     holonomy powers, so a residual left at 1e-11 moves large cross
     fractions by more than 1e-6.
+
+    A Jacobian is a forward difference: three residuals at probes 1e-6
+    apart.  A later stage starts at the previous stage's root, where its
+    Jacobian differs from the previous stage's last one only by the step
+    error, O(h^4), and by the last step.  So its first step is a chord
+    step with that carried Jacobian, kept when it shrinks max|r| at least
+    `_CHORD_SHRINK`-fold; otherwise the trial point is dropped and the
+    step is taken afresh from the same u.  Every other step builds a
+    fresh Jacobian at its u.  The first stage always builds its own: it
+    has nothing to carry, and it starts from u = 0, far from the root,
+    where only fresh Jacobians converge quadratically.
     """
     if base.order != 2:
         raise SwapAlgError("the Newton search is implemented for order 2")
@@ -680,6 +698,7 @@ def solve_trivial_holonomy(
         return OperSpec(2, {2: fixed + [(0, c0, 0.0), (1, a1, b1)]})
 
     u = np.zeros(3)
+    jac = None
     for steps in stages:
         times = _grid_times(2, steps)
         fixed_q2 = fixed_oper.coefficient_values(2, times)
@@ -695,9 +714,18 @@ def solve_trivial_holonomy(
             return np.array([d[0, 0], d[0, 1], d[1, 0]])
 
         r = residual(u)
+        chord = jac is not None
         for _ in range(25):
-            if np.max(np.abs(r)) < 1e-12:
+            size = np.max(np.abs(r))
+            if size < 1e-12:
                 break
+            if chord:
+                chord = False
+                trial = u - np.linalg.solve(jac, r)
+                r_trial = residual(trial)
+                if np.max(np.abs(r_trial)) * _CHORD_SHRINK <= size:
+                    u, r = trial, r_trial
+                    continue
             jac = np.empty((3, 3))
             eps = 1e-6
             for col in range(3):
@@ -707,7 +735,10 @@ def solve_trivial_holonomy(
             u = u - np.linalg.solve(jac, r)
             r = residual(u)
         else:
-            raise SwapAlgError("holonomy search did not converge")
+            raise SwapAlgError(
+                f"holonomy search did not converge at {steps} steps: "
+                f"max|r| = {np.max(np.abs(r)):.3e} after 25 steps"
+            )
     return build(u)
 
 

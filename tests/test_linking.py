@@ -407,3 +407,19 @@ def test_order_keys_break_float_ties_exactly():
     assert keys == sorted(keys)
     for m, _ in terms:
         assert repr(m) == "*".join(repr(p) for p in sorted(m.pairs, key=lambda p: p.key))
+
+
+def test_order_key_float_is_the_correctly_rounded_position():
+    # numerators and denominators past 10**400 have no float of their own
+    big = 10**400
+    positions = [
+        Fraction(0), Fraction(1, 3), Fraction(2**53 - 1, 2**53), Fraction(1, 10**400),
+        Fraction(big + 1, 3 * big + 7), Fraction(big - 1, big), Fraction(7 * big + 3, 10 * big + 1),
+    ]
+    rng = random.Random(5)
+    positions += [Fraction(rng.randrange(d), d) for d in (rng.randrange(1, 10**25) for _ in range(200))]
+    config = PointConfig()
+    for i, pos in enumerate(positions):
+        key = config.point(f"k{i}", pos).order_key
+        assert key == (float(pos), pos)
+        assert type(key[0]) is float

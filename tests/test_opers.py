@@ -623,25 +623,41 @@ def test_newton_search_converges_to_the_rounding_floor():
     assert abs(lifted - base) <= 1e-6
 
 
-def _reference_newton(base, extra, target_sign, stages=(1024, 4096)):
-    """The Newton search with every residual sampled afresh from an OperSpec."""
+def _reference_newton(base, extra, target_sign, stages=(1024, 4096), log=None):
+    """The Newton search with every residual sampled afresh from an OperSpec.
+
+    A stage that has a Jacobian from the stage before first tries a step
+    with it, and keeps the step when it shrinks max|r| tenfold.
+    `log`, when given, receives one (steps, event) tuple per residual
+    ("residual") and per refused carried step ("refused").
+    """
     target = target_sign * np.eye(2)
     fixed = list(base.coefficients[2]) + list(extra)
+    log = [] if log is None else log
 
     def build(u):
         c0, a1, b1 = u
         return OperSpec(2, {2: fixed + [(0, c0, 0.0), (1, a1, b1)]})
 
     def residual(u, steps):
+        log.append((steps, "residual"))
         d = _holonomy(build(u), steps) - target
         return np.array([d[0, 0], d[0, 1], d[1, 0]])
 
     u = np.zeros(3)
+    jac = None
     for steps in stages:
         r = residual(u, steps)
-        for _ in range(25):
+        for step in range(25):
             if np.max(np.abs(r)) < 1e-12:
                 break
+            if step == 0 and jac is not None:
+                trial = u - np.linalg.solve(jac, r)
+                r_trial = residual(trial, steps)
+                if 10.0 * np.max(np.abs(r_trial)) <= np.max(np.abs(r)):
+                    u, r = trial, r_trial
+                    continue
+                log.append((steps, "refused"))
             eps = 1e-6
             jac = np.column_stack(
                 [(residual(u + du, steps) - r) / eps for du in eps * np.eye(3)]
@@ -668,7 +684,7 @@ def test_newton_search_matches_the_afresh_reference_bit_for_bit():
 def test_newton_search_samples_one_table_per_stage(monkeypatch):
     import swapalg.opers as opers
 
-    counts = {"samples": 0, "holonomies": 0}
+    counts, holonomies = {"samples": 0}, []
     sample, holonomy = OperSpec.coefficient_values, opers._table_holonomy
 
     def counted_sample(self, index, times):
@@ -676,7 +692,7 @@ def test_newton_search_samples_one_table_per_stage(monkeypatch):
         return sample(self, index, times)
 
     def counted_holonomy(table, steps):
-        counts["holonomies"] += 1
+        holonomies.append(steps)
         return holonomy(table, steps)
 
     monkeypatch.setattr(OperSpec, "coefficient_values", counted_sample)
@@ -685,7 +701,54 @@ def test_newton_search_samples_one_table_per_stage(monkeypatch):
     solve_trivial_holonomy(veronese_oper(2), [(2, 0.8, -0.4)], -1, stages=stages)
     # the fixed harmonics once per stage, whatever the number of residuals
     assert counts["samples"] == len(stages)
-    assert counts["holonomies"] > 4 * len(stages)
+    # the first stage: the start and two Newton steps of four residuals
+    # each (three probes and the new point); each later stage: its start
+    # and one step with the carried Jacobian
+    assert {steps: holonomies.count(steps) for steps in stages} == {256: 9, 512: 2, 1024: 2}
+
+
+def test_a_refused_carried_step_rebuilds_the_jacobian(monkeypatch):
+    import swapalg.opers as opers
+
+    # harmonics of amplitude up to 16 and target +Id, from a seeded search;
+    # at 1024 steps the root of the 64-step stage is far enough off that
+    # the step with its Jacobian grows max|r| (0.12 to 0.44), so the stage
+    # starts over with a fresh Jacobian.  The 8192-step stage lets the
+    # fourth entry of the holonomy, tied to the others by det H = 1, reach
+    # the rounding floor as well.
+    extra = [
+        (2, -7.8698527550132695, -7.122186942475821),
+        (3, -10.830800831230196, -6.8143051452670065),
+    ]
+    stages = (64, 1024, 8192)
+    log = []
+    want = _reference_newton(veronese_oper(2), extra, 1, stages=stages, log=log)
+    assert (1024, "refused") in log
+    holonomies, holonomy = [], opers._table_holonomy
+
+    def counted_holonomy(table, steps):
+        holonomies.append(steps)
+        return holonomy(table, steps)
+
+    monkeypatch.setattr(opers, "_table_holonomy", counted_holonomy)
+    got = solve_trivial_holonomy(veronese_oper(2), extra, 1, stages=stages)
+    assert got.coefficients[2] == want.coefficients[2]
+    # the search evaluated exactly the reference's residuals: the refused
+    # trial point, then a fresh Jacobian (three probes) for every step
+    assert holonomies == [steps for steps, event in log if event == "residual"]
+    assert np.max(np.abs(_holonomy(got, 8192) - np.eye(2))) <= 1e-12
+
+
+def test_a_failed_search_names_its_grid_and_residual():
+    # Newton wanders off on this target +Id (the unperturbed operator has
+    # holonomy -Id) in the first stage, which builds all its Jacobians
+    extra = [
+        (2, 1.4440354434132994, 1.1937557623097041),
+        (3, 1.188390250541985, 1.2657494822427635),
+    ]
+    message = r"did not converge at 1024 steps: max\|r\| = [0-9.e+]+ after 25 steps"
+    with pytest.raises(SwapAlgError, match=message):
+        solve_trivial_holonomy(veronese_oper(2), extra, 1)
 
 
 def test_random_trivial_holonomy_family_is_deterministic():
