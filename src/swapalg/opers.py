@@ -116,6 +116,10 @@ class OperSpec:
     def coefficient_values(self, index: int, times: np.ndarray) -> np.ndarray:
         out = np.zeros_like(times)
         for k, c, s in self.coefficients.get(index, ()):
+            if k == 0:
+                # c cos 0 + s sin 0 as it rounds, without sampling cos and sin
+                out += c + s * 0.0
+                continue
             w = 2.0 * math.pi * k * times
             out += c * np.cos(w) + s * np.sin(w)
         return out
@@ -304,9 +308,11 @@ def _coefficient_table(oper: OperSpec, steps: int) -> np.ndarray:
 # (i, j) of every matrix is one contiguous array, and the arithmetic is
 # elementwise over those arrays.  numpy's `@` hands a stack to BLAS one small
 # matrix at a time, and the strided (N, n, n) elementwise form is slower
-# still.  Products go entry by entry at every n.  Determinants and inverses
-# are closed forms for n <= 3 and go through `np.linalg` above that, where
-# closed forms grow long.
+# still.  A product broadcasts whole stacks, 2n - 1 array operations at every
+# n, all plain multiplies and adds: nothing fuses a multiply-add, which BLAS
+# and `np.einsum` may do on some hosts, so products round the same
+# everywhere.  Determinants and inverses are closed forms for n <= 3 and go
+# through `np.linalg` above that, where closed forms grow long.
 
 _ELEMENTWISE_MAX_ORDER = 3
 
@@ -360,15 +366,16 @@ def _step_matrices(table: np.ndarray, steps: int) -> np.ndarray:
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The products a_k b_k of two components-first stacks, in a new array."""
-    n = len(a)
-    out = np.empty((n, n, a.shape[-1]))
-    for i in range(n):
-        for j in range(n):
-            entry = out[i, j]
-            np.multiply(a[i, 0], b[0, j], out=entry)
-            for k in range(1, n):
-                entry += a[i, k] * b[k, j]
+    """The products a_k b_k of two components-first stacks, in a new array.
+
+    Column k of every a_k times row k of every b_k is one broadcast
+    multiply over the whole stack, accumulated for k = 0..n-1 with plain
+    adds: 2n - 1 array operations, and each entry is
+    a[i, 0] b[0, j] + a[i, 1] b[1, j] + ... rounded in that order.
+    """
+    out = a[:, :1] * b[None, 0]
+    for k in range(1, len(a)):
+        out += a[:, k:k + 1] * b[None, k]
     return out
 
 
@@ -662,8 +669,8 @@ def solve_trivial_holonomy(
 
     `extra_harmonics` is a fixed list of (k, cos, sin) contributions to q_2
     with k >= 2; the three lowest modes are the unknowns.  Order 2 only:
-    the holonomy condition is three equations (the fourth entry follows
-    from det = 1), matching the three unknowns.  The solve runs through the
+    the holonomy condition is three equations (entries 00, 01 and 10 of
+    H - target), matching the three unknowns.  The solve runs through the
     grid resolutions in `stages`, so the final iterate is converged on the
     finest grid, in at most 25 Newton steps per stage.  Each stage samples
     the fixed harmonics, cos 2pi t and sin 2pi t on its grid once; a
@@ -674,7 +681,9 @@ def solve_trivial_holonomy(
     the holonomy alone.  The residual tolerance 1e-12 lets the last Newton
     step land at the rounding floor: cross fractions of lifts go through
     holonomy powers, so a residual left at 1e-11 moves large cross
-    fractions by more than 1e-6.
+    fractions by more than 1e-6.  The fourth entry follows from det H = 1
+    only up to the frame determinant drift, so a result whose fourth entry
+    is not within 1e-12 of the target after the last stage is refused.
 
     A Jacobian is a forward difference: three residuals at probes 1e-6
     apart.  A later stage starts at the previous stage's root, where its
@@ -689,6 +698,8 @@ def solve_trivial_holonomy(
     """
     if base.order != 2:
         raise SwapAlgError("the Newton search is implemented for order 2")
+    if not stages:
+        raise SwapAlgError("the Newton search needs at least one grid in stages")
     target = target_sign * np.eye(2)
     fixed = list(base.coefficients.get(2, ())) + list(extra_harmonics)
     fixed_oper = OperSpec(2, {2: fixed})
@@ -708,12 +719,14 @@ def solve_trivial_holonomy(
 
         def residual(u):
             c0, a1, b1 = u
-            # the k = 0 mode samples as c0 cos 0 + 0.0 sin 0 = c0 + 0.0
+            # the k = 0 mode adds c0 + 0.0 * 0.0 = c0 + 0.0, as
+            # `OperSpec.coefficient_values` samples it
             q2 = fixed_q2 + (c0 + 0.0) + (a1 * cos1 + b1 * sin1)
             d = _table_holonomy(q2[None], steps) - target
-            return np.array([d[0, 0], d[0, 1], d[1, 0]])
+            # the three equations, and the entry det H = 1 ties to them
+            return np.array([d[0, 0], d[0, 1], d[1, 0]]), d[1, 1]
 
-        r = residual(u)
+        r, fourth = residual(u)
         chord = jac is not None
         for _ in range(25):
             size = np.max(np.abs(r))
@@ -722,23 +735,28 @@ def solve_trivial_holonomy(
             if chord:
                 chord = False
                 trial = u - np.linalg.solve(jac, r)
-                r_trial = residual(trial)
+                r_trial, fourth_trial = residual(trial)
                 if np.max(np.abs(r_trial)) * _CHORD_SHRINK <= size:
-                    u, r = trial, r_trial
+                    u, r, fourth = trial, r_trial, fourth_trial
                     continue
             jac = np.empty((3, 3))
             eps = 1e-6
             for col in range(3):
                 du = np.zeros(3)
                 du[col] = eps
-                jac[:, col] = (residual(u + du) - r) / eps
+                jac[:, col] = (residual(u + du)[0] - r) / eps
             u = u - np.linalg.solve(jac, r)
-            r = residual(u)
+            r, fourth = residual(u)
         else:
             raise SwapAlgError(
                 f"holonomy search did not converge at {steps} steps: "
                 f"max|r| = {np.max(np.abs(r)):.3e} after 25 steps"
             )
+    if abs(fourth) >= 1e-12:
+        raise SwapAlgError(
+            f"holonomy search converged at {steps} steps but left the fourth entry "
+            f"H[1,1] - ({target_sign:+g}) = {fourth:.3e}, not below 1e-12"
+        )
     return build(u)
 
 

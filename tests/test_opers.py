@@ -12,7 +12,9 @@ from swapalg.opers import (
     OperSpec,
     _coefficient_table,
     _det,
+    _grid_times,
     _holonomy,
+    _product,
     _step_matrices,
     coordinate_function,
     ds_crossfraction_bracket,
@@ -294,6 +296,42 @@ def test_closed_form_det_and_inverse_match_lapack(name):
     want = np.linalg.inv(sol.frames)
     got = np.array([sol.frame_inverse(Fraction(j, 1023)) for j in range(1024)])
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _scalar_product(a, b):
+    """a_m b_m for every m of two components-first stacks, one Python float
+    operation at a time: sum_k a[i][k] b[k][j] with k ascending."""
+    n, _, count = a.shape
+    a, b = a.tolist(), b.tolist()
+    out = np.empty((n, n, count))
+    for m in range(count):
+        for i in range(n):
+            for j in range(n):
+                entry = a[i][0][m] * b[0][j][m]
+                for k in range(1, n):
+                    entry += a[i][k][m] * b[k][j][m]
+                out[i, j, m] = entry
+    return out
+
+
+@pytest.mark.parametrize("count", [1, 3, 4097])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stack_product_matches_the_scalar_reference_bit_for_bit(n, count):
+    # entries of mixed sign and scale, so that a fused multiply-add or a
+    # sum taken in another order changes the last bit of many products
+    rng = np.random.default_rng(100 * n + count)
+    shape = (n, n, 2 * count + 1)
+    stack = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape)
+    d = count + 1
+    operands = [
+        (np.ascontiguousarray(stack[..., :count]), np.ascontiguousarray(stack[..., -count:])),
+        (stack[..., 1::2], stack[..., :-1:2]),  # a level of the tree product
+        (stack[..., d:], stack[..., :-d]),  # a pass of the prefix scan
+    ]
+    for a, b in operands:
+        got = _product(a, b)
+        assert got.shape == (n, n, count)
+        assert got.tobytes() == _scalar_product(a, b).tobytes()
 
 
 def test_negative_holonomy_powers_invert_nothing(circle_solution, monkeypatch):
@@ -707,6 +745,12 @@ def test_newton_search_samples_one_table_per_stage(monkeypatch):
     assert {steps: holonomies.count(steps) for steps in stages} == {256: 9, 512: 2, 1024: 2}
 
 
+AMPLITUDE_16_HARMONICS = [
+    (2, -7.8698527550132695, -7.122186942475821),
+    (3, -10.830800831230196, -6.8143051452670065),
+]
+
+
 def test_a_refused_carried_step_rebuilds_the_jacobian(monkeypatch):
     import swapalg.opers as opers
 
@@ -716,10 +760,7 @@ def test_a_refused_carried_step_rebuilds_the_jacobian(monkeypatch):
     # starts over with a fresh Jacobian.  The 8192-step stage lets the
     # fourth entry of the holonomy, tied to the others by det H = 1, reach
     # the rounding floor as well.
-    extra = [
-        (2, -7.8698527550132695, -7.122186942475821),
-        (3, -10.830800831230196, -6.8143051452670065),
-    ]
+    extra = AMPLITUDE_16_HARMONICS
     stages = (64, 1024, 8192)
     log = []
     want = _reference_newton(veronese_oper(2), extra, 1, stages=stages, log=log)
@@ -737,6 +778,19 @@ def test_a_refused_carried_step_rebuilds_the_jacobian(monkeypatch):
     # trial point, then a fresh Jacobian (three probes) for every step
     assert holonomies == [steps for steps, event in log if event == "residual"]
     assert np.max(np.abs(_holonomy(got, 8192) - np.eye(2))) <= 1e-12
+
+
+def test_a_fourth_holonomy_entry_off_target_is_refused():
+    # with stages (64, 1024) the three equations converge at 1024 steps,
+    # but the frame determinants drift by 4e-9 there, and so does H[1,1]
+    message = r"fourth entry H\[1,1\] - \(\+1\) = -3\.9[0-9]{2}e-09, not below 1e-12"
+    with pytest.raises(SwapAlgError, match=message):
+        solve_trivial_holonomy(veronese_oper(2), AMPLITUDE_16_HARMONICS, 1, stages=(64, 1024))
+
+
+def test_a_search_without_stages_is_refused():
+    with pytest.raises(SwapAlgError, match="at least one grid"):
+        solve_trivial_holonomy(veronese_oper(2), [], -1, stages=())
 
 
 def test_a_failed_search_names_its_grid_and_residual():
@@ -776,6 +830,31 @@ def test_oper_spec_from_text():
     times = np.array([0.0, 0.25])
     q3 = oper.coefficient_values(3, times)
     assert q3[0] == pytest.approx(0.375)
+
+
+def test_constant_harmonics_match_the_cos_sin_formula_bit_for_bit():
+    # k = 0 adds c + s * 0.0, what c cos 0 + s sin 0 rounds to; s * 0.0 is
+    # -0.0 for negative s.  The constant terms sit among other harmonics,
+    # so the order of the sum shows.
+    harmonics = [
+        (1, 0.3, -0.7),
+        (0, PI2, 0.0),
+        (0, -0.0, -2.5),
+        (2, -1.25, 0.0),
+        (0, -1.0 / 3.0, -0.0),
+        (0, 0.0, 0.0),
+        (3, 0.125, 1.5),
+        (0, 1e-300, 3.0),
+        (0, -7.5, -1e300),
+    ]
+    times = _grid_times(2, 64)
+    for terms in (harmonics, [h for h in harmonics if h[0] == 0]):
+        want = np.zeros_like(times)
+        for k, c, s in terms:
+            w = 2.0 * math.pi * k * times
+            want += c * np.cos(w) + s * np.sin(w)
+        got = OperSpec(2, {2: terms}).coefficient_values(2, times)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
 
 
 def test_oper_spec_validation():
