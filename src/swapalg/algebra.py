@@ -396,23 +396,52 @@ class AlgebraElement:
         Only balanced elements are scale-free under the per-point scale
         ambiguity of the backends, so unbalanced input is rejected.  The
         value is scale * numerator / denominator, summed in canonical
-        order.
+        order: the reduced fraction of `_split`, found in one pass that
+        also checks balance (as `is_balanced` does).  Each numerator
+        term's pairs are sorted once, and that list is both its
+        canonical-order key and the order of its product.
         """
-        if not is_balanced(self):
-            raise EvaluationError("scale-dependent: fraction is not balanced")
-        if self.is_zero:
+        lowest: dict[GeneratorPair, int] = {}
+        for m in self._numerators:
+            left: dict[CirclePoint, int] = {}
+            right: dict[CirclePoint, int] = {}
+            for p, e in m:
+                left[p[0]] = left.get(p[0], 0) + e
+                right[p[1]] = right.get(p[1], 0) + e
+                if e < lowest.get(p, 0):
+                    lowest[p] = e
+            if any(left.values()) or any(right.values()):
+                raise EvaluationError("scale-dependent: fraction is not balanced")
+        if not self._numerators:
             return 0.0
-        terms, denominator, content = self._split()
         den = 1.0
-        for p in denominator.pairs:
-            den *= pair_value(p.left, p.right)
+        for p, e in sorted(lowest.items(), key=_pair_key):
+            for _ in range(-e):
+                den *= pair_value(*p)
         if den == 0.0:
             raise EvaluationError("degenerate evaluation: denominator vanishes")
+        terms = []
+        for m, n in self._numerators.items():
+            # the numerator monomial: m times the denominator monomial
+            exponents = dict(m)
+            for p, e in lowest.items():
+                e = exponents.get(p, 0) - e
+                if e:
+                    exponents[p] = e
+                else:
+                    del exponents[p]
+            pairs = [p for p, e in sorted(exponents.items(), key=_pair_key) for _ in range(e)]
+            keys = [(X.order_key, x.order_key) for X, x in pairs]
+            terms.append(((len(keys), keys), pairs, n))
+        terms.sort(key=itemgetter(0))
+        content = gcd(*(n for _, _, n in terms))
+        if terms[0][2] < 0:
+            content = -content
         num = 0.0
-        for m, n in terms:
+        for _, pairs, n in terms:
             v = float(n // content)
-            for p in m.pairs:
-                v *= pair_value(p.left, p.right)
+            for p in pairs:
+                v *= pair_value(*p)
             num += v
         return float(Fraction(content, self._denominator)) * num / den
 

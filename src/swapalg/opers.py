@@ -14,8 +14,11 @@ search for trivial holonomy and the step-halving error estimate need only
 the holonomy, the full product, which they take by a pairwise tree product
 of the same matrices without forming the frames.  The Newton search
 samples the harmonics it does not change once per grid, so a residual
-adds only its unknown modes to that table.  The companion matrix is
-trace free (there is no psi^(n-1) term), so the frame determinant is
+adds only its unknown modes to that table, and it takes the three probes
+of a Jacobian as one tree product over a batch of three tables.  The
+search starts on a coarse 256-step grid, where a holonomy costs little
+more than its numpy calls, and ends on 4096 steps.  The companion matrix
+is trace free (there is no psi^(n-1) term), so the frame determinant is
 conserved; the drift measures integration error, and a solution whose
 drift exceeds `MAX_DET_DRIFT` is refused.
 
@@ -68,7 +71,9 @@ from .multifraction import cross_fraction, fraction_bracket
 
 TRIVIAL_HOLONOMY_TOLERANCE = 1e-6
 # the companion matrices on the grid and half grid, (2 steps + 1) n^2
-# floats, are the largest array; this admits order 3 past 10^5 steps
+# floats per grid, are the largest array; this admits order 3 past 10^5
+# steps.  A fresh Newton Jacobian holds three grids at once, so the search
+# counts all three against the bound for every stage (`_require_grid`)
 MAX_GRID_ENTRIES = 1 << 22
 # lifts reach frames through holonomy powers, whose rounding grows with
 # the power: lifting one argument of a cross fraction on the Veronese
@@ -278,20 +283,26 @@ class FundamentalSolution:
         return coordinate_function(self, X.position, x.position)
 
 
-def _grid_times(order: int, steps: int) -> np.ndarray:
-    """The grid and half-grid parameters k h / 2, k = 0..2 steps.
+def _require_grid(order: int, steps: int, batch: int = 1) -> None:
+    """The step floor and the size guard, for `batch` grids alive at once.
 
-    Owns the step floor and the size guard, so both run before any array
-    of the grid's size is made.
+    Run before any array of the grid's size is made.
     """
     if steps < 64:
         raise SwapAlgError("use at least 64 steps")
-    entries = (2 * steps + 1) * order**2
+    entries = batch * (2 * steps + 1) * order**2
     if entries > MAX_GRID_ENTRIES:
+        grids = "per grid array" if batch == 1 else f"for {batch} grids at once"
         raise SwapAlgError(
             f"order {order} at {steps} steps needs {entries} matrix entries "
-            f"per grid array, more than {MAX_GRID_ENTRIES}"
+            f"{grids}, more than {MAX_GRID_ENTRIES}"
         )
+
+
+def _grid_times(order: int, steps: int) -> np.ndarray:
+    """The grid and half-grid parameters k h / 2, k = 0..2 steps, after
+    `_require_grid`."""
+    _require_grid(order, steps)
     h = 1.0 / steps
     return np.arange(2 * steps + 1) * (h / 2.0)
 
@@ -336,20 +347,23 @@ def _step_matrices(table: np.ndarray, steps: int) -> np.ndarray:
     """The RK4 step matrices S_0..S_{steps-1} of a coefficient table,
     frame(k+1) = S_k frame(k), components-first: shape (n, n, steps).
 
-    Every product in an RK4 step of a linear system has a companion matrix
-    on the left, so each is a row shift plus one new row (`_companion_times`).
+    A table of shape (n - 1, B, 2 steps + 1) is a batch of B tables, and
+    gives stacks of shape (n, n, B, steps); every entry gets the same
+    operations as in a single table's build.  Every product in an RK4 step
+    of a linear system has a companion matrix on the left, so each is a row
+    shift plus one new row (`_companion_times`).
     """
     n = len(table) + 1
     h = 1.0 / steps
     # q_index multiplies psi^(n-index), i.e. state component n-index, so
     # row[k] = -q_(n-k) is the companion matrix's last row at each time
     row = -table[::-1]
-    row0, row1, row2 = row[:, :-1:2], row[:, 1::2], row[:, 2::2]
-    a0 = np.zeros((n, n, steps))
+    row0, row1, row2 = row[..., :-1:2], row[..., 1::2], row[..., 2::2]
+    a0 = np.zeros((n, n) + row0.shape[1:])
     for i in range(n - 1):
         a0[i, i + 1] = 1.0
     a0[-1, :-1] = row0
-    eye = np.eye(n)[:, :, None]
+    eye = np.eye(n).reshape((n, n) + (1,) * (row0.ndim - 1))
     # the RK4 stages applied to y = Id, where k1 = a0, and the step
     # eye + (h / 6) (a0 + 2 k2 + 2 k3 + k4); the sum is taken in that order
     # in one buffer as the stages come, so that at most two stages of the
@@ -423,6 +437,9 @@ def _table_holonomy(table: np.ndarray, steps: int) -> np.ndarray:
 
     Each level multiplies neighbouring matrices of the components-first
     stack with `_product`, an odd one out first folded into its neighbour.
+    A batch of B tables (see `_step_matrices`) gives the B holonomies as an
+    (n, n, B) stack, each bit-identical to its table's single call: the
+    levels run over the last axis, and `_product` broadcasts over the rest.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         mats = _step_matrices(table, steps)
@@ -432,7 +449,7 @@ def _table_holonomy(table: np.ndarray, steps: int) -> np.ndarray:
                 mats = mats[..., :-1]
             mats = _product(mats[..., 1::2], mats[..., ::2])
     _require_finite(mats, steps)
-    return mats[:, :, 0]
+    return mats[..., 0]
 
 
 def _holonomy(oper: OperSpec, steps: int) -> np.ndarray:
@@ -662,7 +679,7 @@ def solve_trivial_holonomy(
     base: OperSpec,
     extra_harmonics,
     target_sign: int,
-    stages=(1024, 4096),
+    stages=(256, 4096),
 ) -> OperSpec:
     """Adjust (constant, cos 2pi t, sin 2pi t) parts of q_2 by Newton
     iteration until the holonomy equals target_sign * Id.
@@ -672,8 +689,11 @@ def solve_trivial_holonomy(
     the holonomy condition is three equations (entries 00, 01 and 10 of
     H - target), matching the three unknowns.  The solve runs through the
     grid resolutions in `stages`, so the final iterate is converged on the
-    finest grid, in at most 25 Newton steps per stage.  Each stage samples
-    the fixed harmonics, cos 2pi t and sin 2pi t on its grid once; a
+    finest grid, in at most 25 Newton steps per stage.  The default first
+    grid is coarse: a 256-step holonomy costs little more than its numpy
+    calls, and on the oper workload's harmonics a 1024-step first stage
+    took as many Newton steps and refused the same draws.  Each stage
+    samples the fixed harmonics, cos 2pi t and sin 2pi t on its grid once; a
     residual is that table plus the three unknown modes, added in the
     order `OperSpec.coefficient_values` adds them (c0, then a1 cos + b1 sin
     as one term), so every iterate is the one that sampling `build(u)`
@@ -686,7 +706,12 @@ def solve_trivial_holonomy(
     is not within 1e-12 of the target after the last stage is refused.
 
     A Jacobian is a forward difference: three residuals at probes 1e-6
-    apart.  A later stage starts at the previous stage's root, where its
+    apart, taken as one batched holonomy (`_table_holonomy` on a batch of
+    three tables), each probe bit-identical to its own call.  So a stage
+    may hold three grids at once, and every stage is checked against
+    `MAX_GRID_ENTRIES` for that before the search starts.
+
+    A later stage starts at the previous stage's root, where its
     Jacobian differs from the previous stage's last one only by the step
     error, O(h^4), and by the last step.  So its first step is a chord
     step with that carried Jacobian, kept when it shrinks max|r| at least
@@ -700,7 +725,9 @@ def solve_trivial_holonomy(
         raise SwapAlgError("the Newton search is implemented for order 2")
     if not stages:
         raise SwapAlgError("the Newton search needs at least one grid in stages")
-    target = target_sign * np.eye(2)
+    for steps in stages:
+        _require_grid(2, steps, batch=3)  # a fresh Jacobian's three probes
+    target = (target_sign * np.eye(2))[:, :, None]
     fixed = list(base.coefficients.get(2, ())) + list(extra_harmonics)
     fixed_oper = OperSpec(2, {2: fixed})
 
@@ -717,14 +744,20 @@ def solve_trivial_holonomy(
         cos1, sin1 = np.cos(w), np.sin(w)
         del times, w  # only the three tables stay alive through the stage
 
-        def residual(u):
-            c0, a1, b1 = u
+        def residuals(points):
+            """The residuals and fourth entries at a (B, 3) array of
+            points, from one batched holonomy: shapes (B, 3) and (B,)."""
+            c0, a1, b1 = points.T[:, :, None]
             # the k = 0 mode adds c0 + 0.0 * 0.0 = c0 + 0.0, as
             # `OperSpec.coefficient_values` samples it
             q2 = fixed_q2 + (c0 + 0.0) + (a1 * cos1 + b1 * sin1)
             d = _table_holonomy(q2[None], steps) - target
             # the three equations, and the entry det H = 1 ties to them
-            return np.array([d[0, 0], d[0, 1], d[1, 0]]), d[1, 1]
+            return np.stack([d[0, 0], d[0, 1], d[1, 0]], axis=-1), d[1, 1]
+
+        def residual(u):
+            r, fourth = residuals(u[None])
+            return r[0], fourth[0]
 
         r, fourth = residual(u)
         chord = jac is not None
@@ -739,12 +772,9 @@ def solve_trivial_holonomy(
                 if np.max(np.abs(r_trial)) * _CHORD_SHRINK <= size:
                     u, r, fourth = trial, r_trial, fourth_trial
                     continue
-            jac = np.empty((3, 3))
             eps = 1e-6
-            for col in range(3):
-                du = np.zeros(3)
-                du[col] = eps
-                jac[:, col] = (residual(u + du)[0] - r) / eps
+            # row j of the batch is u with eps added to entry j
+            jac = ((residuals(u + eps * np.eye(3))[0] - r) / eps).T
             u = u - np.linalg.solve(jac, r)
             r, fourth = residual(u)
         else:

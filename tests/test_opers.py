@@ -16,6 +16,7 @@ from swapalg.opers import (
     _holonomy,
     _product,
     _step_matrices,
+    _table_holonomy,
     coordinate_function,
     ds_crossfraction_bracket,
     ds_pair_bracket,
@@ -183,6 +184,20 @@ def test_grid_size_is_bounded_before_allocation(monkeypatch):
             call()
 
 
+def test_the_newton_search_counts_its_three_probe_grids(monkeypatch):
+    from swapalg import opers
+
+    # one grid of 2048 steps fits this bound, the three of a fresh Jacobian
+    # do not; the search refuses such a stage before any stage starts
+    monkeypatch.setattr(opers, "MAX_GRID_ENTRIES", (2 * 2048 + 1) * 4 * 2)
+    integrate(veronese_oper(2), 2048)
+    started = []
+    monkeypatch.setattr(opers, "_grid_times", lambda *args: started.append(args))
+    with pytest.raises(SwapAlgError, match="needs 49164 matrix entries for 3 grids at once"):
+        solve_trivial_holonomy(veronese_oper(2), [(2, 0.8, -0.4)], -1, stages=(256, 2048))
+    assert started == []
+
+
 def test_richardson_estimate_is_small():
     assert richardson_error(veronese_oper(2), 256) < 1e-8
 
@@ -332,6 +347,21 @@ def test_stack_product_matches_the_scalar_reference_bit_for_bit(n, count):
         got = _product(a, b)
         assert got.shape == (n, n, count)
         assert got.tobytes() == _scalar_product(a, b).tobytes()
+
+
+@pytest.mark.parametrize("steps", [255, 256, 1023])
+@pytest.mark.parametrize("n", [2, 3])
+def test_batched_holonomies_match_single_calls_bit_for_bit(n, steps):
+    # coefficients of mixed sign and scale, so that a batch multiplied in
+    # another order, or through `@`, changes the last bits; 255 and 1023
+    # steps give odd stack lengths, which the tree product folds in
+    rng = np.random.default_rng(10 * n + steps)
+    shape = (n - 1, 3, 2 * steps + 1)
+    table = rng.standard_normal(shape) * 10.0 ** rng.uniform(-1.0, 1.5, shape)
+    got = _table_holonomy(table, steps)
+    assert got.shape == (n, n, 3)
+    for b in range(3):
+        assert np.array_equal(got[..., b], _table_holonomy(table[:, b], steps))
 
 
 def test_negative_holonomy_powers_invert_nothing(circle_solution, monkeypatch):
@@ -661,7 +691,7 @@ def test_newton_search_converges_to_the_rounding_floor():
     assert abs(lifted - base) <= 1e-6
 
 
-def _reference_newton(base, extra, target_sign, stages=(1024, 4096), log=None):
+def _reference_newton(base, extra, target_sign, stages=(256, 4096), log=None):
     """The Newton search with every residual sampled afresh from an OperSpec.
 
     A stage that has a Jacobian from the stage before first tries a step
@@ -717,12 +747,22 @@ def test_newton_search_matches_the_afresh_reference_bit_for_bit():
         got = solve_trivial_holonomy(base, extra, target_sign=-1)
         want = _reference_newton(base, extra, target_sign=-1)
         assert got.coefficients[2] == want.coefficients[2]
+        # and at the former default, a 1024-step first stage
+        got = solve_trivial_holonomy(base, extra, -1, stages=(1024, 4096))
+        want = _reference_newton(base, extra, -1, stages=(1024, 4096))
+        assert got.coefficients[2] == want.coefficients[2]
+
+
+def _batch_size(table):
+    """The number of holonomies one `_table_holonomy` call takes: a table of
+    shape (n - 1, B, 2 steps + 1) is a batch of B."""
+    return table.shape[1] if table.ndim == 3 else 1
 
 
 def test_newton_search_samples_one_table_per_stage(monkeypatch):
     import swapalg.opers as opers
 
-    counts, holonomies = {"samples": 0}, []
+    counts, calls, holonomies = {"samples": 0}, [], []
     sample, holonomy = OperSpec.coefficient_values, opers._table_holonomy
 
     def counted_sample(self, index, times):
@@ -730,7 +770,8 @@ def test_newton_search_samples_one_table_per_stage(monkeypatch):
         return sample(self, index, times)
 
     def counted_holonomy(table, steps):
-        holonomies.append(steps)
+        calls.append(steps)
+        holonomies.extend([steps] * _batch_size(table))
         return holonomy(table, steps)
 
     monkeypatch.setattr(OperSpec, "coefficient_values", counted_sample)
@@ -743,6 +784,8 @@ def test_newton_search_samples_one_table_per_stage(monkeypatch):
     # each (three probes and the new point); each later stage: its start
     # and one step with the carried Jacobian
     assert {steps: holonomies.count(steps) for steps in stages} == {256: 9, 512: 2, 1024: 2}
+    # the three probes of a Jacobian are one call
+    assert {steps: calls.count(steps) for steps in stages} == {256: 5, 512: 2, 1024: 2}
 
 
 AMPLITUDE_16_HARMONICS = [
@@ -765,10 +808,11 @@ def test_a_refused_carried_step_rebuilds_the_jacobian(monkeypatch):
     log = []
     want = _reference_newton(veronese_oper(2), extra, 1, stages=stages, log=log)
     assert (1024, "refused") in log
-    holonomies, holonomy = [], opers._table_holonomy
+    calls, holonomies, holonomy = [], [], opers._table_holonomy
 
     def counted_holonomy(table, steps):
-        holonomies.append(steps)
+        calls.append(steps)
+        holonomies.extend([steps] * _batch_size(table))
         return holonomy(table, steps)
 
     monkeypatch.setattr(opers, "_table_holonomy", counted_holonomy)
@@ -777,6 +821,10 @@ def test_a_refused_carried_step_rebuilds_the_jacobian(monkeypatch):
     # the search evaluated exactly the reference's residuals: the refused
     # trial point, then a fresh Jacobian (three probes) for every step
     assert holonomies == [steps for steps, event in log if event == "residual"]
+    # each Jacobian's three probes in one call: 64 steps, the start and 23
+    # Newton steps; 1024, the start, the refused trial and 9 steps; 8192,
+    # the start, the kept carried step and one step
+    assert {steps: calls.count(steps) for steps in stages} == {64: 47, 1024: 20, 8192: 4}
     assert np.max(np.abs(_holonomy(got, 8192) - np.eye(2))) <= 1e-12
 
 
@@ -800,9 +848,40 @@ def test_a_failed_search_names_its_grid_and_residual():
         (2, 1.4440354434132994, 1.1937557623097041),
         (3, 1.188390250541985, 1.2657494822427635),
     ]
-    message = r"did not converge at 1024 steps: max\|r\| = [0-9.e+]+ after 25 steps"
+    message = r"did not converge at 256 steps: max\|r\| = 2\.147e\+01 after 25 steps"
     with pytest.raises(SwapAlgError, match=message):
         solve_trivial_holonomy(veronese_oper(2), extra, 1)
+
+
+def test_the_coarse_first_stage_refuses_the_same_draws_and_finds_the_same_roots():
+    # harmonics as the oper workload draws them, at its amplitude 2 and at
+    # 16, for both targets; target +Id refuses some draws at either first
+    # grid, and the same ones
+    refused = {}
+    for amplitude in (2, 16):
+        rng = random.Random(f"coarse-stage:{amplitude}")
+        for draw in range(8):
+            extra = [(k, rng.uniform(-amplitude, amplitude), rng.uniform(-amplitude, amplitude))
+                     for k in (2, 3)]
+            for sign in (-1, 1):
+                roots = []
+                for stages in ((256, 4096), (1024, 4096)):
+                    try:
+                        roots.append(solve_trivial_holonomy(veronese_oper(2), extra, sign, stages))
+                    except SwapAlgError:
+                        refused.setdefault(stages, set()).add((amplitude, draw, sign))
+                if len(roots) < 2:
+                    continue
+                coarse, fine = (np.array([m[1:] for m in o.coefficients[2]]) for o in roots)
+                assert np.max(np.abs(coarse - fine)) <= 1e-9
+                sol = integrate(roots[0], 4096)
+                assert np.max(np.abs(sol.holonomy - sign * np.eye(2))) <= 1e-12
+                for _ in range(3):
+                    X, x, Y, y = (Fraction(j, 4096) for j in rng.sample(range(4096), 4))
+                    base = oper_cross_fraction(sol, X, x, Y, y)
+                    lifted = oper_cross_fraction(sol, X + 1, x, Y - 2, y)
+                    assert abs(lifted - base) <= 1e-6
+    assert refused[(256, 4096)] and refused[(256, 4096)] == refused[(1024, 4096)]
 
 
 def test_random_trivial_holonomy_family_is_deterministic():
