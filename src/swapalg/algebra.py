@@ -82,6 +82,10 @@ def _pair_key(power):
     return X.order_key, x.order_key
 
 
+def _pair_order(pair):
+    return pair[0].order_key, pair[1].order_key
+
+
 class Monomial(frozenset):
     """A Laurent monomial: the frozenset of its (pair, exponent) powers.
 
@@ -397,10 +401,13 @@ class AlgebraElement:
         ambiguity of the backends, so unbalanced input is rejected.  The
         value is scale * numerator / denominator, summed in canonical
         order: the reduced fraction of `_split`, found in one pass that
-        also checks balance (as `is_balanced` does).  Each numerator
-        term's pairs are sorted once, and that list is both its
+        also checks balance (as `is_balanced` does).  The element's
+        distinct pairs are ranked once in canonical order, and
+        `pair_value` is called once for each; a numerator term is then
+        the sorted list of its pairs' ranks, which is both its
         canonical-order key and the order of its product.
         """
+        # every pair of the element, with its lowest exponent or 0
         lowest: dict[GeneratorPair, int] = {}
         for m in self._numerators:
             left: dict[CirclePoint, int] = {}
@@ -408,42 +415,45 @@ class AlgebraElement:
             for p, e in m:
                 left[p[0]] = left.get(p[0], 0) + e
                 right[p[1]] = right.get(p[1], 0) + e
-                if e < lowest.get(p, 0):
+                if e < lowest.setdefault(p, 0):
                     lowest[p] = e
             if any(left.values()) or any(right.values()):
                 raise EvaluationError("scale-dependent: fraction is not balanced")
         if not self._numerators:
             return 0.0
+        # ranks order the pairs as their order keys do, since distinct
+        # pairs of one configuration have distinct keys
+        pairs = sorted(lowest, key=_pair_order)
+        rank = dict(zip(pairs, range(len(pairs))))
+        values = [pair_value(*p) for p in pairs]
+        # the denominator monomial: its exponent of each pair, by rank
+        cleared = [-lowest[p] for p in pairs]
         den = 1.0
-        for p, e in sorted(lowest.items(), key=_pair_key):
-            for _ in range(-e):
-                den *= pair_value(*p)
+        for i, e in enumerate(cleared):
+            for _ in range(e):
+                den *= values[i]
         if den == 0.0:
             raise EvaluationError("degenerate evaluation: denominator vanishes")
         terms = []
         for m, n in self._numerators.items():
             # the numerator monomial: m times the denominator monomial
-            exponents = dict(m)
-            for p, e in lowest.items():
-                e = exponents.get(p, 0) - e
-                if e:
-                    exponents[p] = e
-                else:
-                    del exponents[p]
-            pairs = [p for p, e in sorted(exponents.items(), key=_pair_key) for _ in range(e)]
-            keys = [(X.order_key, x.order_key) for X, x in pairs]
-            terms.append(((len(keys), keys), pairs, n))
-        terms.sort(key=itemgetter(0))
+            exponents = cleared.copy()
+            for p, e in m:
+                exponents[rank[p]] += e
+            ranks = [i for i, e in enumerate(exponents) for _ in range(e)]
+            terms.append((len(ranks), ranks, n))
+        terms.sort()  # (degree, ranks) never ties, so n is never compared
         content = gcd(*(n for _, _, n in terms))
         if terms[0][2] < 0:
             content = -content
         num = 0.0
-        for _, pairs, n in terms:
+        for _, ranks, n in terms:
             v = float(n // content)
-            for p in pairs:
-                v *= pair_value(*p)
+            for i in ranks:
+                v *= values[i]
             num += v
-        return float(Fraction(content, self._denominator)) * num / den
+        # int / int rounds the exact quotient once, as float(Fraction) does
+        return content / self._denominator * num / den
 
 
 def is_balanced(f: AlgebraElement) -> bool:

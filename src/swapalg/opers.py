@@ -24,11 +24,15 @@ drift exceeds `MAX_DET_DRIFT` is refused.
 
 The frame at t has columns (psi_j, psi_j', ..., psi_j^(n-1)) for the basis
 of solutions with frame(0) = Id; the holonomy is frame(1).  The one
-primitive is the pairing
+primitive is the pairing table of left parameters Y against right
+parameters y,
 
     F_{Y,y} = <xi(Y), xi*(y)>,
     xi(t)  = first row of frame(t)           (the solution values),
-    xi*(t) = last column of frame(t)^{-1}    (the osculating hyperplane).
+    xi*(t) = last column of frame(t)^{-1}    (the osculating hyperplane),
+
+built by `FundamentalSolution.pairing_table` from one gathered vector per
+left parameter and one covector per right parameter.
 
 In the companion trivialisation it is a parallel-transport pairing.  The
 flag structure filters jets by vanishing order, so the distinguished
@@ -36,7 +40,10 @@ section through y is the solution vanishing to maximal order there (jet
 (0, ..., 0, 1) at y), and the distinguished covector through Y reads off
 the solution value at Y; F_{Y,y} is their pairing.  It is independent of
 the transport parameter and vanishes exactly when Y = y on the circle.
-Lifts to the real line are handled through holonomy powers.
+Lifts to the real line are handled through holonomy powers, taken by
+repeated squaring.  Lifts and pairings sum their products in index order
+with plain multiplies and adds, so none goes through BLAS or fuses a
+multiply-add.
 
 When the holonomy is +-Id the solutions define a closed projective curve,
 and every observable is a quotient of pairings that is independent of all
@@ -49,8 +56,9 @@ which is the same cross fraction with its arguments relabelled.
 
 A solution is an evaluation universe like a `Representation`: `point(t)`
 is grid parameter t's point in `config`, and `pair_value` is F at the
-points' positions.  `coordinate_function` and the observables built on it
-read lifts as given.
+points' positions, a 1 x 1 table.  `coordinate_function` and the
+observables built on it read lifts as given; each observable reads one
+table, and only `coordinate_function`'s `via` route reads whole frames.
 
 Everything is deterministic: fixed step size, no adaptivity, and query
 parameters must lie on the integration grid.  An exact rational is placed
@@ -245,20 +253,18 @@ class FundamentalSolution:
 
     def frame(self, t) -> np.ndarray:
         """Frame at a lift t in R; uses holonomy powers outside [0, 1)."""
-        j = self.grid_index(t)
-        m, r = divmod(j, self.steps)
+        m, r = divmod(self.grid_index(t), self.steps)
         base = self.frames[r]
         if m == 0:
             return base
-        return base @ self._holonomy_power(m)
+        return _product(base, self._holonomy_power(m))
 
     def frame_inverse(self, t) -> np.ndarray:
-        j = self.grid_index(t)
-        m, r = divmod(j, self.steps)
+        m, r = divmod(self.grid_index(t), self.steps)
         inv = self._frame_inverses()[r]
         if m == 0:
             return inv
-        return self._holonomy_power(-m) @ inv
+        return _product(self._holonomy_power(-m), inv)
 
     def _frame_inverses(self) -> np.ndarray:
         if self._inverses is None:
@@ -267,10 +273,31 @@ class FundamentalSolution:
         return self._inverses
 
     def _holonomy_power(self, m: int) -> np.ndarray:
-        """H^m; a negative power raises the inverse holonomy, frame(1)^-1."""
-        if m > 0:
-            return np.linalg.matrix_power(self.holonomy, m)
-        return np.linalg.matrix_power(self._frame_inverses()[self.steps], -m)
+        """H^m for m != 0, by repeated squaring with `_product`; a negative
+        power raises the inverse holonomy, frame(1)^-1."""
+        a = self.holonomy if m > 0 else self._frame_inverses()[self.steps]
+        m = abs(m)
+        power = None
+        while True:
+            if m & 1:
+                power = a if power is None else _product(power, a)
+            m >>= 1
+            if not m:
+                return power
+            a = _product(a, a)
+
+    def pairing_table(self, lefts, rights) -> list[list[float]]:
+        """The p x q table F_{Y,y} for lifts Y in `lefts` and y in `rights`.
+
+        Each parameter is placed on the grid once, and gives one vector
+        xi(Y), row 0 of `frame(Y)`, or one covector xi*(y), the last column
+        of `frame_inverse(y)`; entry [i][j] is their pairing, summed over k
+        in ascending order with plain multiplies and adds, as `_product`
+        sums.  Rows follow `lefts`, columns `rights`.
+        """
+        covectors = [self.frame_inverse(y)[:, -1].tolist() for y in rights]
+        vectors = [self.frame(Y)[0].tolist() for Y in lefts]
+        return [[_dot(v, w) for w in covectors] for v in vectors]
 
     def point(self, t) -> CirclePoint:
         """Grid parameter t's point in `config`, shared by all its lifts."""
@@ -278,9 +305,10 @@ class FundamentalSolution:
         return self.config.point(f"t{r}", Fraction(r, self.steps))
 
     def pair_value(self, X: CirclePoint, x: CirclePoint) -> float:
-        """F_{X,x} at the points' positions; needs trivial holonomy."""
+        """F_{X,x} at the points' positions, a 1 x 1 table; needs trivial
+        holonomy."""
         _require_trivial(self)
-        return coordinate_function(self, X.position, x.position)
+        return self.pairing_table((X.position,), (x.position,))[0][0]
 
 
 def _require_grid(order: int, steps: int, batch: int = 1) -> None:
@@ -385,7 +413,8 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Column k of every a_k times row k of every b_k is one broadcast
     multiply over the whole stack, accumulated for k = 0..n-1 with plain
     adds: 2n - 1 array operations, and each entry is
-    a[i, 0] b[0, j] + a[i, 1] b[1, j] + ... rounded in that order.
+    a[i, 0] b[0, j] + a[i, 1] b[1, j] + ... rounded in that order.  Two
+    single n x n matrices multiply the same way.
     """
     out = a[:, :1] * b[None, 0]
     for k in range(1, len(a)):
@@ -425,6 +454,15 @@ def _inverse(m: np.ndarray) -> np.ndarray:
                 adj[j, i] = m[i1, j1] * m[i2, j2] - m[i1, j2] * m[i2, j1]
     adj /= _det(m)
     return adj
+
+
+def _dot(v, w) -> float:
+    """sum_k v_k w_k over two lists of floats, k ascending, each product
+    rounded before it is added (the order of `_product`)."""
+    total = v[0] * w[0]
+    for k in range(1, len(v)):
+        total += v[k] * w[k]
+    return total
 
 
 def _require_finite(values: np.ndarray, steps: int, what: str = "frames") -> None:
@@ -526,28 +564,33 @@ def coordinate_function(sol: FundamentalSolution, Y, y, via=None) -> float:
     solution values at Y with the parallel section whose jet at y is
     (0, ..., 0, 1).  `via` transports both sections to an explicit
     parameter first; the value does not depend on it.  Y and y are lifts
-    in R (grid-aligned).
+    in R (grid-aligned).  Without `via` it is a 1 x 1 `pairing_table`; the
+    `via` route reads whole frames instead, from an independent path.
     """
     if via is None:
-        return float(sol.frame(Y)[0, :] @ sol.frame_inverse(y)[:, -1])
-    left = sol.frame(Y)[0, :] @ sol.frame_inverse(via)
-    right = sol.frame(via) @ sol.frame_inverse(y)[:, -1]
-    return float(left @ right)
+        return sol.pairing_table((Y,), (y,))[0][0]
+    # the row xi(Y) frame(via)^-1 and the column frame(via) xi*(y)
+    xi, xi_star = sol.frame(Y)[0].tolist(), sol.frame_inverse(y)[:, -1].tolist()
+    left = [_dot(xi, column) for column in zip(*sol.frame_inverse(via).tolist())]
+    right = [_dot(row, xi_star) for row in sol.frame(via).tolist()]
+    return _dot(left, right)
 
 
 def oper_cross_fraction(sol: FundamentalSolution, X, x, Y, y) -> float:
     """F_{X,y} F_{Y,x} / (F_{X,x} F_{Y,y}); requires +-Id holonomy.
 
-    Unchanged when any lift is shifted by an integer.
+    The four pairings are one 2 x 2 `pairing_table`.  Unchanged when any
+    lift is shifted by an integer.
     """
     _require_trivial(sol)
     iX, ix, iY, iy = (sol.grid_index(v) % sol.steps for v in (X, x, Y, y))
     if iX == ix or iY == iy:
         raise EvaluationError("degenerate evaluation: a denominator pairing vanishes")
-    den = coordinate_function(sol, X, x) * coordinate_function(sol, Y, y)
+    (Xx, Xy), (Yx, Yy) = sol.pairing_table((X, Y), (x, y))
+    den = Xx * Yy
     if den == 0.0:
         raise EvaluationError("degenerate evaluation")
-    return coordinate_function(sol, X, y) * coordinate_function(sol, Y, x) / den
+    return Xy * Yx / den
 
 
 def weak_cross_ratio(sol: FundamentalSolution, x, y, z, t) -> float:
@@ -579,8 +622,17 @@ def ds_pair_bracket(sol: FundamentalSolution, first, second) -> float:
     points = [sol.point(v) for v in (X, x, Y, y)]
     if len(set(points)) != 4:
         raise SwapAlgError("points must be pairwise distinct")
-    F = lambda A, a: coordinate_function(sol, A, a)
-    return _pair_bracket(linking_number(*points), sol.oper.order, F, X, x, Y, y)
+    lk = linking_number(*points)
+    if lk == 0:
+        return 0.0
+    F = _table_lookup((X, Y), (x, y), sol.pairing_table((X, Y), (x, y)))
+    return _pair_bracket(lk, sol.oper.order, F, X, x, Y, y)
+
+
+def _table_lookup(lefts, rights, table):
+    """F(A, a): the entry of `table` in A's row and a's column."""
+    values = {(A, a): v for A, row in zip(lefts, table) for a, v in zip(rights, row)}
+    return lambda A, a: values[A, a]
 
 
 def ds_crossfraction_bracket(sol: FundamentalSolution, q0, q1, alpha=0) -> tuple[float, float]:
@@ -588,14 +640,13 @@ def ds_crossfraction_bracket(sol: FundamentalSolution, q0, q1, alpha=0) -> tuple
 
     `q0` and `q1` are quadruples (X, x, Y, y) of grid parameters; the
     observable is F_{X,x} F_{Y,y} / (F_{Y,x} F_{X,y}).  Both routes read
-    one table: F_{A,a} evaluated once for each left parameter A in
-    {X0, Y0, X1, Y1} and right parameter a in {x0, y0, x1, y1}, sixteen
-    pairings in all.  The first return value applies the Leibniz and
-    quotient rules directly over the sixteen pair brackets of
-    `ds_pair_bracket`; the second expands the swapping bracket of the two
-    cross fractions symbolically and evaluates every generator pair Aa
-    from the table (a bracket swaps right points between pairs, so no
-    other pair occurs).  The two routes share nothing else but the
+    one 4 x 4 `pairing_table`: the left parameters {X0, Y0, X1, Y1} by
+    the right parameters {x0, y0, x1, y1}.  The first return value
+    applies the Leibniz and quotient rules directly over the sixteen pair
+    brackets of `ds_pair_bracket`; the second expands the swapping bracket
+    of the two cross fractions symbolically and evaluates every generator
+    pair Aa from the table (a bracket swaps right points between pairs, so
+    no other pair occurs).  The two routes share nothing else but the
     linking form of their eight points in `sol.config`.  They coincide for
     every alpha: on balanced fractions the alpha term and the -1/n^2 term
     both cancel.  Requires +-Id holonomy.
@@ -607,12 +658,7 @@ def ds_crossfraction_bracket(sol: FundamentalSolution, q0, q1, alpha=0) -> tuple
     points = [sol.point(v) for v in params]
     if len(set(points)) != 8:
         raise SwapAlgError("the eight points must be pairwise distinct")
-    table = {
-        (points[i], points[j]): coordinate_function(sol, params[i], params[j])
-        for i in (0, 2, 4, 6)
-        for j in (1, 3, 5, 7)
-    }
-    F = lambda A, a: table[A, a]
+    F = _table_lookup(points[0::2], points[1::2], sol.pairing_table(params[0::2], params[1::2]))
     c0, c1 = points[:4], points[4:]
 
     # direct route: chain rule over pair brackets
@@ -761,10 +807,16 @@ def solve_trivial_holonomy(
 
         r, fourth = residual(u)
         chord = jac is not None
-        for _ in range(25):
+        for taken in range(26):
+            # tested after the last of the 25 steps too, before refusing
             size = np.max(np.abs(r))
             if size < 1e-12:
                 break
+            if taken == 25:
+                raise SwapAlgError(
+                    f"holonomy search did not converge at {steps} steps: "
+                    f"max|r| = {size:.3e} after 25 steps"
+                )
             if chord:
                 chord = False
                 trial = u - np.linalg.solve(jac, r)
@@ -777,11 +829,6 @@ def solve_trivial_holonomy(
             jac = ((residuals(u + eps * np.eye(3))[0] - r) / eps).T
             u = u - np.linalg.solve(jac, r)
             r, fourth = residual(u)
-        else:
-            raise SwapAlgError(
-                f"holonomy search did not converge at {steps} steps: "
-                f"max|r| = {np.max(np.abs(r)):.3e} after 25 steps"
-            )
     if abs(fourth) >= 1e-12:
         raise SwapAlgError(
             f"holonomy search converged at {steps} steps but left the fourth entry "

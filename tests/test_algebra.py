@@ -518,3 +518,28 @@ def test_evaluate_matches_the_fraction_formula_bit_for_bit():
             assert value.hex() == _fraction_evaluate(element, universe.pair_value).hex()
             checked += not element.is_zero and element.scale != 1
     assert checked > 40
+
+
+def test_evaluate_values_each_distinct_pair_once():
+    # a cross fraction has four distinct pairs, each once; an alpha = 0
+    # bracket of two cross fractions repeats pairs across its terms and in
+    # its denominator, and still takes one value per distinct pair
+    rng = random.Random(8)
+    sol = integrate(veronese_oper(2), 512)
+    points = [sol.point(Fraction(j, 512)) for j in rng.sample(range(512), 8)]
+    calls = []
+
+    def counted(X, x):
+        calls.append((X, x))
+        return sol.pair_value(X, x)
+
+    cf0, cf1 = cross_fraction(*points[:4]), cross_fraction(*points[4:])
+    for element in (cf0, swap_bracket(cf0, cf1, 0)):
+        occurrences = list(element.denominator.pairs)
+        for monomial, _ in element.numerator.terms():
+            occurrences += monomial.pairs
+        calls.clear()
+        value = element.evaluate(counted)
+        assert sorted(calls, key=repr) == sorted(set(occurrences), key=repr)
+        assert value.hex() == element.evaluate(sol.pair_value).hex()
+    assert len(occurrences) > len(set(occurrences))  # the bracket repeats pairs

@@ -366,19 +366,20 @@ def test_batched_holonomies_match_single_calls_bit_for_bit(n, steps):
 
 def test_negative_holonomy_powers_invert_nothing(circle_solution, monkeypatch):
     # H^-m is the m-th power of the inverse holonomy, the last of the
-    # frames' inverses; matrix_power would invert H again on every call
-    power = np.linalg.matrix_power
+    # frames' inverses, built once; no lift inverts a matrix again
+    import swapalg.opers as opers
 
-    def nonnegative_power(a, m):
-        assert m >= 0, "the holonomy is inverted again"
-        return power(a, m)
-
-    monkeypatch.setattr(np.linalg, "matrix_power", nonnegative_power)
     sol = circle_solution
+    sol.frame_inverse(0)  # the frames' inverses, built on first use
+
+    def no_inverse(*args):
+        raise AssertionError("a matrix is inverted again")
+
+    monkeypatch.setattr(opers, "_inverse", no_inverse)
     for m in (-3, -1, 1, 3):
         t = Fraction(100, M) + m
         assert np.max(np.abs(sol.frame_inverse(t) @ sol.frame(t) - np.eye(2))) <= 1e-12
-        want = sol.frames[100] @ power(sol.holonomy, m)
+        want = sol.frames[100] @ np.linalg.matrix_power(sol.holonomy, m)
         assert np.max(np.abs(sol.frame(t) - want)) <= 1e-12
 
 
@@ -460,6 +461,61 @@ def test_coordinate_mod_one_for_trivial_holonomy():
 def test_coordinate_vanishes_on_diagonal(circle_solution):
     t = grid(123)
     assert abs(coordinate_function(circle_solution, t, t)) < 1e-12
+
+
+def _reference_table(sol, lefts, rights):
+    """The pairing table in plain Python floats, every sum k-ascending.
+
+    A lift m multiplies xi by H^m and xi* by H^-m, where H^-1 is the last
+    frame inverse and H^2 is H times H (the squaring of
+    `_holonomy_power`; |m| <= 2 only).
+    """
+    n, steps = sol.oper.order, sol.steps
+    inverses = sol._frame_inverses()
+
+    def ksum(terms):
+        total = terms[0]
+        for term in terms[1:]:
+            total += term
+        return total
+
+    def matmul(a, b):
+        return [[ksum([a[i][k] * b[k][j] for k in range(n)]) for j in range(len(b[0]))]
+                for i in range(len(a))]
+
+    def power(m):
+        h = (sol.holonomy if m > 0 else inverses[steps]).tolist()
+        return h if abs(m) == 1 else matmul(h, h)
+
+    def place(t):
+        return divmod(sol.grid_index(t), steps)
+
+    vectors, covectors = [], []
+    for t in lefts:
+        m, r = place(t)
+        row = [sol.frames[r, 0].tolist()]
+        vectors.append((row if m == 0 else matmul(row, power(m)))[0])
+    for t in rights:
+        m, r = place(t)
+        column = [[v] for v in inverses[r, :, -1].tolist()]
+        column = column if m == 0 else matmul(power(-m), column)
+        covectors.append([v for (v,) in column])
+    return [[ksum([v[k] * w[k] for k in range(n)]) for w in covectors] for v in vectors]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pairing_table_matches_the_plain_reference_bit_for_bit(n):
+    steps = 128
+    coefficients = {2: [(0, 3.0, 0.0), (1, 0.5, -0.25)]}
+    coefficients[n] = coefficients.get(n, []) + [(2, 0.3, 0.2)]
+    sol = integrate(OperSpec(n, coefficients), steps)
+    rng = random.Random(n)
+    lifts = [-2, -1, 0, 1, 2]
+    lefts = [Fraction(rng.randrange(steps), steps) + m for m in lifts]
+    rights = [Fraction(rng.randrange(steps), steps) + m for m in lifts[::-1] + [0]]
+    table = sol.pairing_table(lefts, rights)
+    want = _reference_table(sol, lefts, rights)
+    assert np.array(table).tobytes() == np.array(want).tobytes()
 
 
 # -- cross fractions from coordinates -----------------------------------------------
@@ -560,12 +616,19 @@ def test_ds_crossfraction_bracket_rejects_multivalued():
 
 
 def test_ds_crossfraction_bracket_reads_one_table(circle_solution, monkeypatch):
-    # 4 left by 4 right parameters: 16 pairings, on points of the solution's
-    # own configuration; no configuration is built per bracket
+    # one 4 x 4 pairing table, 4 left by 4 right parameters, on points of
+    # the solution's own configuration; no pairing is taken on its own and
+    # no configuration is built per bracket
     import swapalg.opers as opers
 
-    counts = {"pairings": 0, "configs": 0}
-    pairing, config = opers.coordinate_function, opers.PointConfig
+    counts = {"tables": [], "pairings": 0, "configs": 0}
+    table, pairing, config = (
+        opers.FundamentalSolution.pairing_table, opers.coordinate_function, opers.PointConfig
+    )
+
+    def counted_table(self, lefts, rights):
+        counts["tables"].append((len(lefts), len(rights)))
+        return table(self, lefts, rights)
 
     def counted_pairing(*args, **kwargs):
         counts["pairings"] += 1
@@ -575,16 +638,17 @@ def test_ds_crossfraction_bracket_reads_one_table(circle_solution, monkeypatch):
         counts["configs"] += 1
         return config()
 
+    monkeypatch.setattr(opers.FundamentalSolution, "pairing_table", counted_table)
     monkeypatch.setattr(opers, "coordinate_function", counted_pairing)
     monkeypatch.setattr(opers, "PointConfig", counted_config)
     rng = random.Random(4)
     for _ in range(5):
         idx = rng.sample(range(1, M), 8)
-        counts.update(pairings=0, configs=0)
+        counts.update(tables=[], pairings=0, configs=0)
         ds_crossfraction_bracket(
             circle_solution, tuple(grid(j) for j in idx[:4]), tuple(grid(j) for j in idx[4:])
         )
-        assert counts == {"pairings": 16, "configs": 0}
+        assert counts == {"tables": [(4, 4)], "pairings": 0, "configs": 0}
         positions = {p.position for p in circle_solution.config.points()}
         assert all(grid(j) in positions for j in idx)
 
@@ -716,9 +780,11 @@ def _reference_newton(base, extra, target_sign, stages=(256, 4096), log=None):
     jac = None
     for steps in stages:
         r = residual(u, steps)
-        for step in range(25):
+        for step in range(26):
             if np.max(np.abs(r)) < 1e-12:
                 break
+            if step == 25:
+                raise SwapAlgError("holonomy search did not converge")
             if step == 0 and jac is not None:
                 trial = u - np.linalg.solve(jac, r)
                 r_trial = residual(trial, steps)
@@ -732,8 +798,6 @@ def _reference_newton(base, extra, target_sign, stages=(256, 4096), log=None):
             )
             u = u - np.linalg.solve(jac, r)
             r = residual(u, steps)
-        else:
-            raise SwapAlgError("holonomy search did not converge")
     return build(u)
 
 
@@ -751,6 +815,23 @@ def test_newton_search_matches_the_afresh_reference_bit_for_bit():
         got = solve_trivial_holonomy(base, extra, -1, stages=(1024, 4096))
         want = _reference_newton(base, extra, -1, stages=(1024, 4096))
         assert got.coefficients[2] == want.coefficients[2]
+
+
+def test_a_search_that_converges_on_its_25th_step_is_kept():
+    # both first grids take all 25 steps and land below 1e-12 on the last
+    # one (7.8e-16 at 1024 steps, 8.3e-15 at 512); a residual tested only
+    # before each step refused them
+    extra = [
+        (2, -23.593270507450054, 20.667532803970175),
+        (3, 6.988340443035568, -20.372329448440993),
+    ]
+    for stages in ((1024, 4096), (512, 4096)):
+        oper = solve_trivial_holonomy(veronese_oper(2), extra, -1, stages=stages)
+        assert oper.coefficients[2] == _reference_newton(
+            veronese_oper(2), extra, -1, stages=stages
+        ).coefficients[2]
+        sol = integrate(oper, 4096)
+        assert np.max(np.abs(sol.holonomy + np.eye(2))) <= 1e-12
 
 
 def _batch_size(table):
