@@ -8,12 +8,14 @@ pairs with nonzero integer exponents) with exact rational coefficients,
 stored in one integer form: a nonzero integer numerator per monomial over
 one positive integer denominator, with gcd 1 over them all; zero is the
 empty sum over 1.  Equality is therefore syntactic, and needs no order.
+Only this module touches that form; `BalancedFraction` builds it too.
 Canonical order (pairs by left point, then right point, in the
 configuration's position order; terms by degree, then pairs) is applied
 only where an element is read out: printing, `terms()`, the fraction views
-and `evaluate`, which are also the only places where coefficients become
-`Fraction`s.  It compares the points' order keys (`CirclePoint.order_key`),
-which order them as their positions do.
+and `evaluate` all read one ranking, `AlgebraElement._ranked`, which sorts
+the distinct pairs once by the points' order keys (`CirclePoint.order_key`,
+in position order) and the terms by degree and their pairs' ranks.  These
+are the only places where coefficients become `Fraction`s.
 
 Polynomials are the elements without negative exponents.  Every other
 element is a reduced fraction: a polynomial numerator over the monomial
@@ -155,12 +157,6 @@ def _ratio(value) -> tuple[int, int]:
     raise TypeError(f"expected an exact rational scalar, got {type(value).__name__}")
 
 
-def _canonical_order(term):
-    """Sort key of a polynomial term: degree, then its pairs' order keys."""
-    pairs = sorted((X.order_key, x.order_key) for (X, x), e in term[0] for _ in range(e))
-    return len(pairs), pairs
-
-
 def _element(config: PointConfig, numerators: dict, denominator: int = 1) -> "AlgebraElement":
     """The element sum(n m) / denominator, from its normal form: nonzero
     integer numerators, a positive denominator, and gcd 1 over them all."""
@@ -218,36 +214,42 @@ class AlgebraElement:
 
     # -- inspection ---------------------------------------------------
 
-    def _split(self):
-        """The reduced fraction: (numerator terms, denominator, content).
+    def _ranked(self):
+        """The reduced fraction, ranked: (pairs, cleared, terms, content).
 
-        The denominator is the smallest monomial clearing every negative
-        exponent, so no pair divides it and all numerator monomials at
-        once.  Numerator terms come in canonical order, by (degree, pair
-        keys), with their integer numerators over `_denominator`; the
-        content is the gcd of those integers, signed like the leading
-        term, and 0 for the zero element.
+        `pairs` are the distinct pairs in canonical order; a pair's rank is
+        its index, and ranks order pairs as their order keys do.
+        `cleared[i]` is the exponent of pairs[i] in the denominator, the
+        smallest monomial clearing every negative exponent.  A numerator
+        term is (degree, ranks, n, m): the sorted ranks of m * denominator
+        with multiplicity, m's integer numerator over `_denominator`, and
+        m.  Terms sort on (degree, ranks), which is canonical order.  The
+        content is the gcd of the integers, signed like the leading term,
+        and 0 for the zero element.
         """
-        if not self._numerators:
-            return [], ONE, 0
         lowest: dict[GeneratorPair, int] = {}
         for m in self._numerators:
             for p, e in m:
-                if e < lowest.get(p, 0):
+                if e < lowest.setdefault(p, 0):
                     lowest[p] = e
-        denominator = Monomial._from_exponents({p: -e for p, e in lowest.items()})
-        terms = sorted(
-            ((m * denominator, n) for m, n in self._numerators.items()),
-            key=_canonical_order,
-        )
-        content = gcd(*(n for _, n in terms))
-        return terms, denominator, -content if terms[0][1] < 0 else content
+        pairs = sorted(lowest, key=_pair_order)
+        rank = dict(zip(pairs, range(len(pairs))))
+        cleared = [-lowest[p] for p in pairs]
+        terms = []
+        for m, n in self._numerators.items():
+            exponents = cleared.copy()
+            for p, e in m:
+                exponents[rank[p]] += e
+            ranks = [i for i, e in enumerate(exponents) for _ in range(e)]
+            terms.append((len(ranks), ranks, n, m))
+        terms.sort()  # (degree, ranks) never ties, so n and m are never compared
+        content = gcd(*(n for _, _, n, _ in terms))
+        return pairs, cleared, terms, -content if terms and terms[0][2] < 0 else content
 
     def terms(self):
         """Terms in canonical order, as (monomial, coefficient) pairs."""
-        terms, denominator, _ = self._split()
-        inverse = denominator.inverse()
-        return [(m * inverse, Fraction(n, self._denominator)) for m, n in terms]
+        _, _, terms, _ = self._ranked()
+        return [(m, Fraction(n, self._denominator)) for _, _, n, m in terms]
 
     @property
     def is_zero(self) -> bool:
@@ -263,17 +265,19 @@ class AlgebraElement:
     @property
     def numerator(self) -> "AlgebraElement":
         """The numerator of the reduced fraction, a polynomial of content one."""
-        terms, _, content = self._split()
-        return _element(self.config, {m: n // content for m, n in terms})
+        pairs, cleared, terms, content = self._ranked()
+        denominator = Monomial._from_exponents(dict(zip(pairs, cleared)))
+        return _element(self.config, {m * denominator: n // content for _, _, n, m in terms})
 
     @property
     def denominator(self) -> Monomial:
-        return self._split()[1]
+        pairs, cleared, _, _ = self._ranked()
+        return Monomial._from_exponents(dict(zip(pairs, cleared)))
 
     @property
     def scale(self) -> Fraction:
         """The content: self = scale * numerator / denominator."""
-        return Fraction(self._split()[2], self._denominator)
+        return Fraction(self._ranked()[3], self._denominator)
 
     # -- ring operations ----------------------------------------------
 
@@ -370,25 +374,28 @@ class AlgebraElement:
     def __repr__(self):
         if self.is_zero:
             return "0"
-        terms, denominator, content = self._split()
+        pairs, cleared, terms, content = self._ranked()
+        names = [repr(p) for p in pairs]
         parts = []
-        for m, n in terms:
+        for degree, ranks, n, _ in terms:
             c = Fraction(n, self._denominator)
-            if m.degree == 0:
+            monomial = "*".join(names[i] for i in ranks)
+            if degree == 0:
                 parts.append(str(c))
             elif c == 1:
-                parts.append(repr(m))
+                parts.append(monomial)
             elif c == -1:
-                parts.append(f"-{m!r}")
+                parts.append(f"-{monomial}")
             else:
-                parts.append(f"{c} {m!r}")
+                parts.append(f"{c} {monomial}")
         num = " + ".join(parts).replace("+ -", "- ")
-        if denominator.degree == 0:
+        degree = sum(cleared)
+        if degree == 0:
             return num
         if len(terms) > 1 or content != self._denominator:
             num = f"({num})"
-        den = repr(denominator)
-        if denominator.degree > 1:
+        den = "*".join(names[i] for i, e in enumerate(cleared) for _ in range(e))
+        if degree > 1:
             den = f"({den})"
         return f"{num} / {den}"
 
@@ -399,61 +406,54 @@ class AlgebraElement:
 
         Only balanced elements are scale-free under the per-point scale
         ambiguity of the backends, so unbalanced input is rejected.  The
-        value is scale * numerator / denominator, summed in canonical
-        order: the reduced fraction of `_split`, found in one pass that
-        also checks balance (as `is_balanced` does).  The element's
-        distinct pairs are ranked once in canonical order, and
-        `pair_value` is called once for each; a numerator term is then
-        the sorted list of its pairs' ranks, which is both its
-        canonical-order key and the order of its product.
+        value is scale * numerator / denominator of the ranked read-out:
+        `pair_value` is called once per distinct pair, in rank order, and
+        each product multiplies the values in rank order; the numerator
+        terms are summed in canonical order.
         """
-        # every pair of the element, with its lowest exponent or 0
-        lowest: dict[GeneratorPair, int] = {}
-        for m in self._numerators:
-            left: dict[CirclePoint, int] = {}
-            right: dict[CirclePoint, int] = {}
-            for p, e in m:
-                left[p[0]] = left.get(p[0], 0) + e
-                right[p[1]] = right.get(p[1], 0) + e
-                if e < lowest.setdefault(p, 0):
-                    lowest[p] = e
-            if any(left.values()) or any(right.values()):
-                raise EvaluationError("scale-dependent: fraction is not balanced")
-        if not self._numerators:
-            return 0.0
-        # ranks order the pairs as their order keys do, since distinct
-        # pairs of one configuration have distinct keys
-        pairs = sorted(lowest, key=_pair_order)
-        rank = dict(zip(pairs, range(len(pairs))))
+        if not is_balanced(self):
+            raise EvaluationError("scale-dependent: fraction is not balanced")
+        pairs, cleared, terms, content = self._ranked()
         values = [pair_value(*p) for p in pairs]
-        # the denominator monomial: its exponent of each pair, by rank
-        cleared = [-lowest[p] for p in pairs]
         den = 1.0
-        for i, e in enumerate(cleared):
+        for v, e in zip(values, cleared):
             for _ in range(e):
-                den *= values[i]
+                den *= v
         if den == 0.0:
             raise EvaluationError("degenerate evaluation: denominator vanishes")
-        terms = []
-        for m, n in self._numerators.items():
-            # the numerator monomial: m times the denominator monomial
-            exponents = cleared.copy()
-            for p, e in m:
-                exponents[rank[p]] += e
-            ranks = [i for i, e in enumerate(exponents) for _ in range(e)]
-            terms.append((len(ranks), ranks, n))
-        terms.sort()  # (degree, ranks) never ties, so n is never compared
-        content = gcd(*(n for _, _, n in terms))
-        if terms[0][2] < 0:
-            content = -content
         num = 0.0
-        for _, ranks, n in terms:
+        for _, ranks, n, _ in terms:
             v = float(n // content)
             for i in ranks:
                 v *= values[i]
             num += v
         # int / int rounds the exact quotient once, as float(Fraction) does
         return content / self._denominator * num / den
+
+
+class BalancedFraction(AlgebraElement):
+    """The element scale * numerator / denominator.
+
+    A constructor only: the value is an ordinary Laurent element, and its
+    reduced numerator, denominator and scale are views of every element.
+    It keeps the numerator's integers and denominator (times the scale's,
+    when the scale is not 1) and divides each monomial by `denominator`,
+    which must be over the numerator's configuration.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, numerator: AlgebraElement, denominator: Monomial = ONE, scale=1):
+        config = numerator.config
+        if any(X.config is not config for (X, _), _ in denominator):
+            raise ConfigMismatchError("denominator over a different configuration")
+        scale = Fraction(scale)
+        if scale != 1:
+            numerator = numerator * scale
+        inverse = denominator.inverse()
+        self.config = config
+        self._numerators = {m * inverse: n for m, n in numerator._numerators.items()}
+        self._denominator = numerator._denominator
 
 
 def is_balanced(f: AlgebraElement) -> bool:

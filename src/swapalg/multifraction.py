@@ -4,10 +4,10 @@ Every object of interest here (cross fractions, multi fractions,
 elementary functions, and their brackets) is a polynomial numerator over a
 coefficient-one monomial denominator, that is, a Laurent polynomial in the
 pair generators.  They are ordinary `AlgebraElement` values, compared
-syntactically and bracketed by `swap_bracket`.  `BalancedFraction` only
-builds one, from a numerator, a denominator monomial and a scale; zero, one
-and scalars come from `AlgebraElement.zero`, `one` and `scalar`.  The
-reduced form (common pairs cancelled, content pulled out as the scale and
+syntactically and bracketed by `swap_bracket`.  `BalancedFraction` (from
+`algebra`) only builds one, from a numerator, a denominator monomial and a
+scale; zero, one and scalars come from `AlgebraElement.zero`, `one` and
+`scalar`.  The reduced form (common pairs cancelled, content pulled out as the scale and
 signed like the leading numerator term) is a view of every element.
 
 A *cross fraction* is [X; Y; x; y] = Xx.Yy / (Yx.Xy), and a *multi
@@ -26,13 +26,11 @@ is synthetic.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from .algebra import (
-    ONE,
     AlgebraElement,
+    BalancedFraction,  # re-exported: the constructor of fractions
     GeneratorPair,
     Monomial,
     generator,
@@ -40,33 +38,8 @@ from .algebra import (
     swap_bracket,
 )
 from .circle import CirclePoint, PointConfig, ensure_same_config, linking_number
-from .errors import ConfigMismatchError, DegenerateFractionError, SwapAlgError
+from .errors import DegenerateFractionError, EvaluationError, SwapAlgError
 from .words import Word, canonical_class, invert_word, parse_word, word_text
-
-
-class BalancedFraction(AlgebraElement):
-    """The element scale * numerator / denominator.
-
-    A constructor only: the value is an ordinary Laurent element, and its
-    reduced numerator, denominator and scale are views of every element.
-    It keeps the numerator's integers and denominator (times the scale's,
-    when the scale is not 1) and divides each monomial by `denominator`,
-    which must be over the numerator's configuration.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, numerator: AlgebraElement, denominator: Monomial = ONE, scale=1):
-        config = numerator.config
-        if any(X.config is not config for (X, _), _ in denominator):
-            raise ConfigMismatchError("denominator over a different configuration")
-        scale = Fraction(scale)
-        if scale != 1:
-            numerator = numerator * scale
-        inverse = denominator.inverse()
-        self.config = config
-        self._numerators = {m * inverse: n for m, n in numerator._numerators.items()}
-        self._denominator = numerator._denominator
 
 
 # -- cross and multi fractions ---------------------------------------------
@@ -300,18 +273,28 @@ def chi(universe, X, x) -> float:
     """det of the cross-ratio matrix [X_i; X_0; x_j; x_0], i, j >= 1.
 
     Vanishes for (n+2)-tuples and not for (n+1)-tuples on an
-    n-dimensional representation or an order-n operator.
+    n-dimensional representation or an order-n operator.  The values
+    F[i][j] of the pairs X_i x_j are taken once, as one table; a point
+    paired with itself is the zero generator, 0.0, and the universe is not
+    asked for it.  Entry (i, j) is F[i][j] F[0][0] / (F[0][j] F[i][0]), the
+    value `evaluate` gives the cross fraction.
     """
     X, x = list(X), list(x)
     if len(X) != len(x) or len(X) < 2:
         raise SwapAlgError("need two tuples of equal length >= 2")
     p = len(X) - 1
-    if len(set(X[1:])) < p or len(set(x[1:])) < p:
+    if len(set(X)) <= p or len(set(x)) <= p:
         raise SwapAlgError("tuple entries must be distinct")
     if x[0] in X[1:] or X[0] in x[1:]:
         raise SwapAlgError("tuple entries collide with the base points")
-    value = lambda i, j: cross_fraction(X[i], X[0], x[j], x[0]).evaluate(universe.pair_value)
-    entries = np.array([[value(i, j) for j in range(1, p + 1)] for i in range(1, p + 1)])
+    F = [[0.0 if Y is y else universe.pair_value(Y, y) for y in x] for Y in X]
+    entries = np.empty((p, p))
+    for i in range(1, p + 1):
+        for j in range(1, p + 1):
+            den = F[0][j] * F[i][0]
+            if den == 0.0:
+                raise EvaluationError("degenerate evaluation: denominator vanishes")
+            entries[i - 1, j - 1] = F[i][j] * F[0][0] / den
     return float(np.linalg.det(entries))
 
 

@@ -205,7 +205,8 @@ class FundamentalSolution:
     """
 
     __slots__ = (
-        "oper", "steps", "frames", "_inverses", "holonomy", "holonomy_kind", "det_drift", "config"
+        "oper", "steps", "frames", "_inverses", "holonomy", "holonomy_kind", "det_drift", "config",
+        "_points",
     )
 
     def __init__(self, oper: OperSpec, steps: int, frames: np.ndarray):
@@ -214,6 +215,7 @@ class FundamentalSolution:
         self.frames = frames
         self._inverses = None
         self.config = PointConfig()
+        self._points: dict[int, CirclePoint] = {}
         self.holonomy = frames[steps].copy()
         self.holonomy_kind = _classify_holonomy(self.holonomy)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -300,9 +302,13 @@ class FundamentalSolution:
         return [[_dot(v, w) for w in covectors] for v in vectors]
 
     def point(self, t) -> CirclePoint:
-        """Grid parameter t's point in `config`, shared by all its lifts."""
+        """Grid parameter t's point in `config`, shared by all its lifts;
+        made the first time its grid index r is seen."""
         r = self.grid_index(t) % self.steps
-        return self.config.point(f"t{r}", Fraction(r, self.steps))
+        point = self._points.get(r)
+        if point is None:
+            point = self._points[r] = self.config.point(f"t{r}", Fraction(r, self.steps))
+        return point
 
     def pair_value(self, X: CirclePoint, x: CirclePoint) -> float:
         """F_{X,x} at the points' positions, a 1 x 1 table; needs trivial

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from swapalg.algebra import (
     AlgebraElement,
-    _canonical_order,
     GeneratorPair,
     Monomial,
     generator,
@@ -19,6 +18,7 @@ from swapalg.circle import PointConfig, default_cut, linking_number
 from swapalg.errors import ConfigMismatchError, SwapAlgError
 from swapalg.multifraction import BalancedFraction, cross_fraction, multi_fraction
 from swapalg.opers import integrate, veronese_oper
+from swapalg.parser import parse_expression
 from swapalg.representation import Representation
 from swapalg.verify import _random_config, random_hyperbolic_sl2
 
@@ -467,6 +467,12 @@ def test_integer_form_matches_fraction_reference_model(alpha):
     assert nonzero > 40
 
 
+def _canonical_order(term):
+    """Sort key of a polynomial term: degree, then its pairs' order keys."""
+    pairs = sorted((X.order_key, x.order_key) for (X, x), e in term[0] for _ in range(e))
+    return len(pairs), pairs
+
+
 def _fraction_evaluate(element, pair_value):
     """`evaluate` with `Fraction` coefficients: each numerator term's
     coefficient c as float(c / content), summed in canonical order, times
@@ -543,3 +549,47 @@ def test_evaluate_values_each_distinct_pair_once():
         assert sorted(calls, key=repr) == sorted(set(occurrences), key=repr)
         assert value.hex() == element.evaluate(sol.pair_value).hex()
     assert len(occurrences) > len(set(occurrences))  # the bracket repeats pairs
+
+
+def _reference_read_out(element):
+    """`terms()` and `repr` as the fraction model and a sort on
+    `_canonical_order` give them."""
+    numer, denominator, _ = _model_fraction(_model(element))
+    ordered = sorted(numer.items(), key=_canonical_order)
+    terms = [(m * denominator.inverse(), c) for m, c in ordered]
+    if not ordered:
+        return terms, "0"
+    parts = []
+    for m, c in ordered:
+        if m.degree == 0:
+            parts.append(str(c))
+        elif c in (1, -1):
+            parts.append(f"{'-' if c < 0 else ''}{m!r}")
+        else:
+            parts.append(f"{c} {m!r}")
+    text = " + ".join(parts).replace("+ -", "- ")
+    if denominator.degree == 0:
+        return terms, text
+    if len(ordered) > 1 or ordered[0][1] != 1:
+        text = f"({text})"
+    den = repr(denominator)
+    return terms, f"{text} / ({den})" if denominator.degree > 1 else f"{text} / {den}"
+
+
+def test_ranked_read_out_matches_the_canonical_order_reference():
+    rng = random.Random(22)
+    seen = {"squared": 0, "scalar": 0, "den_degree_2": 0, "negative_lead": 0}
+    for _ in range(40):
+        config, points = _random_config(rng, 6, denominator=101)
+        a, b = _laurent(rng, points), _laurent(rng, points)
+        f = cross_fraction(*rng.sample(points, 4))
+        for element in (a, b, a * b - 3, Fraction(-2, 7) * f * f + Fraction(5, 3), swap_bracket(f, a, 0), -a):
+            terms, text = _reference_read_out(element)
+            assert element.terms() == terms
+            assert repr(element) == text
+            assert parse_expression(text, config) == element
+            seen["squared"] += any(e == 2 for m, _ in element.numerator.terms() for _, e in m)
+            seen["scalar"] += any(m.degree == 0 for m, _ in element.numerator.terms())
+            seen["den_degree_2"] += element.denominator.degree >= 2
+            seen["negative_lead"] += text.lstrip("(").startswith("-")
+    assert min(seen.values()) > 10, seen

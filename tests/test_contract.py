@@ -5,6 +5,7 @@ one means editing the lists below.
 """
 
 import argparse
+from pathlib import Path
 
 import swapalg
 from swapalg.cli import _build_arg_parser
@@ -42,3 +43,13 @@ def test_cli_verbs_are_pinned():
     parser = _build_arg_parser()
     (verbs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     assert set(verbs.choices) == VERBS
+
+
+def test_only_algebra_knows_the_integer_normal_form():
+    package = Path(swapalg.__file__).parent
+    knowing = sorted(
+        path.name
+        for path in package.glob("*.py")
+        if "_numerators" in path.read_text() or "_denominator" in path.read_text()
+    )
+    assert knowing == ["algebra.py"]

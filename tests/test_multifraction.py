@@ -1,15 +1,17 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from swapalg.algebra import AlgebraElement, generator
 from swapalg.circle import PointConfig
-from swapalg.errors import DegenerateFractionError, SwapAlgError
+from swapalg.errors import DegenerateFractionError, EvaluationError, SwapAlgError
 from swapalg.multifraction import (
     BalancedFraction,
     SymbolicWords,
     birelem_identity,
+    chi,
     cross_fraction,
     elementary,
     elementary_bracket_closed_form,
@@ -21,7 +23,9 @@ from swapalg.multifraction import (
     multi_fraction,
     wolpert_rhs,
 )
-from swapalg.verify import _random_config
+from swapalg.opers import integrate, veronese_oper
+from swapalg.representation import Representation, symmetric_square
+from swapalg.verify import _random_config, random_hyperbolic_sl2
 
 
 def fresh_words(rng, labels, denominator=499):
@@ -423,3 +427,77 @@ def test_bracket_agrees_with_quotient_rule():
             )
             got = fraction_bracket(f, g, alpha) * d1 * d1 * d2 * d2
             assert got == expected
+
+
+# -- the rank test chi -------------------------------------------------------
+
+
+def _symbolic_chi(universe, X, x):
+    """chi as p^2 symbolic cross fractions, each evaluated on its own."""
+    p = len(X) - 1
+    value = lambda i, j: cross_fraction(X[i], X[0], x[j], x[0]).evaluate(universe.pair_value)
+    return float(np.linalg.det(np.array([[value(i, j) for j in range(1, p + 1)] for i in range(1, p + 1)])))
+
+
+class _Stubbed:
+    """A universe whose pair values are another's, except for `stub`."""
+
+    def __init__(self, universe, stub):
+        self.universe, self.stub = universe, stub
+
+    def pair_value(self, X, x):
+        return self.stub.get((X, x), self.universe.pair_value(X, x))
+
+
+def _chi_universes():
+    rng = random.Random(22)
+    pair = Representation(
+        {"a": random_hyperbolic_sl2(rng, low=1.3), "b": random_hyperbolic_sl2(rng, low=1.3)}
+    )
+    pair_points = [pair.fixed_point(w, s) for w in ("a", "b", "a b") for s in (1, -1)]
+    pair_points += [pair.boundary_point(t) for t in (-3.0, -1.25, -0.5, 0.0, 0.75, 2.0, None)]
+    rng = random.Random(1)
+    square = Representation(
+        {g: symmetric_square(random_hyperbolic_sl2(rng, low=1.3)) for g in ("a", "b")}
+    )
+    square_points = [square.fixed_point(w, s) for w in ("a", "b", "a b", "a b'", "a a b") for s in (1, -1)]
+    yield pair, pair_points
+    yield square, square_points
+    for oper, steps in ((veronese_oper(2), 1024), (veronese_oper(3), 512)):
+        sol = integrate(oper, steps)
+        yield sol, [sol.point(Fraction(j, steps)) for j in rng.sample(range(steps), 12)]
+
+
+def _chi_tuples(rng, points, p):
+    """Tuples chi accepts: X_i may be x_j for i, j >= 1, and X_0 may be x_0."""
+    X = rng.sample(points, p + 1)
+    x0 = rng.choice([q for q in points if q not in X[1:]])
+    rest = [q for q in points if q is not X[0] and q is not x0]
+    return X, [x0] + rng.sample(rest, p)
+
+
+def test_chi_equals_the_symbolic_cross_fractions_bit_for_bit():
+    rng = random.Random(7)
+    shared = base_shared = 0
+    for universe, points in _chi_universes():
+        for _ in range(40):
+            X, x = _chi_tuples(rng, points, rng.choice([1, 2, 3]))
+            assert chi(universe, X, x).hex() == _symbolic_chi(universe, X, x).hex()
+            shared += any(Y is y for Y in X[1:] for y in x[1:])
+            base_shared += X[0] is x[0]
+    assert shared > 20 and base_shared > 0
+
+
+def test_chi_on_vanishing_pair_values_matches_the_symbolic_cross_fractions():
+    universe, points = next(_chi_universes())
+    X, x = points[:4], points[4:8]
+    # a vanishing denominator raises, as evaluating the cross fraction does
+    zeroed = _Stubbed(universe, {(X[0], x[2]): 0.0})
+    for route in (chi, _symbolic_chi):
+        with pytest.raises(EvaluationError, match="denominator vanishes"):
+            route(zeroed, X, x)
+    # a vanishing numerator value gives the same zero, of either sign
+    for zero in (0.0, -0.0):
+        zeroed = _Stubbed(universe, {(X[1], x[1]): zero})
+        for p in (1, 3):
+            assert chi(zeroed, X[: p + 1], x[: p + 1]).hex() == _symbolic_chi(zeroed, X[: p + 1], x[: p + 1]).hex()

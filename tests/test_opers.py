@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from swapalg.circle import PointConfig
 from swapalg.errors import EvaluationError, SwapAlgError
 from swapalg.multifraction import chi
 from swapalg.opers import (
@@ -685,6 +686,25 @@ def test_universe_refuses_multivalued_solutions():
         sol.pair_value(pts[0], pts[1])
     with pytest.raises(EvaluationError, match="multivalued"):
         chi(sol, pts[:3], pts[3:])
+
+
+def test_a_grid_point_is_made_once(monkeypatch):
+    sol = integrate(veronese_oper(2), 128)
+    made = []
+    place = PointConfig.point
+
+    def counted(config, label, position):
+        made.append(label)
+        return place(config, label, position)
+
+    monkeypatch.setattr(PointConfig, "point", counted)
+    first = sol.point(Fraction(5, 128))
+    assert made == ["t5"]
+    for t in (Fraction(5, 128), Fraction(133, 128), Fraction(-123, 128), 5 / 128, 2 + 5 / 128):
+        assert sol.point(t) is first
+    assert made == ["t5"]
+    sol.point(Fraction(6, 128))
+    assert made == ["t5", "t6"]
 
 
 def test_points_are_shared_by_lifts_and_pair_values_are_coordinates(circle_solution):

@@ -349,9 +349,14 @@ def test_chi_single_entry_is_cross_ratio():
 
 def test_chi_validates_tuples():
     rep = two_generator_rep()
-    pts = [rep.boundary_point(t) for t in (-2.0, -0.5, 0.5, 2.0)]
+    pts = [rep.boundary_point(t) for t in (-2.0, -0.5, 0.5, 2.0, -1.0, 1.0)]
     with pytest.raises(SwapAlgError):
         rep.chi([pts[0], pts[1], pts[1]], [pts[2], pts[3], pts[0]])
+    # a base point repeated among its own tuple's entries
+    with pytest.raises(SwapAlgError, match="distinct"):
+        rep.chi([pts[0], pts[0], pts[1]], [pts[2], pts[3], pts[4]])
+    with pytest.raises(SwapAlgError, match="distinct"):
+        rep.chi([pts[0], pts[1], pts[5]], [pts[2], pts[2], pts[4]])
 
 
 # -- the length-bracket cross-check ------------------------------------------------------
