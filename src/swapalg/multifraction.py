@@ -274,10 +274,10 @@ def chi(universe, X, x) -> float:
 
     Vanishes for (n+2)-tuples and not for (n+1)-tuples on an
     n-dimensional representation or an order-n operator.  The values
-    F[i][j] of the pairs X_i x_j are taken once, as one table; a point
-    paired with itself is the zero generator, 0.0, and the universe is not
-    asked for it.  Entry (i, j) is F[i][j] F[0][0] / (F[0][j] F[i][0]), the
-    value `evaluate` gives the cross fraction.
+    F[i][j] of the pairs X_i x_j are taken once, as one table, all from
+    the universe (a point paired with itself is 0.0 there).  Entry (i, j)
+    is F[i][j] F[0][0] / (F[0][j] F[i][0]), the value `evaluate` gives the
+    cross fraction.
     """
     X, x = list(X), list(x)
     if len(X) != len(x) or len(X) < 2:
@@ -287,7 +287,7 @@ def chi(universe, X, x) -> float:
         raise SwapAlgError("tuple entries must be distinct")
     if x[0] in X[1:] or X[0] in x[1:]:
         raise SwapAlgError("tuple entries collide with the base points")
-    F = [[0.0 if Y is y else universe.pair_value(Y, y) for y in x] for Y in X]
+    F = [[universe.pair_value(Y, y) for y in x] for Y in X]
     entries = np.empty((p, p))
     for i in range(1, p + 1):
         for j in range(1, p + 1):

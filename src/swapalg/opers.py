@@ -312,9 +312,10 @@ class FundamentalSolution:
 
     def pair_value(self, X: CirclePoint, x: CirclePoint) -> float:
         """F_{X,x} at the points' positions, a 1 x 1 table; needs trivial
-        holonomy."""
+        holonomy.  A point paired with itself is exactly 0.0."""
         _require_trivial(self)
-        return self.pairing_table((X.position,), (x.position,))[0][0]
+        ((value,),) = self.pairing_table((X.position,), (x.position,))
+        return 0.0 if X is x else value
 
 
 def _require_grid(order: int, steps: int, batch: int = 1) -> None:

@@ -366,7 +366,7 @@ class Representation:
             dxx = self._points[x]
         except KeyError:
             raise EvaluationError("point was not registered with this representation")
-        return float(dxx.hyperplane @ dx.vector)
+        return 0.0 if X is x else float(dxx.hyperplane @ dx.vector)
 
     def eval_fraction(self, fraction: AlgebraElement) -> float:
         return fraction.evaluate(self.pair_value)

@@ -13,6 +13,7 @@ on them.
 from __future__ import annotations
 
 import inspect
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -60,12 +61,27 @@ SIX_POINT_MAX_POINTS = 10  # the six-point suite enumerates n^6 sextuples
 
 @dataclass
 class CheckRow:
+    """One checked law and the samples fed to it: an exact row counts its
+    failed samples (`fail`) or holds one exact deviation, a numeric row
+    keeps its largest deviation (`see`)."""
+
     name: str
     law: str
-    deviation: object  # Fraction (exact rows) or float
+    deviation: object  # Fraction or int (exact rows) or float
     bound: object  # 0 for exact rows, else a float tolerance
-    passed: bool
     detail: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return abs(self.deviation) <= self.bound  # false for NaN
+
+    def fail(self, failed) -> None:
+        if failed:
+            self.deviation += 1
+
+    def see(self, *deviations) -> None:
+        """Keep the largest deviation; a NaN sample is kept and fails the row."""
+        self.deviation = float(np.max([self.deviation, *deviations]))
 
 
 @dataclass
@@ -79,16 +95,16 @@ class SuiteReport:
     def passed(self) -> bool:
         return all(row.passed for row in self.rows)
 
-    def exact(self, name, law, deviation, detail=""):
-        self.rows.append(CheckRow(name, law, deviation, 0, deviation == 0, detail))
+    def exact(self, name, law, deviation=0, detail="") -> CheckRow:
+        self.rows.append(row := CheckRow(name, law, deviation, 0, detail))
+        return row
 
-    def within(self, name, law, deviation, bound, detail=""):
-        self.rows.append(
-            CheckRow(name, law, float(deviation), float(bound), float(deviation) <= float(bound), detail)
-        )
+    def within(self, name, law, bound, detail="") -> CheckRow:
+        self.rows.append(row := CheckRow(name, law, 0.0, float(bound), detail))
+        return row
 
     def holds(self, name, law, ok, detail=""):
-        self.rows.append(CheckRow(name, law, 0 if ok else 1, 0, bool(ok), detail))
+        self.exact(name, law, 0 if ok else 1, detail)
 
     def render(self) -> str:
         lines = [f"suite: {self.suite}" + (f"   seed: {self.seed}" if self.seed is not None else "")]
@@ -122,10 +138,6 @@ class SuiteReport:
 
 
 def _format_quantity(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return f"{value:.3e}"
     return str(value)
@@ -235,13 +247,17 @@ def suite_linking_axioms(grid: int = 10, points=None) -> SuiteReport:
         detail="all injective quadruples",
     )
 
-    worst_cut = 0
     ps = sorted(p.position for p in points)
     # gap midpoints; a lone point's gap is the whole circle
     cuts = [
         (ps[i] + ((ps[(i + 1) % n] - ps[i]) % 1 or Fraction(1)) / 2) % 1
         for i in range(min(3, n))
     ]
+    cut_invariance = report.exact(
+        "cut-invariance",
+        "linking numbers agree for every valid cut",
+        detail=f"400 quadruples x {len(cuts) + 1} cuts",
+    )
     rng = random.Random(0)
     for _ in range(400):
         a, b, c, d = (rng.randrange(n) for _ in range(4))
@@ -249,14 +265,7 @@ def suite_linking_axioms(grid: int = 10, points=None) -> SuiteReport:
             linking_number(points[a], points[b], points[c], points[d], cut=u) for u in cuts
         }
         values.add(linking_number(points[a], points[b], points[c], points[d]))
-        if len(values) != 1:
-            worst_cut += 1
-    report.exact(
-        "cut-invariance",
-        "linking numbers agree for every valid cut",
-        worst_cut,
-        detail=f"400 quadruples x {len(cuts) + 1} cuts",
-    )
+        cut_invariance.fail(len(values) != 1)
     return report
 
 
@@ -330,40 +339,33 @@ def suite_jacobi(seed: int = DEFAULT_SEED, count: int = 1000) -> SuiteReport:
     report = SuiteReport("jacobi", seed)
     rng = random.Random(seed)
     alphas = (Fraction(0), Fraction(1), Fraction(-1, 4))
-    failures = {alpha: 0 for alpha in alphas}
-    antisym_failures = 0
-    degree_failures = 0
+    jacobi = {
+        alpha: report.exact(
+            f"jacobi-alpha-{alpha}",
+            "Jacobi identity: {{a,b},c} + {{b,c},a} + {{c,a},b} = 0",
+            detail=f"{count} triples",
+        )
+        for alpha in alphas
+    }
+    antisymmetry = report.exact(
+        "antisymmetry",
+        "bracket antisymmetry: {a,b} + {b,a} = 0",
+        detail=f"{count} pairs",
+    )
+    degree = report.exact(
+        "degree",
+        "bracket of degree-p and degree-q terms is homogeneous of degree p+q",
+    )
     for _ in range(count):
         config, points = _random_config(rng, 12)
         a = _random_pair(rng, points)
         b = _random_pair(rng, points)
         c = _random_pair(rng, points)
         for alpha in alphas:
-            if not jacobiator(a, b, c, alpha).is_zero:
-                failures[alpha] += 1
+            jacobi[alpha].fail(not jacobiator(a, b, c, alpha).is_zero)
         bracket = swap_bracket(a, b, alphas[2])
-        if not (bracket + swap_bracket(b, a, alphas[2])).is_zero:
-            antisym_failures += 1
-        if not bracket.is_zero and bracket.degrees() != {2}:
-            degree_failures += 1
-    for alpha in alphas:
-        report.exact(
-            f"jacobi-alpha-{alpha}",
-            "Jacobi identity: {{a,b},c} + {{b,c},a} + {{c,a},b} = 0",
-            failures[alpha],
-            detail=f"{count} triples",
-        )
-    report.exact(
-        "antisymmetry",
-        "bracket antisymmetry: {a,b} + {b,a} = 0",
-        antisym_failures,
-        detail=f"{count} pairs",
-    )
-    report.exact(
-        "degree",
-        "bracket of degree-p and degree-q terms is homogeneous of degree p+q",
-        degree_failures,
-    )
+        antisymmetry.fail(not (bracket + swap_bracket(b, a, alphas[2])).is_zero)
+        degree.fail(not bracket.is_zero and bracket.degrees() != {2})
     return report
 
 
@@ -371,30 +373,24 @@ def suite_alpha_independence(seed: int = DEFAULT_SEED, count: int = 500) -> Suit
     """Brackets of cross-fraction pairs are alpha-free, balanced fractions."""
     report = SuiteReport("alpha-independence", seed)
     rng = random.Random(seed)
-    mismatch = 0
-    unbalanced = 0
+    alpha_free = report.exact(
+        "alpha-free",
+        "bracket of cross fractions is identical for alpha in {0, 1, 5}",
+        detail=f"{count} pairs",
+    )
+    closure = report.exact(
+        "closure",
+        "bracket of cross fractions is again a balanced multi fraction",
+        detail=f"{count} pairs",
+    )
     for _ in range(count):
         config, points = _random_config(rng, 10)
         i = rng.sample(range(10), 8)
         f = cross_fraction(points[i[0]], points[i[1]], points[i[2]], points[i[3]])
         g = cross_fraction(points[i[4]], points[i[5]], points[i[6]], points[i[7]])
         b0 = fraction_bracket(f, g, 0)
-        if fraction_bracket(f, g, 1) != b0 or fraction_bracket(f, g, 5) != b0:
-            mismatch += 1
-        if not is_balanced(b0):
-            unbalanced += 1
-    report.exact(
-        "alpha-free",
-        "bracket of cross fractions is identical for alpha in {0, 1, 5}",
-        mismatch,
-        detail=f"{count} pairs",
-    )
-    report.exact(
-        "closure",
-        "bracket of cross fractions is again a balanced multi fraction",
-        unbalanced,
-        detail=f"{count} pairs",
-    )
+        alpha_free.fail(fraction_bracket(f, g, 1) != b0 or fraction_bracket(f, g, 5) != b0)
+        closure.fail(not is_balanced(b0))
     return report
 
 
@@ -408,21 +404,17 @@ def suite_braelem(seed: int = DEFAULT_SEED, trials: int = 5) -> SuiteReport:
         (("a", "b", "c"), ("d", "e", "f")),
     )
     for gshape, hshape in shapes:
-        failures = 0
+        row = report.exact(
+            f"braelem-{len(gshape)}{len(hshape)}",
+            "logarithmic-derivative closed form equals the Leibniz bracket",
+            detail=f"{trials} word tables, shape ({len(gshape)},{len(hshape)})",
+        )
         for _ in range(trials):
             table = _fresh_symbolic_words(rng, sorted({*gshape, *hshape}))
             direct = fraction_bracket(
                 elementary(table, gshape), elementary(table, hshape), Fraction(rng.randint(-3, 3))
             )
-            closed = elementary_bracket_closed_form(table, gshape, hshape)
-            if closed != direct:
-                failures += 1
-        report.exact(
-            f"braelem-{len(gshape)}{len(hshape)}",
-            "logarithmic-derivative closed form equals the Leibniz bracket",
-            failures,
-            detail=f"{trials} word tables, shape ({len(gshape)},{len(hshape)})",
-        )
+            row.fail(elementary_bracket_closed_form(table, gshape, hshape) != direct)
     return report
 
 
@@ -430,33 +422,21 @@ def suite_birelem(seed: int = DEFAULT_SEED) -> SuiteReport:
     """Order-three reduction identity over all injective label quadruples."""
     report = SuiteReport("birelem", seed)
     rng = random.Random(seed)
-    table = _fresh_symbolic_words(rng, ["a", "b", "c", "d", "e"])
     labels = ["a", "b", "c", "d", "e"]
-    failures = 0
-    total = 0
-    for a in labels:
-        for b in labels:
-            for c in labels:
-                for d in labels:
-                    if len({a, b, c, d}) != 4:
-                        continue
-                    total += 1
-                    lhs, rhs = birelem_identity(table, a, b, c, d)
-                    if lhs != rhs:
-                        failures += 1
-    report.exact(
+    table = _fresh_symbolic_words(rng, labels)
+    quadruples = list(itertools.permutations(labels, 4))
+    birelem = report.exact(
         "birelem",
         "T(a,b,c) T(c,d) / (T(a,d,c) T(c,b)) = [b+; d+; a-; c-]",
-        failures,
-        detail=f"{total} quadruples",
+        detail=f"{len(quadruples)} quadruples",
     )
-    cyc = 0
+    cyclic = report.exact("cyclic", "cyclic invariance of elementary functions")
+    for quadruple in quadruples:
+        lhs, rhs = birelem_identity(table, *quadruple)
+        birelem.fail(lhs != rhs)
     for _ in range(20):
         words = rng.sample(labels, 3)
-        base = elementary(table, words)
-        if elementary(table, words[1:] + words[:1]) != base:
-            cyc += 1
-    report.exact("cyclic", "cyclic invariance of elementary functions", cyc)
+        cyclic.fail(elementary(table, words) != elementary(table, words[1:] + words[:1]))
     return report
 
 
@@ -469,7 +449,23 @@ def suite_period_width(
     """Periods of the eigenvalue cross ratio equal widths, anchor-free."""
     report = SuiteReport("period-width", seed)
     rng = random.Random(seed)
-    worst2 = worst3 = worst_anchor = 0.0
+    sl2 = report.within(
+        "period-width-sl2",
+        "period equals log of the extreme eigenvalue ratio (n = 2)",
+        tolerance,
+        detail=f"{sl2_count} matrices",
+    )
+    sl3 = report.within(
+        "period-width-sl3",
+        "period equals width on symmetric squares (n = 3)",
+        tolerance,
+        detail=f"{sl3_count} matrices",
+    )
+    anchor_free = report.within(
+        "anchor-independence",
+        "period does not depend on the anchor point",
+        tolerance,
+    )
     for _ in range(sl2_count):
         rep = Representation(
             {"a": random_hyperbolic_sl2(rng), "b": random_hyperbolic_sl2(rng)}
@@ -477,8 +473,8 @@ def suite_period_width(
         anchor1 = rep.fixed_point("b", +1)
         anchor2 = rep.fixed_point("b", -1)
         p1 = rep.period("a", anchor1)
-        worst2 = max(worst2, abs(p1 - rep.width("a")))
-        worst_anchor = max(worst_anchor, abs(p1 - rep.period("a", anchor2)))
+        sl2.see(abs(p1 - rep.width("a")))
+        anchor_free.see(abs(p1 - rep.period("a", anchor2)))
     for _ in range(sl3_count):
         rep = Representation(
             {
@@ -487,27 +483,7 @@ def suite_period_width(
             }
         )
         anchor = rep.fixed_point("b", +1)
-        worst3 = max(worst3, abs(rep.period("a", anchor) - rep.width("a")))
-    report.within(
-        "period-width-sl2",
-        "period equals log of the extreme eigenvalue ratio (n = 2)",
-        worst2,
-        tolerance,
-        detail=f"{sl2_count} matrices",
-    )
-    report.within(
-        "period-width-sl3",
-        "period equals width on symmetric squares (n = 3)",
-        worst3,
-        tolerance,
-        detail=f"{sl3_count} matrices",
-    )
-    report.within(
-        "anchor-independence",
-        "period does not depend on the anchor point",
-        worst_anchor,
-        tolerance,
-    )
+        sl3.see(abs(rep.period("a", anchor) - rep.width("a")))
     return report
 
 
@@ -517,8 +493,17 @@ def suite_wilson_limit(
     """Trace ratios converge geometrically to elementary functions."""
     report = SuiteReport("wilson-limit", seed)
     rng = random.Random(seed)
-    worst_rate = 0.0
-    bound_failures = 0
+    rate = report.within(
+        "geometric-rate",
+        "|trace ratio - elementary value| decays like girth^p",
+        rate_slack,
+        detail=f"{count} pairs, powers up to {max_power}",
+    )
+    bounded = report.exact(
+        "bounded-by-girth-power",
+        "error admits a constant C with error(p) <= C girth^p",
+    )
+    class_equality = report.within("class-equality", "T(g, g) = 1", 1e-12)
     for _ in range(count):
         rep = Representation(
             {
@@ -531,36 +516,21 @@ def suite_wilson_limit(
         errors = {}
         for p in range(4, max_power + 1):
             err = abs(rep.wilson_ratio("a", "b", p) - target)
-            if err > 1e-12:
+            if not err <= 1e-12:  # keeps NaN
                 errors[p] = err
+        if not np.isfinite(list(errors.values())).all():
+            rate.see(math.nan)  # no rate can be fitted
+            continue
         # calibrate the constant on the early powers only; the geometric
         # bound must then extrapolate to every later power
-        constant = max(err / girth**p for p, err in errors.items() if p <= 10)
+        constant = np.max([err / girth**p for p, err in errors.items() if p <= 10])
         for p, err in errors.items():
-            if p > 10 and err > constant * girth**p * 1.05:
-                bound_failures += 1
+            bounded.fail(p > 10 and err > constant * girth**p * 1.05)
         ps = np.array(sorted(errors))
         slope = np.polyfit(ps, np.log([errors[p] for p in ps]), 1)[0]
-        worst_rate = max(worst_rate, abs(math.exp(slope) / girth - 1.0))
-    report.within(
-        "geometric-rate",
-        "|trace ratio - elementary value| decays like girth^p",
-        worst_rate,
-        rate_slack,
-        detail=f"{count} pairs, powers up to {max_power}",
-    )
-    report.exact(
-        "bounded-by-girth-power",
-        "error admits a constant C with error(p) <= C girth^p",
-        bound_failures,
-    )
+        rate.see(abs(math.exp(slope) / girth - 1.0))
     rep = Representation({"a": random_hyperbolic_sl2(rng)})
-    report.within(
-        "class-equality",
-        "T(g, g) = 1",
-        abs(rep.elementary_value(("a", "a")) - 1.0),
-        1e-12,
-    )
+    class_equality.see(abs(rep.elementary_value(("a", "a")) - 1.0))
     return report
 
 
@@ -585,25 +555,24 @@ def suite_chi_rank(
                 coords.append(t)
         return [rep.boundary_point(t) for t in coords]
 
-    worst3 = 0.0
-    worst2 = math.inf
-    for _ in range(count):
-        pts = sample_points(8)
-        worst3 = max(worst3, abs(rep.chi(pts[:4], pts[4:])))
-        pts = sample_points(6)
-        worst2 = min(worst2, abs(rep.chi(pts[:3], pts[3:])))
-    report.within(
+    vanishing = report.within(
         "chi-vanishing",
         "order-(n+1) determinant vanishes on a rank-n cross ratio",
-        worst3,
         upper,
         detail=f"{count} tuples",
     )
+    chi2 = []
+    for _ in range(count):
+        pts = sample_points(8)
+        vanishing.see(abs(rep.chi(pts[:4], pts[4:])))
+        pts = sample_points(6)
+        chi2.append(abs(rep.chi(pts[:3], pts[3:])))
+    least = float(np.min(chi2))  # NaN if any sample is
     report.holds(
         "chi-nonvanishing",
         "order-n determinant stays away from zero",
-        worst2 > lower,
-        detail=f"min |chi2| = {worst2:.3e} > {lower:.0e}",
+        least > lower,
+        detail=f"min |chi2| = {least:.3e} > {lower:.0e}",
     )
     return report
 
@@ -615,15 +584,20 @@ def suite_wolpert(seed: int = DEFAULT_SEED, count: int = 50, tolerance: float = 
     eta = np.array(
         [[math.cosh(1.0), math.sinh(1.0)], [math.sinh(1.0), math.cosh(1.0)]]
     )
-    lhs, rhs = wolpert_check(gamma, eta)
     report.within(
         "perpendicular",
         "perpendicular axes: alternating sum of elementary functions is 0",
-        abs(rhs),
         1e-9,
+    ).see(abs(wolpert_check(gamma, eta)[1]))
+    crossing = report.within(
+        "crossing-pairs",
+        "bracket value equals twice the cosine of the axis crossing angle",
+        tolerance,
+    )
+    antisymmetry = report.within(
+        "antisymmetry", "swapping the two curves negates both sides", 1e-9
     )
     rng = random.Random(seed)
-    worst = 0.0
     produced = 0
     attempts = 0
     while produced < count and attempts < 100 * count:
@@ -635,18 +609,11 @@ def suite_wolpert(seed: int = DEFAULT_SEED, count: int = 50, tolerance: float = 
         except SwapAlgError:
             continue
         produced += 1
-        worst = max(worst, abs(lhs - rhs))
-    report.within(
-        "crossing-pairs",
-        "bracket value equals twice the cosine of the axis crossing angle",
-        worst,
-        tolerance,
-        detail=f"{produced} crossing pairs",
-    )
+        crossing.see(abs(lhs - rhs))
+    crossing.detail = f"{produced} crossing pairs"
     # redraw g until its axis crosses that of h; the row is never dropped
     rng = random.Random(seed + 1)
     h = np.array([[math.cosh(0.7), math.sinh(0.7)], [math.sinh(0.7), math.cosh(0.7)]])
-    worst, detail = math.inf, "no crossing pair in 100 draws"
     for _ in range(100):
         g = random_hyperbolic_sl2(rng)
         try:
@@ -654,9 +621,11 @@ def suite_wolpert(seed: int = DEFAULT_SEED, count: int = 50, tolerance: float = 
             l2, r2 = wolpert_check(h, g)
         except SwapAlgError:
             continue
-        worst, detail = max(abs(l1 + l2), abs(r1 + r2)), ""
+        antisymmetry.see(abs(l1 + l2), abs(r1 + r2))
         break
-    report.within("antisymmetry", "swapping the two curves negates both sides", worst, 1e-9, detail)
+    else:
+        antisymmetry.see(math.inf)
+        antisymmetry.detail = "no crossing pair in 100 draws"
     return report
 
 
@@ -680,46 +649,41 @@ def suite_oper_crossratio(
     report.within(
         "circular-holonomy",
         "constant coefficient pi^2: holonomy is minus the identity",
-        float(np.max(np.abs(sol.holonomy + np.eye(2)))),
         1e-8,
-    )
+    ).see(np.max(np.abs(sol.holonomy + np.eye(2))))
     report.within(
         "determinant-drift",
         "frame determinant is conserved along the integration",
-        sol.det_drift,
         1e-8,
-    )
+    ).see(sol.det_drift)
 
-    worst = 0.0
+    oracle = report.within(
+        "classical-oracle",
+        "weak cross ratio matches the classical cross ratio through cot",
+        1e-7,
+        detail="50 grid quadruples",
+    )
     for _ in range(50):
         idx = rng.sample(range(1, steps), 4)
         got = weak_cross_ratio(sol, *(Fraction(j, steps) for j in idx))
         want = _cot_cross_ratio(*(j / steps for j in idx))
-        worst = max(worst, abs(got - want) / max(1.0, abs(want)))
-    report.within(
-        "classical-oracle",
-        "weak cross ratio matches the classical cross ratio through cot",
-        worst,
-        1e-7,
-        detail="50 grid quadruples",
-    )
+        oracle.see(abs(got - want) / max(1.0, abs(want)))
 
-    worst = 0.0
+    targets = range(0, steps, steps // 16)
+    constancy = report.within(
+        "transport-constancy",
+        "coordinate pairings do not depend on the transport parameter",
+        1e-8,
+        detail=f"8 pairs x {len(targets)} transport targets",
+    )
     for _ in range(8):
         Y = Fraction(rng.randrange(1, steps), steps)
         y = Fraction(rng.randrange(1, steps), steps)
         values = [
             coordinate_function(sol, Y, y, via=Fraction(k, steps))
-            for k in range(0, steps, steps // 16)
+            for k in targets
         ]
-        worst = max(worst, max(values) - min(values))
-    report.within(
-        "transport-constancy",
-        "coordinate pairings do not depend on the transport parameter",
-        worst,
-        1e-8,
-        detail="8 pairs x 16 transport targets",
-    )
+        constancy.see(np.ptp(values))
 
     plus_sol = integrate(OperSpec(2, {2: [(0, 4 * math.pi**2, 0.0)]}), steps)
     Y = Fraction(rng.randrange(1, steps), steps)
@@ -727,16 +691,26 @@ def suite_oper_crossratio(
     report.within(
         "mod-one",
         "with holonomy +Id the pairing depends on parameters mod 1 only",
-        abs(
-            coordinate_function(plus_sol, Y + 1, y)
-            - coordinate_function(plus_sol, Y, y)
-        ),
         1e-8,
-    )
+    ).see(abs(coordinate_function(plus_sol, Y + 1, y) - coordinate_function(plus_sol, Y, y)))
 
     opers = [oper] + random_trivial_holonomy_opers(perturbed, seed=seed)
-    worst_cfx = 0.0
-    worst_lift = 0.0
+    solutions = [integrate(op, steps) for op in opers]
+    kept = [op_sol for op_sol in solutions if holonomy_class(op_sol) == "trivial-in-PSL"]
+    for _ in range(len(solutions) - len(kept)):
+        report.holds("holonomy-filter", "perturbations keep trivial holonomy", False)
+    per_oper = max(1, quadruples // len(opers))
+    parallel = report.within(
+        "parallel-vs-frenet",
+        "transported coordinate pairings reproduce weak cross ratios",
+        1e-6,
+        detail=f"{per_oper * len(kept)} quadruples over {len(kept)} operators",
+    )
+    lift = report.within(
+        "lift-invariance",
+        "cross fractions are unchanged under integer shifts of lifts",
+        1e-6,
+    )
 
     def separated_quadruple():
         while True:
@@ -747,12 +721,8 @@ def suite_oper_crossratio(
         rng.shuffle(idx)
         return [Fraction(j, steps) for j in idx]
 
-    for op in opers:
-        op_sol = integrate(op, steps)
-        if holonomy_class(op_sol) != "trivial-in-PSL":
-            report.holds("holonomy-filter", "perturbations keep trivial holonomy", False)
-            continue
-        for _ in range(max(1, quadruples // len(opers))):
+    for op_sol in kept:
+        for _ in range(per_oper):
             a, b, c, d = separated_quadruple()
             via = Fraction(rng.randrange(steps), steps)
             # route one side through explicit parallel transport so the two
@@ -765,26 +735,9 @@ def suite_oper_crossratio(
                     * coordinate_function(op_sol, c, d, via=via)
                 )
             )
-            worst_cfx = max(
-                worst_cfx, abs(transported - weak_cross_ratio(op_sol, a, d, c, b))
-            )
+            parallel.see(abs(transported - weak_cross_ratio(op_sol, a, d, c, b)))
             direct = oper_cross_fraction(op_sol, a, b, c, d)
-            worst_lift = max(
-                worst_lift, abs(oper_cross_fraction(op_sol, a + 1, b, c - 2, d) - direct)
-            )
-    report.within(
-        "parallel-vs-frenet",
-        "transported coordinate pairings reproduce weak cross ratios",
-        worst_cfx,
-        1e-6,
-        detail=f"{quadruples} quadruples over {len(opers)} operators",
-    )
-    report.within(
-        "lift-invariance",
-        "cross fractions are unchanged under integer shifts of lifts",
-        worst_lift,
-        1e-6,
-    )
+            lift.see(abs(oper_cross_fraction(op_sol, a + 1, b, c - 2, d) - direct))
 
     coarse, fine = 256, 512
     sol_c = integrate(oper, coarse)
@@ -801,8 +754,7 @@ def suite_oper_crossratio(
                 abs(weak_cross_ratio(sol_f, *quad_c) - truth),
             )
         )
-    e_coarse = max(e[0] for e in errs)
-    e_fine = max(e[1] for e in errs)
+    e_coarse, e_fine = np.max(errs, axis=0).tolist()  # NaN if any error is
     order = math.log2(e_coarse / e_fine)
     report.holds(
         "convergence-order",
@@ -826,44 +778,40 @@ def suite_df_swap(
     rng = random.Random(seed)
     opers = [veronese_oper(2)] + random_trivial_holonomy_opers(perturbed, seed=seed)
     solutions = [integrate(op, steps) for op in opers]
-    worst = 0.0
-    produced = 0
+    df_swap = report.within(
+        "df-swap",
+        "reduced bracket of cross fractions equals the swapping bracket",
+        tolerance,
+        detail=f"{octuples} octuples over {len(opers)} operators",
+    )
+    same = report.within(
+        "same-observable",
+        "bracket of an observable with itself vanishes both ways",
+        1e-9,
+    )
+    unlinked = report.within(
+        "unlinked",
+        "configurations with all linking numbers zero bracket to zero",
+        1e-12,
+    )
     for index in range(octuples):
         op_sol = solutions[index % len(solutions)]
         idx = rng.sample(range(1, steps), 8)
         q0 = tuple(Fraction(j, steps) for j in idx[:4])
         q1 = tuple(Fraction(j, steps) for j in idx[4:])
         ds_value, swap_value = ds_crossfraction_bracket(op_sol, q0, q1, alpha=Fraction(index % 3))
-        worst = max(worst, abs(ds_value - swap_value))
-        produced += 1
-    report.within(
-        "df-swap",
-        "reduced bracket of cross fractions equals the swapping bracket",
-        worst,
-        tolerance,
-        detail=f"{produced} octuples over {len(opers)} operators",
-    )
+        df_swap.see(abs(ds_value - swap_value))
     sol = solutions[0]
     idx = rng.sample(range(1, steps), 4)
     quad = tuple(Fraction(j, steps) for j in idx)
     ds_value, swap_value = ds_crossfraction_bracket(sol, quad, quad)
-    report.within(
-        "same-observable",
-        "bracket of an observable with itself vanishes both ways",
-        max(abs(ds_value), abs(swap_value)),
-        1e-9,
-    )
-    unlinked = (
+    same.see(abs(ds_value), abs(swap_value))
+    ds_value, swap_value = ds_crossfraction_bracket(
+        sol,
         (Fraction(1, 64), Fraction(3, 64), Fraction(5, 64), Fraction(7, 64)),
         (Fraction(33, 64), Fraction(35, 64), Fraction(37, 64), Fraction(39, 64)),
     )
-    ds_value, swap_value = ds_crossfraction_bracket(sol, *unlinked)
-    report.within(
-        "unlinked",
-        "configurations with all linking numbers zero bracket to zero",
-        max(abs(ds_value), abs(swap_value)),
-        1e-12,
-    )
+    unlinked.see(abs(ds_value), abs(swap_value))
     return report
 
 
