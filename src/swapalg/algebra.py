@@ -8,7 +8,9 @@ pairs with nonzero integer exponents) with exact rational coefficients,
 stored in one integer form: a nonzero integer numerator per monomial over
 one positive integer denominator, with gcd 1 over them all; zero is the
 empty sum over 1.  Equality is therefore syntactic, and needs no order.
-Only this module touches that form; `BalancedFraction` builds it too.
+Only this module touches that form or builds pairs and monomials;
+`BalancedFraction` builds the form too, and `_pair_fraction` builds every
+multifraction: a product of pairs over a product of pairs.
 Canonical order (pairs by left point, then right point, in the
 configuration's position order; terms by degree, then pairs) is applied
 only where an element is read out: printing, `terms()`, the fraction views
@@ -48,7 +50,7 @@ from math import gcd
 from operator import itemgetter
 
 from .circle import CirclePoint, PointConfig, doubled_linking, ensure_same_config, require_point_order
-from .errors import ConfigMismatchError, EvaluationError, SwapAlgError
+from .errors import ConfigMismatchError, DegenerateFractionError, EvaluationError, SwapAlgError
 
 
 class GeneratorPair(tuple):
@@ -157,10 +159,10 @@ def _ratio(value) -> tuple[int, int]:
     raise TypeError(f"expected an exact rational scalar, got {type(value).__name__}")
 
 
-def _element(config: PointConfig, numerators: dict, denominator: int = 1) -> "AlgebraElement":
+def _element(config: PointConfig, numerators: dict, denominator: int = 1, cls=None) -> "AlgebraElement":
     """The element sum(n m) / denominator, from its normal form: nonzero
     integer numerators, a positive denominator, and gcd 1 over them all."""
-    element = object.__new__(AlgebraElement)
+    element = object.__new__(cls or AlgebraElement)
     element.config = config
     element._numerators = numerators
     element._denominator = denominator
@@ -482,6 +484,23 @@ def generator(X: CirclePoint, x: CirclePoint) -> AlgebraElement:
     if X is x:
         return AlgebraElement.zero(config)
     return _element(config, {frozenset.__new__(Monomial, ((GeneratorPair(X, x), 1),)): 1})
+
+
+def _pair_fraction(tops, bottoms) -> BalancedFraction:
+    """prod tops / prod bottoms for (left, right) point pairs, as one
+    Laurent monomial over 1; zero when a top pair joins a point to itself."""
+    tops, bottoms = tuple(tops), tuple(bottoms)
+    if not (tops or bottoms):
+        raise SwapAlgError("a fraction needs at least one pair")
+    config = ensure_same_config(*(point for pair in tops + bottoms for point in pair))
+    if any(X is x for X, x in bottoms):
+        raise DegenerateFractionError("degenerate denominator: a pair joins a point to itself")
+    numerators = {}
+    if all(X is not x for X, x in tops):  # the checks of GeneratorPair now hold
+        exponents = Counter(tuple.__new__(GeneratorPair, pair) for pair in tops)
+        exponents.subtract(tuple.__new__(GeneratorPair, pair) for pair in bottoms)
+        numerators[Monomial._from_exponents(exponents)] = 1
+    return _element(config, numerators, cls=BalancedFraction)
 
 
 def swap_bracket(a: AlgebraElement, b: AlgebraElement, alpha=0) -> AlgebraElement:

@@ -4,11 +4,13 @@ Every object of interest here (cross fractions, multi fractions,
 elementary functions, and their brackets) is a polynomial numerator over a
 coefficient-one monomial denominator, that is, a Laurent polynomial in the
 pair generators.  They are ordinary `AlgebraElement` values, compared
-syntactically and bracketed by `swap_bracket`.  `BalancedFraction` (from
-`algebra`) only builds one, from a numerator, a denominator monomial and a
-scale; zero, one and scalars come from `AlgebraElement.zero`, `one` and
-`scalar`.  The reduced form (common pairs cancelled, content pulled out as the scale and
-signed like the leading numerator term) is a view of every element.
+syntactically and bracketed by `swap_bracket`.  Cross fractions, multi
+fractions, elementary functions and length cross fractions are each a
+single Laurent monomial, a product of pairs over a product of pairs; each
+constructor checks its own input and names its pairs, and `algebra` builds
+the monomial.  The reduced form (common pairs cancelled, content pulled
+out as the scale and signed like the leading numerator term) is a view of
+every element.
 
 A *cross fraction* is [X; Y; x; y] = Xx.Yy / (Yx.Xy), and a *multi
 fraction* is a ratio prod X_i x_{sigma(i)} / prod X_i x_i for a permutation
@@ -31,9 +33,7 @@ import numpy as np
 from .algebra import (
     AlgebraElement,
     BalancedFraction,  # re-exported: the constructor of fractions
-    GeneratorPair,
-    Monomial,
-    generator,
+    _pair_fraction,
     is_balanced,  # re-exported: a property of fractions
     swap_bracket,
 )
@@ -47,12 +47,7 @@ from .words import Word, canonical_class, invert_word, parse_word, word_text
 
 def cross_fraction(X: CirclePoint, Y: CirclePoint, x: CirclePoint, y: CirclePoint) -> BalancedFraction:
     """[X; Y; x; y] = Xx.Yy / (Yx.Xy)."""
-    config = ensure_same_config(X, Y, x, y)
-    if x == Y or y == X:
-        raise DegenerateFractionError("degenerate denominator")
-    numer = generator(X, x) * generator(Y, y)
-    denom = Monomial((GeneratorPair(Y, x), GeneratorPair(X, y)))
-    return BalancedFraction(numer, denom)
+    return _pair_fraction(((X, x), (Y, y)), ((Y, x), (X, y)))
 
 
 def multi_fraction(X, x, sigma) -> BalancedFraction:
@@ -61,23 +56,12 @@ def multi_fraction(X, x, sigma) -> BalancedFraction:
     `sigma` maps indices 0..n-1 to indices 0..n-1.  The identity gives 1;
     a vanishing numerator (some X_i = x_{sigma(i)}) gives the zero fraction.
     """
-    X = tuple(X)
-    x = tuple(x)
+    X, x, sigma = tuple(X), tuple(x), tuple(sigma)
     if len(X) != len(x):
         raise SwapAlgError("tuples must have equal length")
-    n = len(X)
-    sigma = tuple(sigma)
-    if sorted(sigma) != list(range(n)):
-        raise SwapAlgError(f"not a permutation of 0..{n - 1}: {sigma}")
-    config = ensure_same_config(*(X + x))
-    for i in range(n):
-        if X[i] == x[i]:
-            raise DegenerateFractionError("degenerate denominator: X_i equals x_i")
-    numer = AlgebraElement.one(config)
-    for i in range(n):
-        numer = numer * generator(X[i], x[sigma[i]])
-    denom = Monomial(GeneratorPair(X[i], x[i]) for i in range(n))
-    return BalancedFraction(numer, denom)
+    if sorted(sigma) != list(range(len(X))):
+        raise SwapAlgError(f"not a permutation of 0..{len(X) - 1}: {sigma}")
+    return _pair_fraction(zip(X, (x[s] for s in sigma)), zip(X, x))
 
 
 # The bracket acts on Laurent monomials directly, so fractions need no
@@ -148,19 +132,8 @@ def elementary(universe, words) -> BalancedFraction:
     consecutive words are inverse to each other.
     """
     points = [_class_points(universe, w) for w in words]
-    config = ensure_same_config(*(p for pair in points for p in pair))
-    p = len(points)
-    numer = AlgebraElement.one(config)
-    for i in range(p):
-        plus_next = points[(i + 1) % p][0]
-        minus_here = points[i][1]
-        numer = numer * generator(plus_next, minus_here)
-    denom_pairs = []
-    for plus, minus in points:
-        if plus == minus:
-            raise DegenerateFractionError("word with equal fixed points")
-        denom_pairs.append(GeneratorPair(plus, minus))
-    return BalancedFraction(numer, Monomial(denom_pairs))
+    tops = [(plus, minus) for (plus, _), (_, minus) in zip(points[1:] + points[:1], points)]
+    return _pair_fraction(tops, points)
 
 
 def elementary_bracket_closed_form(universe, gwords, hwords) -> AlgebraElement:
@@ -325,9 +298,8 @@ def length_cross_fraction(universe, beta, y: CirclePoint) -> LengthSeries:
         raise DegenerateFractionError("anchor coincides with a fixed point")
     fwd = universe.act(beta, y)
     back = universe.act(invert_word(beta), y)
-    numer = generator(plus, back) * generator(minus, fwd)
-    denom = Monomial((GeneratorPair(plus, fwd), GeneratorPair(minus, back)))
-    return LengthSeries(beta, y, BalancedFraction(numer, denom))
+    fraction = _pair_fraction(((plus, back), (minus, fwd)), ((plus, fwd), (minus, back)))
+    return LengthSeries(beta, y, fraction)
 
 
 def length_bracket(series: LengthSeries, q: AlgebraElement, alpha=0) -> AlgebraElement:

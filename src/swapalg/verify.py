@@ -534,6 +534,13 @@ def suite_wilson_limit(
     return report
 
 
+# chi-rank draws its boundary points pairwise at least this far apart on the
+# circle.  With s(a, b) = |sin pi(theta_a - theta_b)| on positions theta,
+# |chi2| = s(X0,x0)^2 s(X1,X2) s(x1,x2) / (s(X1,x0) s(X2,x0) s(X0,x1) s(X0,x2))
+# >= sin(pi delta)^4 = 6.0e-4, six times the bound of `chi-nonvanishing`.
+CHI_SEPARATION = 0.05
+
+
 def suite_chi_rank(
     seed: int = DEFAULT_SEED,
     count: int = 100,
@@ -548,12 +555,13 @@ def suite_chi_rank(
     )
 
     def sample_points(k):
-        coords = []
-        while len(coords) < k:
-            t = rng.uniform(-5.0, 5.0)
-            if all(abs(t - s) > 0.15 for s in coords):
-                coords.append(t)
-        return [rep.boundary_point(t) for t in coords]
+        angles = []  # phi in [0, pi) is coordinate cot phi, position 1 - phi / pi
+        while len(angles) < k:
+            phi = math.pi * rng.random()
+            gaps = [abs(phi - a) for a in angles]
+            if all(min(d, math.pi - d) >= CHI_SEPARATION * math.pi for d in gaps):
+                angles.append(phi)
+        return [rep.boundary_point(math.cos(phi) / math.sin(phi) if phi else None) for phi in angles]
 
     vanishing = report.within(
         "chi-vanishing",
@@ -695,7 +703,7 @@ def suite_oper_crossratio(
     ).see(abs(coordinate_function(plus_sol, Y + 1, y) - coordinate_function(plus_sol, Y, y)))
 
     opers = [oper] + random_trivial_holonomy_opers(perturbed, seed=seed)
-    solutions = [integrate(op, steps) for op in opers]
+    solutions = [sol] + [integrate(op, steps) for op in opers[1:]]
     kept = [op_sol for op_sol in solutions if holonomy_class(op_sol) == "trivial-in-PSL"]
     for _ in range(len(solutions) - len(kept)):
         report.holds("holonomy-filter", "perturbations keep trivial holonomy", False)

@@ -458,3 +458,22 @@ def test_file_readers_exit_zero_or_two_with_one_line(reader, data):
     assert rc in (0, 2)
     lines = err.getvalue().splitlines()
     assert len(lines) <= 1 and all(line.startswith("error:") for line in lines)
+
+
+def test_a_fraction_without_pairs_exits_two_with_one_line(files):
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "swapalg.cli", "bracket", "--points", files["points"],
+         "mf( | | id)", "[X x]"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error:") and "at least one pair" in proc.stderr

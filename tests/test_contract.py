@@ -53,3 +53,13 @@ def test_only_algebra_knows_the_integer_normal_form():
         if "_numerators" in path.read_text() or "_denominator" in path.read_text()
     )
     assert knowing == ["algebra.py"]
+
+
+def test_only_algebra_builds_pairs_and_monomials():
+    package = Path(swapalg.__file__).parent
+    building = sorted(
+        path.name
+        for path in package.glob("*.py")
+        if any(call in path.read_text() for call in ("GeneratorPair(", "Monomial(", "Monomial._from_exponents"))
+    )
+    assert building == ["algebra.py"]

@@ -4,9 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from swapalg.algebra import AlgebraElement, generator
-from swapalg.circle import PointConfig
-from swapalg.errors import DegenerateFractionError, EvaluationError, SwapAlgError
+from swapalg.algebra import AlgebraElement, GeneratorPair, Monomial, generator
+from swapalg.circle import PointConfig, ensure_same_config
+from swapalg.errors import ConfigMismatchError, DegenerateFractionError, EvaluationError, SwapAlgError
 from swapalg.multifraction import (
     BalancedFraction,
     SymbolicWords,
@@ -26,6 +26,7 @@ from swapalg.multifraction import (
 from swapalg.opers import integrate, veronese_oper
 from swapalg.representation import Representation, symmetric_square
 from swapalg.verify import _random_config, random_hyperbolic_sl2
+from swapalg.words import parse_word
 
 
 def fresh_words(rng, labels, denominator=499):
@@ -501,3 +502,137 @@ def test_chi_on_vanishing_pair_values_matches_the_symbolic_cross_fractions():
         zeroed = _Stubbed(universe, {(X[1], x[1]): zero})
         for p in (1, 3):
             assert chi(zeroed, X[: p + 1], x[: p + 1]).hex() == _symbolic_chi(zeroed, X[: p + 1], x[: p + 1]).hex()
+
+
+# -- one Laurent monomial per constructor -------------------------------------
+
+
+def _ring_reference(tops, bottoms):
+    """prod tops / prod bottoms by ring arithmetic: a product of generators
+    over the monomial of the bottom pairs."""
+    config = ensure_same_config(*(point for pair in tops + bottoms for point in pair))
+    numer = AlgebraElement.one(config)
+    for X, x in tops:
+        numer = numer * generator(X, x)
+    return BalancedFraction(numer, Monomial(GeneratorPair(X, x) for X, x in bottoms))
+
+
+def _assert_reference(value, tops, bottoms):
+    reference = _ring_reference(list(tops), list(bottoms))
+    assert isinstance(value, BalancedFraction)
+    assert value == reference
+    assert repr(value) == repr(reference)
+
+
+def test_cross_fractions_equal_the_ring_reference():
+    rng = random.Random(24)
+    config, p = _random_config(rng, 6)
+    checked = 0
+    for _ in range(300):
+        X, Y, x, y = (rng.choice(p) for _ in range(4))
+        if x is Y or y is X:
+            with pytest.raises(DegenerateFractionError, match="^degenerate denominator"):
+                cross_fraction(X, Y, x, y)
+            continue
+        _assert_reference(cross_fraction(X, Y, x, y), [(X, x), (Y, y)], [(Y, x), (X, y)])
+        checked += 1
+    assert checked > 100
+    X, Y, x, y = p[:4]
+    assert cross_fraction(X, X, x, x) == 1  # X is Y and x is y
+    _assert_reference(cross_fraction(X, X, x, x), [(X, x), (X, x)], [(X, x), (X, x)])
+    assert cross_fraction(X, Y, X, y).is_zero  # X is x
+    _assert_reference(cross_fraction(X, Y, X, y), [(X, X), (Y, y)], [(Y, X), (X, y)])
+
+
+def test_multi_fractions_equal_the_ring_reference():
+    rng = random.Random(25)
+    config, p = _random_config(rng, 8)
+    zeros = 0
+    for n in range(1, 6):
+        identity = tuple(range(n))
+        for _ in range(60):
+            X = [rng.choice(p) for _ in range(n)]
+            x = [rng.choice([q for q in p if q is not Y]) for Y in X]
+            sigma = rng.sample(identity, n)
+            value = multi_fraction(X, x, sigma)
+            _assert_reference(value, [(X[i], x[sigma[i]]) for i in range(n)], list(zip(X, x)))
+            zeros += value.is_zero
+        assert multi_fraction(X, x, identity) == 1
+        _assert_reference(multi_fraction(X, x, identity), list(zip(X, x)), list(zip(X, x)))
+    assert zeros > 10
+
+
+def test_elementary_functions_equal_the_ring_reference():
+    rng = random.Random(26)
+    table = fresh_words(rng, ["a", "b", "c"])
+    rep = Representation(
+        {"a": random_hyperbolic_sl2(rng, low=1.3), "b": random_hyperbolic_sl2(rng, low=1.3)}
+    )
+    universes = [
+        (table, ["a", "b", "c", "a'", "b'", "c'", "a a"]),
+        (rep, ["a", "b", "a'", "b'", "a b", "b a'"]),
+    ]
+    zeros = 0
+    for universe, words in universes:
+        for p in range(1, 5):
+            for _ in range(40):
+                chosen = [rng.choice(words) for _ in range(p)]
+                points = [
+                    (universe.fixed_point(parse_word(w), +1), universe.fixed_point(parse_word(w), -1))
+                    for w in chosen
+                ]
+                tops = [(points[(i + 1) % p][0], points[i][1]) for i in range(p)]
+                value = elementary(universe, chosen)
+                _assert_reference(value, tops, points)
+                zeros += value.is_zero
+    assert zeros > 10
+
+
+def test_length_cross_fraction_equals_the_ring_reference():
+    table, y = length_setup()
+    plus, minus = table.fixed_point("g", +1), table.fixed_point("g", -1)
+    fwd, back = table.act("g", y), table.act("g'", y)
+    _assert_reference(
+        length_cross_fraction(table, "g", y).fraction,
+        [(plus, back), (minus, fwd)],
+        [(plus, fwd), (minus, back)],
+    )
+
+
+def test_a_word_with_one_fixed_point_is_a_degenerate_denominator():
+    table = SymbolicWords()
+    table.register("g", Fraction(1, 4), Fraction(1, 4))
+    table.register("h", Fraction(1, 2), Fraction(3, 4))
+    for words in (["g"], ["h", "g"]):
+        with pytest.raises(DegenerateFractionError, match="^degenerate denominator"):
+            elementary(table, words)
+
+
+def test_fractions_without_pairs_are_refused():
+    table = fresh_words(random.Random(27), ["a"])
+    with pytest.raises(SwapAlgError, match="at least one pair"):
+        multi_fraction((), (), ())
+    with pytest.raises(SwapAlgError, match="at least one pair"):
+        elementary(table, [])
+
+
+def test_multi_fraction_refuses_unequal_lengths(grid_config):
+    config, p = grid_config
+    with pytest.raises(SwapAlgError, match="equal length"):
+        multi_fraction((p[0], p[1]), (p[2],), (0, 1))
+
+
+def test_fractions_over_two_configurations_are_refused(grid_config):
+    config, p = grid_config
+    other = PointConfig().point("q", Fraction(1, 3))
+    with pytest.raises(ConfigMismatchError):
+        cross_fraction(p[0], p[1], p[2], other)
+
+
+def test_chi_refuses_short_tuples_and_colliding_base_points():
+    universe, points = next(_chi_universes())
+    with pytest.raises(SwapAlgError, match="length >= 2"):
+        chi(universe, points[:1], points[1:2])
+    X = points[:3]
+    with pytest.raises(SwapAlgError, match="collide with the base points"):
+        chi(universe, X, [X[1], points[3], points[4]])

@@ -213,3 +213,52 @@ def test_a_point_paired_with_itself_is_exactly_zero():
     for j in range(0, 1024, 37):
         point = sol.point(Fraction(j, 1024))
         assert sol.pair_value(point, point) == 0.0
+
+
+# -- chi-rank's floor --------------------------------------------------------------
+
+
+def _closed_form_chi2(X, x):
+    """|chi| of 3 + 3 points of an n = 2 representation, from positions."""
+    s = lambda a, b: abs(math.sin(math.pi * float(a.position - b.position)))
+    return (
+        s(X[0], x[0]) ** 2 * s(X[1], X[2]) * s(x[1], x[2])
+        / (s(X[1], x[0]) * s(X[2], x[0]) * s(X[0], x[1]) * s(X[0], x[2]))
+    )
+
+
+def test_order_two_chi_has_a_closed_form_in_circle_positions():
+    rng = random.Random(24)
+    for _ in range(5):
+        rep = Representation({"a": random_hyperbolic_sl2(rng), "b": random_hyperbolic_sl2(rng)})
+        points = [rep.fixed_point(w, s) for w in ("a", "b") for s in (1, -1)]
+        points += [rep.boundary_point(rng.uniform(-5.0, 5.0)) for _ in range(8)]
+        points.append(rep.boundary_point(None))
+        for _ in range(40):
+            pts = rng.sample(points, 6)
+            X, x = pts[:3], pts[3:]
+            assert abs(rep.chi(X, x)) == pytest.approx(_closed_form_chi2(X, x), rel=1e-7)
+
+
+def test_chi_rank_passes_at_seeds_0_to_39_above_the_floor():
+    # seeds 0, 1, 18, 25, 38 and 39 failed chi-nonvanishing when the points
+    # were drawn by affine coordinate, with no floor on their circle gaps
+    floor = math.sin(math.pi * verify.CHI_SEPARATION) ** 4
+    assert floor > 5e-4
+    for seed in range(40):
+        rows = _rows(run_suite("chi-rank", seed=seed))
+        assert all(row.passed for row in rows.values()), seed
+        least = float(rows["chi-nonvanishing"].detail.split()[3])
+        assert least >= floor * (1 - 1e-3), seed
+
+
+def test_a_vanishing_order_two_chi_fails_chi_nonvanishing(monkeypatch):
+    original = Representation.chi
+
+    def chi(rep, X, x):
+        return 0.0 if len(X) == 3 else original(rep, X, x)
+
+    monkeypatch.setattr(verify.Representation, "chi", chi)
+    rows = _rows(run_suite("chi-rank", count=5))
+    assert not rows["chi-nonvanishing"].passed
+    assert rows["chi-vanishing"].passed
