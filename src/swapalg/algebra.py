@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import itemgetter
 
 from .circle import CirclePoint, PointConfig, doubled_linking, ensure_same_config, require_point_order
@@ -180,6 +180,22 @@ def _reduced(config: PointConfig, numerators: dict, denominator: int) -> "Algebr
     return _element(config, numerators, denominator)
 
 
+def _sum(config: PointConfig, elements) -> "AlgebraElement":
+    """The sum of a sequence of elements over `config`, added once over the
+    lcm of their denominators and brought to normal form by one gcd pass."""
+    denominator = 1
+    for element in elements:
+        if element.config is not config:
+            raise ConfigMismatchError("elements over different configurations")
+        denominator = lcm(denominator, element._denominator)
+    acc: dict[Monomial, int] = {}
+    for element in elements:
+        scale = denominator // element._denominator
+        for m, n in element._numerators.items():
+            acc[m] = acc.get(m, 0) + n * scale
+    return _reduced(config, acc, denominator)
+
+
 class AlgebraElement:
     """A finite rational combination of Laurent monomials over one configuration.
 
@@ -292,14 +308,7 @@ class AlgebraElement:
             other = AlgebraElement.scalar(self.config, other)
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        self._check(other)
-        # cross-multiply over the lcm of the two denominators
-        g = gcd(self._denominator, other._denominator)
-        fa, fb = other._denominator // g, self._denominator // g
-        acc = {m: n * fa for m, n in self._numerators.items()}
-        for m, n in other._numerators.items():
-            acc[m] = acc.get(m, 0) + n * fb
-        return _reduced(self.config, acc, self._denominator * fa)
+        return _sum(self.config, (self, other))  # _sum checks the configurations
 
     __radd__ = __add__
 
@@ -489,10 +498,15 @@ def generator(X: CirclePoint, x: CirclePoint) -> AlgebraElement:
 def _pair_fraction(tops, bottoms) -> BalancedFraction:
     """prod tops / prod bottoms for (left, right) point pairs, as one
     Laurent monomial over 1; zero when a top pair joins a point to itself."""
-    tops, bottoms = tuple(tops), tuple(bottoms)
-    if not (tops or bottoms):
+    # lists, and no tuple of all the points for ensure_same_config: freed
+    # tuples of many sizes would pile up in CPython's per-size free lists
+    tops, bottoms = list(tops), list(bottoms)
+    pairs = tops + bottoms
+    if not pairs:
         raise SwapAlgError("a fraction needs at least one pair")
-    config = ensure_same_config(*(point for pair in tops + bottoms for point in pair))
+    config = pairs[0][0].config
+    if any(X.config is not config or x.config is not config for X, x in pairs):
+        raise ConfigMismatchError("points belong to different configurations")
     if any(X is x for X, x in bottoms):
         raise DegenerateFractionError("degenerate denominator: a pair joins a point to itself")
     numerators = {}
@@ -568,8 +582,5 @@ def swap_bracket(a: AlgebraElement, b: AlgebraElement, alpha=0) -> AlgebraElemen
 
 def jacobiator(a, b, c, alpha=0) -> AlgebraElement:
     """{{a,b},c} + {{b,c},a} + {{c,a},b}; identically zero."""
-    return (
-        swap_bracket(swap_bracket(a, b, alpha), c, alpha)
-        + swap_bracket(swap_bracket(b, c, alpha), a, alpha)
-        + swap_bracket(swap_bracket(c, a, alpha), b, alpha)
-    )
+    cycled = ((a, b, c), (b, c, a), (c, a, b))
+    return _sum(a.config, [swap_bracket(swap_bracket(x, y, alpha), z, alpha) for x, y, z in cycled])

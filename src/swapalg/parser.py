@@ -15,19 +15,24 @@ Grammar (whitespace insignificant, juxtaposition multiplies):
 Point labels resolve in a point configuration; labels may end in '+' or '-'
 (fixed points registered by a representation).  Word arguments need a word
 context (a representation or a symbolic fixed-point table).  Every value is
-one Laurent element; ``/`` divides by any element with a single term.
-Elements with a denominator print as ``NUM / DEN``, and canonical forms
-round-trip through the parser.  Parentheses and unary minus nest at most
-MAX_NESTING levels; deeper input is a ParseError rather than a recursion
-overflow.
+one Laurent element; ``/`` divides by any element with a single term, and
+any other divisor is a ParseError at the ``/``.  Elements with a
+denominator print as ``NUM / DEN``, and canonical forms round-trip through
+the parser.  Parentheses and unary minus nest at most MAX_NESTING levels;
+deeper input is a ParseError rather than a recursion overflow.  The text
+is tokenized in one pass of one pattern; a token is a kind, a value and a
+character offset, and a ParseError derives its line and column from the
+offset.  A term builds its generators [X x] as one monomial, and a sum adds
+its terms once.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import prod
 
-from .algebra import AlgebraElement, generator
+from .algebra import AlgebraElement, _pair_fraction, _sum
 from .circle import PointConfig
 from .errors import ParseError, SwapAlgError
 from .multifraction import (
@@ -39,12 +44,14 @@ from .multifraction import (
 )
 
 _TOKEN = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<num>\d+(?:/\d+)?)
-      | (?P<ident>[A-Za-z_][A-Za-z_0-9]*'?(?:(?<=[A-Za-z_0-9'])[+-])?)
-      | (?P<op>[\[\]\(\)\|,*/+-])
+    r"""(?: (?P<ident>[A-Za-z_][A-Za-z_0-9]*'?(?:(?<=[A-Za-z_0-9'])[+-])?)
+          | (?P<op>[\[\]\(\)\|,*/+-])
+          | (?P<num>\d+(?:/\d+)?)
+          | (?P<end>\Z)
+          | (?P<bad>.)
+        )\s*  # whitespace after a token; leading whitespace is skipped by the caller
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 _CALLS = {"cross", "mf", "elem", "pbeta", "wolpert"}
@@ -52,162 +59,158 @@ _CALLS = {"cross", "mf", "elem", "pbeta", "wolpert"}
 MAX_NESTING = 200  # 3 stack frames per level, well inside the recursion limit
 
 
-class _Token:
-    __slots__ = ("kind", "value", "line", "column")
-
-    def __init__(self, kind, value, line, column):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.column = column
+def _error(text: str, message: str, offset: int) -> ParseError:
+    """A ParseError at character `offset` of `text`, with its line and column."""
+    return ParseError(message, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line = 1
-    line_start = 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
-        if m.lastgroup == "ws":
-            line += m.group().count("\n")
-            if "\n" in m.group():
-                line_start = m.end() - len(m.group().rsplit("\n", 1)[1])
-        elif m.lastgroup == "num":
+def _tokenize(text: str) -> tuple[list, list, list]:
+    """The tokens of `text` as three parallel lists: kinds, values and
+    character offsets.  An operator's kind is its character; the last token
+    is the end, with value None at offset len(text).  (Lists, not a tuple per
+    token: freed tuples pile up in CPython's per-size tuple free lists.)"""
+    kinds, values, offsets = [], [], []
+    for m in _TOKEN.finditer(text, len(text) - len(text.lstrip())):
+        kind = m.lastgroup
+        value = m[kind] or None  # only the end matches the empty string
+        if kind == "op":
+            kind = value
+        elif kind == "num":
             try:
-                value = Fraction(m.group())
+                value = Fraction(value)
             except ZeroDivisionError:
-                raise ParseError("division by zero", line, pos - line_start + 1) from None
-            tokens.append(_Token("num", value, line, pos - line_start + 1))
-        elif m.lastgroup == "ident":
-            tokens.append(_Token("ident", m.group(), line, pos - line_start + 1))
-        else:
-            tokens.append(_Token(m.group(), m.group(), line, pos - line_start + 1))
-        pos = m.end()
-    tokens.append(_Token("end", None, line, pos - line_start + 1))
-    return tokens
+                raise _error(text, "division by zero", m.start()) from None
+        elif kind == "bad":
+            raise _error(text, f"unexpected character {value!r}", m.start())
+        kinds.append(kind)
+        values.append(value)
+        offsets.append(m.start())
+    return kinds, values, offsets
 
 
 class _Parser:
     def __init__(self, text: str, config: PointConfig, universe=None):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.kinds, self.values, self.offsets = _tokenize(text)
         self.index = 0
         self.config = config
         self.universe = universe
         self.depth = 0
 
-    # -- token plumbing -------------------------------------------------
+    # -- token plumbing: tokens are read by their index ------------------
 
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.index]
-
-    def advance(self) -> _Token:
-        token = self.current
+    def advance(self) -> int:
         self.index += 1
-        return token
+        return self.index - 1
 
-    def expect(self, kind) -> _Token:
-        token = self.current
-        if token.kind != kind:
-            found = "end of input" if token.kind == "end" else repr(token.value)
-            raise ParseError(
-                f"expected {kind!r}, found {found}", token.line, token.column
-            )
+    def error(self, message, index=None) -> ParseError:
+        """A ParseError at token `index`, by default the current token."""
+        return _error(self.text, message, self.offsets[self.index if index is None else index])
+
+    def expect(self, kind) -> int:
+        if self.kinds[self.index] != kind:
+            found = "end of input" if self.kinds[self.index] == "end" else repr(self.values[self.index])
+            raise self.error(f"expected {kind!r}, found {found}")
         return self.advance()
 
     def fail(self, message):
-        if self.current.kind == "end":
+        if self.kinds[self.index] == "end":
             message = message.replace("None", "end of input")
-        raise ParseError(message, self.current.line, self.current.column)
+        raise self.error(message)
 
     # -- grammar ------------------------------------------------------------
 
     def parse(self) -> AlgebraElement:
         value = self.expr()
-        if self.current.kind != "end":
-            self.fail(f"trailing input {self.current.value!r}")
+        if self.kinds[self.index] != "end":
+            self.fail(f"trailing input {self.values[self.index]!r}")
         return value
 
     def expr(self):
-        value = self.term()
-        while self.current.kind in ("+", "-"):
-            if self.advance().kind == "+":
-                value = value + self.term()
+        terms = [self.term()]
+        while self.kinds[self.index] in ("+", "-"):
+            if self.kinds[self.advance()] == "+":
+                terms.append(self.term())
             else:
-                value = value - self.term()
-        return value
+                terms.append(-self.term())
+        return terms[0] if len(terms) == 1 else _sum(self.config, terms)
 
     def term(self):
-        value = self.factor()
+        """The term's generators as one monomial, times its other factors;
+        a divisor is inverted at its '/', so a bad divisor is reported there."""
+        pairs, factors = [], []
         while True:
-            if self.current.kind == "/":
-                op = self.advance()
+            if self.kinds[self.index] == "[":
+                pairs.append(self.pair())
+            else:
+                factors.append(self.factor())
+            while self.kinds[self.index] == "/":
+                slash = self.advance()
                 divisor = self.factor()
                 try:
-                    value = value / divisor
-                except ZeroDivisionError:
-                    raise ParseError("division by zero", op.line, op.column) from None
-            elif self.current.kind == "*":
-                self.advance()
-                value = value * self.factor()
-            elif self.current.kind in ("num", "ident", "[", "("):
-                value = value * self.factor()
-            else:
-                return value
+                    factors.append(divisor.inverse())
+                except (ZeroDivisionError, SwapAlgError) as exc:
+                    message = str(exc) if isinstance(exc, SwapAlgError) else "division by zero"
+                    raise self.error(message, slash) from None
+            if self.kinds[self.index] == "*":
+                self.index += 1
+            elif self.kinds[self.index] not in ("num", "ident", "[", "("):
+                break
+        if pairs:
+            factors.append(_pair_fraction(pairs, ()))
+        return prod(factors[1:], start=factors[0])
 
     def factor(self) -> AlgebraElement:
-        token = self.current
-        if token.kind in ("-", "("):
+        kind = self.kinds[self.index]
+        if kind in ("-", "("):
             if self.depth == MAX_NESTING:
                 self.fail(f"nesting deeper than {MAX_NESTING} levels")
             self.depth += 1
-            self.advance()
-            if token.kind == "-":
+            self.index += 1
+            if kind == "-":
                 value = -self.factor()
             else:
                 value = self.expr()
                 self.expect(")")
             self.depth -= 1
             return value
-        if token.kind == "num":
-            self.advance()
-            return AlgebraElement.scalar(self.config, token.value)
-        if token.kind == "[":
-            return self.generator()
-        if token.kind == "ident":
-            if token.value in _CALLS:
+        value = self.values[self.index]
+        if kind == "num":
+            self.index += 1
+            return AlgebraElement.scalar(self.config, value)
+        if kind == "[":
+            return _pair_fraction((self.pair(),), ())
+        if kind == "ident":
+            if value in _CALLS:
                 return self.call()
-            self.fail(f"bare label {token.value!r}; generators are written [X x]")
-        self.fail(f"unexpected {token.value!r}")
+            self.fail(f"bare label {value!r}; generators are written [X x]")
+        self.fail(f"unexpected {value!r}")
 
-    def generator(self) -> AlgebraElement:
+    def pair(self) -> tuple:
+        """The points (X, x) of a generator [X x]; X = x makes it zero."""
         self.expect("[")
         left = self.point(self.expect("ident"))
         right = self.point(self.expect("ident"))
         self.expect("]")
-        return generator(left, right)
+        return left, right
 
-    def point(self, token: _Token):
+    def point(self, index: int):
+        label = self.values[index]
         try:
-            return self.config[token.value]
+            return self.config[label]
         except SwapAlgError:
             pass
-        if self.universe is not None and token.value[-1] in "+-":
+        if self.universe is not None and label[-1] in "+-":
             # fixed-point labels like a+ or b- register on demand
-            sign = 1 if token.value[-1] == "+" else -1
+            sign = 1 if label[-1] == "+" else -1
             try:
-                return self.universe.fixed_point(token.value[:-1], sign)
+                return self.universe.fixed_point(label[:-1], sign)
             except SwapAlgError:
                 pass
-        raise ParseError(f"unknown label {token.value!r}", token.line, token.column)
+        raise self.error(f"unknown label {label!r}", index)
 
     def call(self):
-        name = self.advance().value
+        name = self.values[self.advance()]
         self.expect("(")
         try:
             if name == "cross":
@@ -221,7 +224,7 @@ class _Parser:
                 return self.multi_fraction_call()
             if name == "elem":
                 words = [self.word_arg()]
-                while self.current.kind == ",":
+                while self.kinds[self.index] == ",":
                     self.advance()
                     words.append(self.word_arg())
                 self.expect(")")
@@ -241,7 +244,7 @@ class _Parser:
         except (SwapAlgError, ParseError) as exc:
             if isinstance(exc, ParseError):
                 raise
-            raise ParseError(str(exc), self.current.line, self.current.column) from exc
+            raise self.error(str(exc)) from exc
         self.fail(f"unknown call {name!r}")
 
     def need_universe(self):
@@ -251,19 +254,19 @@ class _Parser:
 
     def word_arg(self) -> str:
         letters = []
-        while self.current.kind == "ident":
-            letters.append(self.advance().value)
+        while self.kinds[self.index] == "ident":
+            letters.append(self.values[self.advance()])
         if not letters:
             self.fail("expected a group word")
         return " ".join(letters)
 
     def multi_fraction_call(self) -> AlgebraElement:
         tops = []
-        while self.current.kind == "ident":
+        while self.kinds[self.index] == "ident":
             tops.append(self.point(self.advance()))
         self.expect("|")
         bottoms = []
-        while self.current.kind == "ident":
+        while self.kinds[self.index] == "ident":
             bottoms.append(self.point(self.advance()))
         self.expect("|")
         sigma = self.cycles(len(tops))
@@ -273,17 +276,17 @@ class _Parser:
     def cycles(self, n: int) -> tuple[int, ...]:
         """One-line cycle notation with 1-based entries, or 'id'."""
         sigma = list(range(n))
-        if self.current.kind == "ident" and self.current.value == "id":
+        if self.kinds[self.index] == "ident" and self.values[self.index] == "id":
             self.advance()
             return tuple(sigma)
         seen = set()
         found = False
-        while self.current.kind == "(":
+        while self.kinds[self.index] == "(":
             found = True
             self.advance()
             entries = []
-            while self.current.kind == "num":
-                value = self.advance().value
+            while self.kinds[self.index] == "num":
+                value = self.values[self.advance()]
                 if value.denominator != 1:
                     self.fail("cycle entries must be integers")
                 entries.append(int(value))

@@ -10,6 +10,7 @@ from swapalg.algebra import (
     AlgebraElement,
     GeneratorPair,
     Monomial,
+    _sum,
     generator,
     jacobiator,
     swap_bracket,
@@ -465,6 +466,44 @@ def test_integer_form_matches_fraction_reference_model(alpha):
                 same = (a + b) - b
                 assert same == a and hash(same) == hash(a)
     assert nonzero > 40
+
+
+def test_n_ary_sum_matches_fraction_reference_model():
+    """`_sum` adds any number of elements at once: over coprime coefficient
+    denominators, to a sum that cancels to zero, and the empty sum; the
+    result is in normal form and equals the `Fraction` model's sum."""
+    rng = random.Random("n-ary-sum")
+    config, points = _random_config(rng, 7, denominator=101)
+    f = cross_fraction(*rng.sample(points, 4))
+    for denominators in ((3,), (5,), (7, 11), (2, 9, 13)):
+        elements = [_laurent(rng, points, denominators) for _ in range(rng.randint(2, 6))]
+        elements.append(Fraction(-2, 17) * f / generator(*rng.sample(points, 2)))
+        expected = {}
+        for a in elements:
+            expected = _model_add(expected, _model(a))
+        total = _sum(config, elements)
+        _assert_normal_form(total)
+        assert _model(total) == expected
+        cancelled = _sum(config, elements + [-a for a in reversed(elements)])
+        assert cancelled.is_zero and cancelled._denominator == 1
+    empty = _sum(config, [])
+    assert empty == AlgebraElement.zero(config) and empty._denominator == 1
+    other, other_points = _random_config(rng, 4)
+    with pytest.raises(ConfigMismatchError):
+        _sum(config, [f, generator(*other_points[:2])])
+    with pytest.raises(ConfigMismatchError):
+        _sum(other, [f])
+
+
+def test_jacobiator_sums_its_brackets_once(monkeypatch):
+    rng = random.Random("jacobiator-sum")
+    config, points = _random_config(rng, 8)
+    a, b, c = (cross_fraction(*rng.sample(points, 4)) for _ in range(3))
+    added = []
+    real_add = AlgebraElement.__add__
+    monkeypatch.setattr(AlgebraElement, "__add__", lambda x, y: added.append(1) or real_add(x, y))
+    assert jacobiator(a, b, c, Fraction(1, 3)).is_zero
+    assert not added
 
 
 def _canonical_order(term):

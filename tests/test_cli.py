@@ -176,6 +176,13 @@ def test_division_by_zero_exits_two_without_traceback(files):
     assert proc.stderr.startswith("error:") and "division by zero" in proc.stderr
 
 
+def test_divisor_with_several_terms_exits_two_with_its_position(files, capsys):
+    rc = main(["bracket", "--points", files["points"], "[X x] / ([X x] + [Y y])", "[Y y]"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == "error: only monomial fractions are invertible (line 1, column 7)\n"
+
+
 @pytest.mark.parametrize("verb", ["bracket", "jacobi"])
 def test_alpha_must_be_a_rational(files, capsys, verb):
     exprs = ["[X x]", "[Y y]"] + (["[Z u]"] if verb == "jacobi" else [])

@@ -1,3 +1,5 @@
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,7 +16,7 @@ from swapalg.multifraction import (
     multi_fraction,
     wolpert_rhs,
 )
-from swapalg.parser import parse_expression
+from swapalg.parser import _error, _tokenize, parse_expression
 
 
 @pytest.fixture
@@ -183,3 +185,216 @@ def test_nesting_depth_is_bounded(config):
         with pytest.raises(ParseError, match="nesting deeper") as err:
             parse_expression(text, config)
         assert (err.value.line, err.value.column) == (1, 201)
+
+
+def test_divisor_with_several_terms_is_a_parse_error_at_the_slash(config):
+    with pytest.raises(ParseError, match="only monomial fractions are invertible") as err:
+        parse_expression("[X x] / ([X x] + [Y y])", config)
+    assert (err.value.line, err.value.column) == (1, 7)
+    with pytest.raises(ParseError, match="only monomial fractions are invertible") as err:
+        parse_expression("1 +\n  2 [Y y] / (1 + [X x])", config)
+    assert (err.value.line, err.value.column) == (2, 11)
+
+
+# -- the tokenizer against the line-tracking reference -----------------------
+
+_REFERENCE_TOKEN = re.compile(
+    r"""(?P<ws>\s+)
+      | (?P<num>\d+(?:/\d+)?)
+      | (?P<ident>[A-Za-z_][A-Za-z_0-9]*'?(?:(?<=[A-Za-z_0-9'])[+-])?)
+      | (?P<op>[\[\]\(\)\|,*/+-])
+    """,
+    re.VERBOSE,
+)
+
+
+def _reference_tokenize(text):
+    """The tokenizer that tracked line and column token by token while
+    matching: (kind, value, line, column) tuples, or a ParseError."""
+    tokens = []
+    line = 1
+    line_start = 0
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
+        if m.lastgroup == "ws":
+            line += m.group().count("\n")
+            if "\n" in m.group():
+                line_start = m.end() - len(m.group().rsplit("\n", 1)[1])
+        elif m.lastgroup == "num":
+            try:
+                value = Fraction(m.group())
+            except ZeroDivisionError:
+                raise ParseError("division by zero", line, pos - line_start + 1) from None
+            tokens.append(("num", value, line, pos - line_start + 1))
+        elif m.lastgroup == "ident":
+            tokens.append(("ident", m.group(), line, pos - line_start + 1))
+        else:
+            tokens.append((m.group(), m.group(), line, pos - line_start + 1))
+        pos = m.end()
+    tokens.append(("end", None, line, pos - line_start + 1))
+    return tokens
+
+
+_PIECES = (
+    "X", "x", "Y", "ab_1", "_q", "a'", "b+", "c-", "a'+", "elem", "cross",
+    "+", "-", "3", "12/5", "007", "7/0", "0/0", "1/", "٣",
+    "[", "]", "(", ")", "|", ",", "*", "/",
+    " ", "  ", "\t", "\n", "\r\n", " ", " ", "\x0b",
+    "@", "^", "é", "'", ".", "=",
+)
+
+
+def _outcome(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.column
+
+
+def test_tokens_and_positions_match_the_line_tracking_reference():
+    rng = random.Random("tokenizer")
+    errors = 0
+    for _ in range(3000):
+        text = "".join(rng.choice(_PIECES) for _ in range(rng.randint(0, 14)))
+        try:
+            kinds, values, offsets = _tokenize(text)
+        except ParseError as exc:
+            errors += 1
+            assert _outcome(_reference_tokenize, text) == (str(exc), exc.line, exc.column), text
+            continue
+        positions = [_error(text, "", offset) for offset in offsets]
+        got = [(k, v, e.line, e.column) for k, v, e in zip(kinds, values, positions)]
+        assert got == _reference_tokenize(text), text
+    assert 300 < errors < 2700
+
+
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        ("[X x]\n  @", "unexpected character '@'", 2, 3),
+        ("[X x]\n+ [Y q]", "unknown label 'q'", 2, 6),
+        ("[X x]\n\n   1/0", "division by zero", 3, 4),
+        ("[X x] +\r\n\t[Y", "expected 'ident', found end of input", 2, 4),
+        ("", "unexpected end of input", 1, 1),
+        ("1 2\n)", "trailing input ')'", 2, 1),
+    ],
+)
+def test_parse_errors_report_line_and_column(config, text, message, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_expression(text, config)
+    assert str(err.value) == f"{message} (line {line}, column {column})"
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+# -- sums and generator runs are built once ---------------------------------
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(AlgebraElement, name)
+    monkeypatch.setattr(AlgebraElement, name, lambda a, b: calls.append(1) or real(a, b))
+    return calls
+
+
+def test_long_sums_and_generator_runs_add_and_multiply_nothing(config, monkeypatch):
+    rng = random.Random("linear")
+    labels = ["X", "Y", "Z", "W", "x", "y", "u", "v"]
+    runs = [[rng.sample(labels, 2) for _ in range(16)] for _ in range(60)]
+    expected = AlgebraElement.zero(config)
+    for run in runs:
+        product = AlgebraElement.one(config)
+        for a, b in run:
+            product = product * generator(config[a], config[b])
+        expected = expected + product
+    texts = [" ".join(f"[{a} {b}]" for a, b in run) for run in runs]
+    added = _counting(monkeypatch, "__add__")
+    multiplied = _counting(monkeypatch, "__mul__")
+    assert parse_expression(" + ".join(texts), config) == expected
+    assert parse_expression(" * ".join(texts).replace("] [", "] * ["), config) == parse_expression(
+        " ".join(texts), config
+    )
+    assert parse_expression("[X x] * [Y y] [X X] * [Z u]", config).is_zero
+    assert not added and not multiplied
+
+
+_LABELS = ("X", "Y", "Z", "W", "x", "y", "u", "v")
+
+
+def _random_divisor(rng, config):
+    """(text, value) of a random single-term factor with a nonzero value."""
+    kind = rng.choice(["scalar", "generator", "cross", "mf", "paren", "minus"])
+    if kind == "scalar":
+        p, q = rng.randint(1, 9), rng.choice([1, 1, 2, 7])
+        return (f"{p}/{q}" if q > 1 else f"{p}"), AlgebraElement.scalar(config, Fraction(p, q))
+    if kind == "generator":
+        a, b = rng.sample(_LABELS, 2)
+        return f"[{a} {b}]", generator(config[a], config[b])
+    if kind == "cross":
+        labels = rng.sample(_LABELS, 4)
+        return "cross({}, {}, {}, {})".format(*labels), cross_fraction(*(config[a] for a in labels))
+    if kind == "mf":
+        k = rng.randint(2, 3)
+        labels = rng.sample(_LABELS, 2 * k)
+        swap = rng.random() < 0.5
+        sigma = (1, 0, *range(2, k)) if swap else tuple(range(k))
+        text = f"mf({' '.join(labels[:k])} | {' '.join(labels[k:])} | {'(1 2)' if swap else 'id'})"
+        return text, multi_fraction([config[a] for a in labels[:k]], [config[a] for a in labels[k:]], sigma)
+    text, value = _random_divisor(rng, config)
+    return (f"({text})", value) if kind == "paren" else (f"-{text}", -value)
+
+
+def _random_factor(rng, config, depth):
+    kind = rng.random()
+    if kind < 0.35:
+        a, b = rng.choice(_LABELS), rng.choice(_LABELS)  # [X X] is zero
+        return f"[{a} {b}]", generator(config[a], config[b])
+    if kind < 0.85 or depth == 2:
+        return _random_divisor(rng, config)
+    if kind < 0.95:
+        text, value = _random_expression(rng, config, depth + 1)
+        return f"({text})", value
+    text, value = _random_factor(rng, config, depth + 1)
+    return f"-{text}", -value
+
+
+def _random_term(rng, config, depth):
+    text, value = _random_factor(rng, config, depth)
+    for _ in range(rng.randint(0, 5)):
+        op = rng.choice([" ", " * ", " / "])
+        if op == " / ":
+            divisor, divisor_value = _random_divisor(rng, config)
+            text, value = f"{text} / {divisor}", value / divisor_value
+            continue
+        factor, factor_value = _random_factor(rng, config, depth)
+        if factor.startswith("-"):
+            op = " * "  # juxtaposed, the '-' would subtract
+        text, value = text + op + factor, value * factor_value
+    return text, value
+
+
+def _random_expression(rng, config, depth=0):
+    """(text, value) of a random expression, the value built by algebra operations."""
+    text, value = _random_term(rng, config, depth)
+    for _ in range(rng.randint(0, 4)):
+        term, term_value = _random_term(rng, config, depth)
+        if rng.random() < 0.5:
+            text, value = f"{text} + {term}", value + term_value
+        else:
+            text, value = f"{text} - {term}", value - term_value
+    return text, value
+
+
+def test_random_expressions_parse_to_their_algebra_values(config):
+    rng = random.Random("expressions")
+    nonzero = 0
+    for _ in range(300):
+        text, value = _random_expression(rng, config)
+        parsed = parse_expression(text, config)
+        assert parsed == value, text
+        assert repr(parsed) == repr(value)
+        assert parse_expression(repr(value), config) == value, text
+        nonzero += not value.is_zero
+    assert nonzero > 200
