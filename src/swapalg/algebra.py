@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 from operator import itemgetter
 
@@ -173,7 +174,9 @@ def _reduced(config: PointConfig, numerators: dict, denominator: int) -> "Algebr
     """The element sum(n m) / denominator, brought to normal form: zero
     numerators dropped, one gcd pass over the rest and the denominator."""
     numerators = {m: n for m, n in numerators.items() if n}
-    g = gcd(denominator, *numerators.values())
+    # reduce, not gcd(*...): an argument tuple per call would pile up in
+    # CPython's per-size tuple free lists, which are never given back
+    g = reduce(gcd, numerators.values(), denominator)
     if g != 1:
         numerators = {m: n // g for m, n in numerators.items()}
         denominator //= g
@@ -261,7 +264,7 @@ class AlgebraElement:
             ranks = [i for i, e in enumerate(exponents) for _ in range(e)]
             terms.append((len(ranks), ranks, n, m))
         terms.sort()  # (degree, ranks) never ties, so n and m are never compared
-        content = gcd(*(n for _, _, n, _ in terms))
+        content = reduce(gcd, [n for _, _, n, _ in terms], 0)
         return pairs, cleared, terms, -content if terms and terms[0][2] < 0 else content
 
     def terms(self):

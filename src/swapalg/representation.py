@@ -34,9 +34,15 @@ bracket and closed form, refuses such points.  Points at one position
 share one vector and hyperplane; a fixed point whose own data would be
 dropped that way is refused.
 
+Eigendata of a 2 x 2 matrix come in closed form, in plain floats, with no
+LAPACK call and no polish: the discriminant and determinant are sums of
+exact products, so eigenvalues and eigendirections are accurate to a few
+units in the last place even near parabolic matrices.  For n >= 3 they
+come from LAPACK's `eig`, polished by inverse iteration.
+
 Representations are built once and then read only; evaluations are pure.
 Words used concurrently should be resolved in a pre-pass, since resolution
-caches eigendata.
+caches eigendata (and `wilson_ratio` a trace-pairing table per word pair).
 """
 
 from __future__ import annotations
@@ -91,15 +97,29 @@ class GroupElementData:
 def eigen_split(matrix, label: str = "") -> GroupElementData:
     """Eigendecomposition of a purely loxodromic unimodular matrix.
 
-    Rejects complex or modulus-tied spectra ("not loxodromic") and negative
+    Rejects non-finite entries, a determinant that is zero or not finite,
+    complex or modulus-tied spectra ("not loxodromic") and negative
     determinants for even n; for odd n the sign ambiguity is removed by
     normalizing the determinant to +1.
+
+    A 2 x 2 matrix is split in closed form, in plain floats, with no LAPACK
+    call and no polish (`_split_2x2`).  Larger matrices use LAPACK's `eig`
+    and inverse iteration (`_split_lapack`).
     """
     m = np.array(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise SwapAlgError("matrix must be square")
+    if not np.isfinite(m).all():
+        raise SwapAlgError("matrix entries must be finite")
     n = m.shape[0]
-    det = np.linalg.det(m)
+    if n == 2:
+        (a, b), (c, d) = m.tolist()
+        det = a * d - b * c
+    else:
+        with np.errstate(all="ignore"):  # an overflow is refused just below
+            det = float(np.linalg.det(m))
+    if not math.isfinite(det):
+        raise SwapAlgError("matrix determinant is not finite")
     if det == 0:
         raise SwapAlgError("matrix is singular")
     if det < 0:
@@ -107,20 +127,98 @@ def eigen_split(matrix, label: str = "") -> GroupElementData:
             raise SwapAlgError("negative determinant has no loxodromic class")
         m = -m
         det = -det
-    m = m / det ** (1.0 / n)
+    scale = det ** (1.0 / n)
+    top = float(abs(m).max()) / scale  # the largest entry at determinant one
+    if top == math.inf:
+        raise SwapAlgError("matrix entries overflow when scaled to determinant one")
+    m = m / scale
+    # beyond 2^500 an exact product of two entries could overflow
+    split = _split_2x2 if n == 2 and top < 2.0**500 else _split_lapack
+    values, right, left, pairings = split(m, label or matrix)
+    if abs(pairings).min() < 1e-12:
+        raise NotLoxodromicError(f"degenerate eigenbasis for {label or matrix}")
+    return GroupElementData(label, m, values, right, left, pairings)
+
+
+def _check_moduli(mags, name) -> None:
+    """Refuse adjacent |eigenvalue| ratios above 1 - tol, and NaN ratios."""
+    for i in range(len(mags) - 1):
+        if not mags[i + 1] / mags[i] <= 1.0 - LOXODROMY_TOLERANCE:
+            raise NotLoxodromicError(f"not loxodromic: eigenvalue moduli too close for {name}")
+
+
+def _two_product(x: float, y: float) -> tuple[float, float]:
+    """x * y as an unevaluated sum hi + lo, exactly (Dekker, with
+    Veltkamp's split into 26-bit halves; |x|, |y| below 2^500)."""
+    hi = x * y
+    t = 134217729.0 * x  # 2^27 + 1
+    xh = t - (t - x)
+    xl = x - xh
+    t = 134217729.0 * y
+    yh = t - (t - y)
+    yl = y - yh
+    return hi, ((xh * yh - hi) + xh * yl + xl * yh) + xl * yl
+
+
+def _split_2x2(m, name):
+    """Closed-form eigendata of a normalized 2 x 2 matrix, in plain floats.
+
+    With t = a + d, delta = a - d and s = sign(t) sqrt(delta^2 + 4 b c),
+    lambda_1 = (t + s) / 2 and lambda_2 = (a d - b c) / lambda_1.  The
+    discriminant and the determinant are sums of exact products rounded
+    once, so s stays accurate where delta^2 and -4 b c nearly cancel (near
+    parabolic matrices).  The right eigenvector of lambda_1 is the longer of
+    (2b, s - delta) and (s + delta, 2c), the null vectors of the rows of
+    2 (m - lambda_1) written in s and delta, so the rounding of lambda_1
+    never enters, and a component that cancels is short against the
+    length of the vector it is in.  Likewise for lambda_2; the left
+    eigenvectors are the rows of the inverse of the right ones.
+    """
+    (a, b), (c, d) = m.tolist()
+    t = a + d
+    delta = a - d
+    z = delta - a
+    delta_lo = (a - (delta - z)) + (-d - z)  # a - d = delta + delta_lo exactly
+    dd, dd_lo = _two_product(delta, delta)
+    bc, bc_lo = _two_product(b, c)
+    disc = math.fsum((dd, dd_lo, 2.0 * delta * delta_lo, 4.0 * bc, 4.0 * bc_lo))
+    if disc < 0:
+        # LAPACK's rule: |Im lambda| > 1e-9 |lambda|, with |lambda|^2 = (t^2 - disc) / 4
+        if math.sqrt(-disc) > 1e-9 * math.sqrt(t * t - disc):
+            raise NotLoxodromicError(f"not loxodromic: complex spectrum for {name}")
+        disc = 0.0  # a double eigenvalue, refused as tied moduli
+    s = math.copysign(math.sqrt(disc), t)
+    lam1 = 0.5 * (t + s)
+    lam2 = math.fsum((*_two_product(a, d), -bc, -bc_lo)) / lam1
+    _check_moduli((abs(lam1), abs(lam2)), name)
+    columns = []
+    for u, v in (
+        ((2.0 * b, s - delta), (s + delta, 2.0 * c)),  # lambda_1
+        ((2.0 * b, -s - delta), (delta - s, 2.0 * c)),  # lambda_2
+    ):
+        x, y = u if math.hypot(*u) >= math.hypot(*v) else v
+        norm = math.hypot(x, y)
+        columns.append((x / norm, y / norm))
+    (p, q), (r, w) = columns
+    det_r = p * w - q * r
+    sign = math.copysign(1.0, det_r)  # inv(R) = [[w, -r], [-q, p]] / det_r, rows unit
+    right = np.array([[p, r], [q, w]])
+    left = np.array([[sign * w, -sign * r], [-sign * q, sign * p]])
+    return np.array([lam1, lam2]), right, left, np.array([abs(det_r), abs(det_r)])
+
+
+def _split_lapack(m, name):
+    """Eigendata of a normalized n x n matrix: LAPACK's `eig`, then two
+    steps of inverse iteration on each eigenvector."""
+    n = m.shape[0]
     values, vectors = np.linalg.eig(m)
     if np.max(np.abs(values.imag)) > 1e-9 * np.max(np.abs(values)):
-        raise NotLoxodromicError(f"not loxodromic: complex spectrum for {label or matrix}")
+        raise NotLoxodromicError(f"not loxodromic: complex spectrum for {name}")
     values = values.real
     order = np.argsort(-np.abs(values))
     values = values[order]
     right = np.real(vectors[:, order])
-    mags = np.abs(values)
-    for i in range(n - 1):
-        if mags[i + 1] / mags[i] > 1.0 - LOXODROMY_TOLERANCE:
-            raise NotLoxodromicError(
-                f"not loxodromic: eigenvalue moduli too close for {label or matrix}"
-            )
+    _check_moduli(np.abs(values), name)
     right = right / np.linalg.norm(right, axis=0, keepdims=True)
     # Inverse-iteration polish: with distinct eigenvalues the nearly
     # singular solve amplifies the true eigendirection, gaining several
@@ -144,10 +242,7 @@ def eigen_split(matrix, label: str = "") -> GroupElementData:
     left = np.linalg.inv(right)
     norms = np.linalg.norm(left, axis=1, keepdims=True)
     left = left / norms
-    pairings = np.einsum("ij,ji->i", left, right)
-    if np.min(np.abs(pairings)) < 1e-12:
-        raise NotLoxodromicError(f"degenerate eigenbasis for {label or matrix}")
-    return GroupElementData(label, m, values, right, left, pairings)
+    return values, right, left, np.einsum("ij,ji->i", left, right)
 
 
 def symmetric_square(matrix) -> np.ndarray:
@@ -213,6 +308,8 @@ class Representation:
                 n = m.shape[0]
             if m.shape != (n, n):
                 raise SwapAlgError("generators must share one dimension")
+            if not np.isfinite(m).all():  # before a product turns inf into nan
+                raise SwapAlgError(f"generator {label!r}: matrix entries must be finite")
             mats[label] = m
         self.dimension = n
         self.config = PointConfig()
@@ -221,6 +318,7 @@ class Representation:
         self._elements: dict[Word, GroupElementData] = {}
         self._points: dict[CirclePoint, _PointData] = {}
         self._fixed: dict[tuple[Word, int], CirclePoint] = {}
+        self._wilson_tables: dict[tuple[Word, Word], tuple] = {}  # (r, s, M) per word pair
         for label in mats:
             self.element(label)
 
@@ -231,9 +329,14 @@ class Representation:
         tokens = []
         for raw in text.splitlines():
             tokens.extend(raw.split("#", 1)[0].split())
-        if tokens[:2] != ["n", "="] or len(tokens) < 3:
-            raise SwapAlgError("representation file must begin with 'n = <int>'")
-        n = int(tokens[2])
+        try:
+            n = int(tokens[2]) if tokens[:2] == ["n", "="] else 0
+        except (IndexError, ValueError):
+            n = 0
+        if n < 1:
+            raise SwapAlgError(
+                "representation file must begin with 'n = <int>', <int> a positive integer"
+            )
         generators = {}
         index = 3
         while index < len(tokens):
@@ -413,19 +516,26 @@ class Representation:
         """tr(g^p h^p) / (tr(g^p) tr(h^p)), computed from eigendata.
 
         Powers enter only through ratios lambda_i / lambda_1, so the value
-        stays finite for all p.
+        stays finite for all p.  The ratios and the trace pairing of the
+        two words are kept per word pair, so each further p costs one
+        power of each ratio vector and one bilinear form.
         """
         if p < 1:
             raise SwapAlgError("exponent must be positive")
-        g = self.element(gamma)
-        h = self.element(eta)
-        r = g.eigenvalues / g.eigenvalues[0]
-        s = h.eigenvalues / h.eigenvalues[0]
-        # M_ij = tr(p_i(g) p_j(h))
-        cross = (g.left @ h.right) * (h.left @ g.right).T
-        M = cross / np.outer(g.pairings, h.pairings)
-        num = (r**p) @ M @ (s**p)
-        return float(num / (np.sum(r**p) * np.sum(s**p)))
+        key = (parse_word(gamma), parse_word(eta))
+        table = self._wilson_tables.get(key)
+        if table is None:
+            g = self.element(key[0])
+            h = self.element(key[1])
+            r = g.eigenvalues / g.eigenvalues[0]
+            s = h.eigenvalues / h.eigenvalues[0]
+            # M_ij = tr(p_i(g) p_j(h))
+            cross = (g.left @ h.right) * (h.left @ g.right).T
+            table = self._wilson_tables[key] = (r, s, cross / np.outer(g.pairings, h.pairings))
+        r, s, M = table
+        rp = r**p
+        sp = s**p
+        return float(rp @ M @ sp / (rp.sum() * sp.sum()))
 
     def elementary_value(self, words) -> float:
         return self.eval_fraction(elementary(self, words))

@@ -484,3 +484,27 @@ def test_a_fraction_without_pairs_exits_two_with_one_line(files):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1
     assert proc.stderr.startswith("error:") and "at least one pair" in proc.stderr
+
+
+# numpy warnings reach stderr only outside pytest's warning capture, so these
+# run in a subprocess
+@pytest.mark.parametrize(
+    "text, says",
+    [
+        ("n = 2\nelement a 1e308 1e308 1e308 1e308\nelement b 2 0 0 0.5\n", "determinant is not finite"),
+        ("n = 2\nelement a nan 0 0 0.5\nelement b 2 0 0 0.5\n", "entries must be finite"),
+        ("n = 2\nelement a inf 0 0 0.5\nelement b 2 0 0 0.5\n", "entries must be finite"),
+        ("n = 2\nelement a 1e308 0 0 1e-320\nelement b 2 0 0 0.5\n", "overflow when scaled"),
+        ("n = x\nelement a 2 0 0 0.5\n", "<int> a positive integer"),
+        ("n = -1\nelement a 2 0 0 0.5\n", "<int> a positive integer"),
+        ("n = 0\n", "<int> a positive integer"),
+    ],
+    ids=["det-overflow", "nan-entry", "inf-entry", "scaled-overflow", "n-x", "n-minus-1", "n-0"],
+)
+def test_bad_representation_exits_two_with_one_line(tmp_path, text, says):
+    rep = tmp_path / "rep.txt"
+    rep.write_text(text)
+    proc = _run_cli("eval", "--rep", str(rep), "cross(a+, a-, b+, b-)")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1 and says in proc.stderr

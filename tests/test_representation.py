@@ -1,5 +1,7 @@
 import math
 import random
+import warnings
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +20,7 @@ from swapalg.multifraction import (
 )
 from swapalg.representation import (
     Representation,
+    _check_moduli,
     eigen_split,
     symmetric_square,
     wolpert_check,
@@ -68,6 +71,103 @@ def test_eigen_split_rejects_negative_determinant_even_dim():
 def test_eigen_split_normalizes_sign_for_odd_dim():
     data = eigen_split(-np.diag([4.0, 1.0, 0.25]))
     assert np.linalg.det(data.matrix) == pytest.approx(1.0)
+
+
+def _decimal_eigendata(matrix):
+    """50-digit eigenvalues and unit right eigenvectors of a real 2x2
+    matrix with real spectrum, larger modulus first."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        (a, b), (c, d) = [[Decimal(float(x)) for x in row] for row in matrix]
+        root = ((a - d) ** 2 + 4 * b * c).sqrt()
+        if a + d < 0:
+            root = -root
+        values = [(a + d + root) / 2, (a + d - root) / 2]
+        vectors = []
+        for lam in values:
+            u, v = (b, lam - a), (lam - d, c)
+            x, y = u if u[0] ** 2 + u[1] ** 2 >= v[0] ** 2 + v[1] ** 2 else v
+            norm = (x * x + y * y).sqrt()
+            vectors.append((x / norm, y / norm))
+        return values, vectors
+
+
+def _triangular(rng):
+    lam = rng.uniform(1.2, 3.0)
+    m = np.array([[lam, rng.uniform(-5.0, 5.0)], [0.0, 1.0 / lam]])
+    return m if rng.random() < 0.5 else m.T
+
+
+_FAMILIES = {
+    "default": random_hyperbolic_sl2,
+    "wilson": lambda rng: random_hyperbolic_sl2(rng, 1.15, 1.45),
+    "negated": lambda rng: -random_hyperbolic_sl2(rng),
+    # eigenvalue gaps down to 2e-5, where delta^2 and -4bc nearly cancel
+    "near-parabolic": lambda rng: random_hyperbolic_sl2(rng, 1.0 + 1e-5, 1.0 + 1e-2),
+    "triangular": _triangular,
+    "large-eigenvalues": lambda rng: random_hyperbolic_sl2(rng, 10.0, 1e4),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_eigen_split_2x2_matches_decimal_reference(family):
+    rng = random.Random(family)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for _ in range(300):
+            data = eigen_split(_FAMILIES[family](rng))
+            values, vectors = _decimal_eigendata(data.matrix)
+            for i, j in ((0, 1), (1, 0)):
+                assert abs(Decimal(float(data.eigenvalues[i])) / values[i] - 1) < Decimal("1e-13")
+                x, y = (Decimal(float(e)) for e in data.right[:, i])
+                assert abs(x * vectors[i][1] - y * vectors[i][0]) < Decimal("4e-15")
+                x, y = (Decimal(float(e)) for e in data.left[i])
+                assert abs(x * vectors[j][0] + y * vectors[j][1]) < Decimal("4e-15")
+
+
+def test_eigen_split_2x2_calls_no_lapack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    matrix = random_hyperbolic_sl2(random.Random(3))
+    for name in ("eig", "solve", "inv", "det"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    data = eigen_split(matrix)
+    assert data.pairings.min() > 0.1
+    with pytest.raises(AssertionError, match="LAPACK called"):
+        eigen_split(np.diag([4.0, 1.0, 0.25]))
+
+
+@pytest.mark.parametrize(
+    "matrix, says",
+    [
+        ([[1e308, 1e308], [1e308, 1e308]], "determinant is not finite"),
+        ([[1e308, 1e308, 0], [1e308, 1e308, 0], [0, 0, 1]], "determinant is not finite"),
+        ([[math.nan, 0], [0, 1]], "entries must be finite"),
+        ([[math.inf, 0, 0], [0, 1, 0], [0, 0, 1]], "entries must be finite"),
+        ([[1e308, 0], [0, 1e-320]], "overflow when scaled"),
+        ([[1e308, 0, 0], [0, 1e-320, 0], [0, 0, 1]], "overflow when scaled"),
+    ],
+    ids=["overflow-2", "overflow-3", "nan-2", "inf-3", "scaled-overflow-2", "scaled-overflow-3"],
+)
+def test_eigen_split_refuses_overflow_without_warnings(matrix, says):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SwapAlgError, match=says) as caught:
+            eigen_split(matrix)
+    assert type(caught.value) is SwapAlgError
+
+
+def test_loxodromy_test_fails_nan_ratios():
+    with pytest.raises(NotLoxodromicError, match="moduli too close"):
+        _check_moduli((1.0, math.nan), "x")
+
+
+def test_eigen_split_2x2_takes_huge_entries_through_lapack():
+    # past 2^500 the exact products of the closed form would overflow
+    data = eigen_split([[1e160, 3.0], [0.0, 1e-160]])
+    assert data.eigenvalues.tolist() == pytest.approx([1e160, 1e-160], rel=1e-12)
+    assert np.abs(data.right[:, 0]).tolist() == pytest.approx([1.0, 0.0], abs=1e-15)
 
 
 def test_projectors_resolve_identity():
@@ -325,6 +425,19 @@ def test_wilson_ratio_validates_exponent():
         rep.wilson_ratio("a", "b", 0)
 
 
+def test_wilson_ratio_keeps_one_table_per_word_pair():
+    rep = two_generator_rep(seed=12, low=1.15, high=1.45)
+    g, h = rep.element("a"), rep.element("a b")
+    r = g.eigenvalues / g.eigenvalues[0]
+    s = h.eigenvalues / h.eigenvalues[0]
+    M = (g.left @ h.right) * (h.left @ g.right).T / np.outer(g.pairings, h.pairings)
+    for p in range(1, 61):
+        expected = float((r**p) @ M @ (s**p) / (np.sum(r**p) * np.sum(s**p)))
+        assert rep.wilson_ratio("a", "a b", p) == expected
+        assert rep.wilson_ratio((("a", 1),), (("a", 1), ("b", 1)), p) == expected
+    assert len(rep._wilson_tables) == 1
+
+
 def test_chi_rank_two():
     rep = two_generator_rep(seed=11)
     rng = random.Random(11)
@@ -449,6 +562,12 @@ def test_representation_text_errors():
         Representation.from_text("element a 1 0 0 1")
     with pytest.raises(SwapAlgError):
         Representation.from_text("n = 2\nelement a 1 0 0")
+
+
+@pytest.mark.parametrize("header", ["", "n", "n =", "n = x", "n = -1", "n = 0", "n = 2.0", "n = 1e400"])
+def test_representation_header_needs_a_positive_integer(header):
+    with pytest.raises(SwapAlgError, match=r"'n = <int>', <int> a positive integer"):
+        Representation.from_text(header + "\nelement a 2 0 0 0.5\n")
 
 
 def test_multi_fraction_evaluates_to_one_for_identity():
