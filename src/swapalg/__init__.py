@@ -40,7 +40,6 @@ from .errors import (
 )
 from .multifraction import (
     BalancedFraction,
-    LengthSeries,
     SymbolicWords,
     birelem_identity,
     cross_fraction,

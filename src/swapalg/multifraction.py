@@ -271,44 +271,23 @@ def chi(universe, X, x) -> float:
     return float(np.linalg.det(entries))
 
 
-class LengthSeries:
-    """log of the length cross fraction p_beta(y), as a formal object.
-
-    Only the two displayed bracket rules are supported: the bracket with a
-    fraction divides by p, and the bracket of two length series divides by
-    both underlying fractions.
-    """
-
-    __slots__ = ("word", "anchor", "fraction")
-
-    def __init__(self, word: Word, anchor: CirclePoint, fraction: BalancedFraction):
-        self.word = word
-        self.anchor = anchor
-        self.fraction = fraction
-
-    def __repr__(self):
-        return f"log({self.fraction!r})"
-
-
-def length_cross_fraction(universe, beta, y: CirclePoint) -> LengthSeries:
-    """p_beta(y) = (b+ b^{-1}(y) . b- b(y)) / (b+ b(y) . b- b^{-1}(y))."""
+def length_cross_fraction(universe, beta, y: CirclePoint) -> BalancedFraction:
+    """p_beta(y) = (b+ b^{-1}(y) . b- b(y)) / (b+ b(y) . b- b^{-1}(y)), whose
+    log is twice the length of beta."""
     beta = parse_word(beta)
     plus, minus = _class_points(universe, beta)
     if y == plus or y == minus:
         raise DegenerateFractionError("anchor coincides with a fixed point")
     fwd = universe.act(beta, y)
     back = universe.act(invert_word(beta), y)
-    fraction = _pair_fraction(((plus, back), (minus, fwd)), ((plus, fwd), (minus, back)))
-    return LengthSeries(beta, y, fraction)
+    return _pair_fraction(((plus, back), (minus, fwd)), ((plus, fwd), (minus, back)))
 
 
-def length_bracket(series: LengthSeries, q: AlgebraElement, alpha=0) -> AlgebraElement:
-    """{log p, q} = {p, q} / p."""
-    return fraction_bracket(series.fraction, q, alpha) / series.fraction
+def length_bracket(p: AlgebraElement, q: AlgebraElement, alpha=0) -> AlgebraElement:
+    """{log p, q} = {p, q} / p, for a single-term p."""
+    return fraction_bracket(p, q, alpha) / p
 
 
-def length_length_bracket(s1: LengthSeries, s2: LengthSeries, alpha=0) -> AlgebraElement:
-    """{log p1, log p2} = {p1, p2} / (p1 p2)."""
-    return fraction_bracket(s1.fraction, s2.fraction, alpha) / (
-        s1.fraction * s2.fraction
-    )
+def length_length_bracket(p1: AlgebraElement, p2: AlgebraElement, alpha=0) -> AlgebraElement:
+    """{log p1, log p2} = {p1, p2} / (p1 p2), for single-term p1 and p2."""
+    return fraction_bracket(p1, p2, alpha) / (p1 * p2)

@@ -144,7 +144,8 @@ class OperSpec:
     def from_text(cls, text: str) -> "OperSpec":
         """Parse lines ``n = <int>`` then ``q<i>: k=<int> cos=<real> sin=<real>``.
 
-        Harmonic lines may repeat; ``#`` begins a comment.
+        Harmonic lines may repeat; ``#`` begins a comment.  Any other field,
+        a field given twice and a second ``n =`` line are refused.
         """
         order = None
         harmonics: dict[int, list] = {}
@@ -152,23 +153,33 @@ class OperSpec:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if line.replace(" ", "").startswith("n="):
-                order = int(line.split("=", 1)[1])
-                continue
-            if not line.startswith("q"):
-                raise SwapAlgError(f"line {lineno}: expected 'n =' or 'q<i>:' line")
-            head, _, rest = line.partition(":")
-            index = int(head[1:])
-            fields = dict(
-                item.split("=", 1) for item in rest.split() if "=" in item
-            )
-            harmonics.setdefault(index, []).append(
-                (
-                    int(fields.get("k", "0")),
-                    float(fields.get("cos", "0")),
-                    float(fields.get("sin", "0")),
+            try:
+                if line.replace(" ", "").startswith("n="):
+                    if order is not None:
+                        raise SwapAlgError("a second 'n =' line")
+                    order = int(line.split("=", 1)[1].strip())
+                    continue
+                if not line.startswith("q"):
+                    raise SwapAlgError("expected 'n =' or 'q<i>:' line")
+                head, _, rest = line.partition(":")
+                index = int(head[1:])
+                fields = {}
+                for item in rest.split():
+                    key, equals, value = item.partition("=")
+                    if not equals or key not in ("k", "cos", "sin"):
+                        raise SwapAlgError(f"unknown field {item!r}: expected k=, cos= or sin=")
+                    if key in fields:
+                        raise SwapAlgError(f"field {key}= given twice")
+                    fields[key] = value
+                harmonics.setdefault(index, []).append(
+                    (
+                        int(fields.get("k", "0")),
+                        float(fields.get("cos", "0")),
+                        float(fields.get("sin", "0")),
+                    )
                 )
-            )
+            except (SwapAlgError, ValueError) as exc:
+                raise SwapAlgError(f"line {lineno}: {exc}") from None
         if order is None:
             raise SwapAlgError("missing 'n = <int>' line")
         return cls(order, harmonics)

@@ -234,7 +234,7 @@ class _Parser:
                 self.expect(",")
                 anchor = self.point(self.expect("ident"))
                 self.expect(")")
-                return length_cross_fraction(self.need_universe(), word, anchor).fraction
+                return length_cross_fraction(self.need_universe(), word, anchor)
             if name == "wolpert":
                 first = self.word_arg()
                 self.expect(",")

@@ -348,7 +348,12 @@ class Representation:
             entries = tokens[index + 2 : index + 2 + n * n]
             if len(entries) != n * n:
                 raise SwapAlgError(f"element {label!r} needs {n * n} entries")
-            generators[label] = np.array([float(e) for e in entries]).reshape(n, n)
+            if label in generators:
+                raise SwapAlgError(f"element {label!r} is defined twice")
+            try:
+                generators[label] = np.array([float(e) for e in entries]).reshape(n, n)
+            except ValueError as exc:
+                raise SwapAlgError(f"element {label!r}: {exc}") from None
             index += 2 + n * n
         return cls(generators, position_hint=position_hint)
 
@@ -422,9 +427,18 @@ class Representation:
             vector = np.array([1.0, 0.0])
             label = "t=oo"
         else:
-            vector = np.array([float(coordinate), 1.0])
+            try:
+                coordinate = float(coordinate)
+            except OverflowError:
+                raise SwapAlgError(f"boundary coordinate {coordinate} overflows a float") from None
+            label = f"t={coordinate!r}"
+            if math.isnan(coordinate):
+                raise SwapAlgError(f"boundary coordinate {label} is not a number")
+            # (t, 1) has a finite norm exactly when t * t does not overflow
+            if math.isinf(coordinate * coordinate):
+                raise SwapAlgError(f"boundary coordinate {label} overflows when normalised")
+            vector = np.array([coordinate, 1.0])
             vector = vector / np.linalg.norm(vector)
-            label = f"t={float(coordinate)!r}"
         hyperplane = np.array([vector[1], -vector[0]])
         point = self.config.point(label, _rp1_position(vector))
         self._points.setdefault(point, _PointData(vector, hyperplane))
@@ -456,8 +470,8 @@ class Representation:
             hyperplane = data.hyperplane @ np.linalg.inv(matrix)
             hyperplane = hyperplane / np.linalg.norm(hyperplane)
             return self._register_fixed(target, sign, vector, hyperplane)
-        vector = self.matrix(word) @ data.vector
-        coordinate = math.inf if vector[1] == 0 else vector[0] / vector[1]
+        top, bottom = (float(v) for v in self.matrix(word) @ data.vector)
+        coordinate = math.inf if bottom == 0 else top / bottom
         return self.boundary_point(coordinate)
 
     # -- evaluation --------------------------------------------------------

@@ -88,6 +88,17 @@ def test_eval_verb(files, capsys):
     assert "cross(a+,b+,a-,b-) = 2" in out
 
 
+def test_eval_verb_on_a_length_cross_fraction(files, capsys):
+    from swapalg.representation import Representation
+
+    rc = main(["eval", "--rep", files["rep"], "pbeta(a, b+)"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    value = float(out.split("pbeta(a, b+) = ")[1])
+    width = Representation.from_file(files["rep"]).width("a")
+    assert abs(math.log(value) - 2 * width) < 1e-9
+
+
 def test_period_verb(files, capsys):
     rc = main(["period", "--rep", files["rep"], "--word", "a b", "--anchor", "b'+"])
     out = capsys.readouterr().out
@@ -272,6 +283,12 @@ def test_identities_on_no_points(tmp_path, capsys):
         (["oper", "--oper", "{cos_overflow}", "--steps", "128"], True, "not finite at 128 steps"),
         (["oper", "--oper", "{det_overflow}", "--steps", "128"], True, "determinants are not finite"),
         (["oper", "--oper", "{det_drift}", "--steps", "128"], True, "drift 8.740e+245 from 1"),
+        (["period", "--rep", "{rep}", "--word", "a b", "--anchor", "t=1e308"], True, "t=1e+308 overflows"),
+        (["period", "--rep", "{rep}", "--word", "a b", "--anchor", "t=nan"], True, "t=nan is not a number"),
+        (["oper", "--oper", "{misspelt}", "--steps", "64"], False, "line 2: unknown field 'cso=9.87'"),
+        (["oper", "--oper", "{second_n}", "--steps", "64"], False, "line 3: a second 'n =' line"),
+        (["oper", "--oper", "{k_real}", "--steps", "64"], False, "line 2: invalid literal for int()"),
+        (["oper", "--oper", "{n_x}", "--steps", "64"], False, "line 1: invalid literal for int()"),
     ],
     ids=[
         "truncated-rep",
@@ -294,6 +311,12 @@ def test_identities_on_no_points(tmp_path, capsys):
         "oper-solutions-overflow",
         "oper-det-overflow",
         "oper-det-drift",
+        "anchor-overflows",
+        "anchor-nan",
+        "oper-unknown-fields",
+        "oper-second-n",
+        "oper-k-1.5",
+        "oper-n-x",
     ],
 )
 def test_bad_input_exits_two_with_one_line(files, tmp_path, capsys, argv, isolated, says):
@@ -308,6 +331,10 @@ def test_bad_input_exits_two_with_one_line(files, tmp_path, capsys, argv, isolat
         ("cos_overflow", "n = 2\nq2: k=0 cos=-1e6 sin=0\n"),
         ("det_overflow", "n = 2\nq2: k=0 cos=-3e5 sin=0\n"),
         ("det_drift", "n = 2\nq2: k=0 cos=-1e5 sin=0\n"),
+        ("misspelt", "n = 2\nq2: k=0 cso=9.87 junk\nn = 3\n"),
+        ("second_n", "n = 2\nq2: k=0 cos=9.87\nn = 3\n"),
+        ("k_real", "n = 2\nq2: k=1.5\n"),
+        ("n_x", "n = x\nq2: k=1\n"),
     ):
         path = tmp_path / f"{name}.txt"
         path.write_text(text)
@@ -498,8 +525,9 @@ def test_a_fraction_without_pairs_exits_two_with_one_line(files):
         ("n = x\nelement a 2 0 0 0.5\n", "<int> a positive integer"),
         ("n = -1\nelement a 2 0 0 0.5\n", "<int> a positive integer"),
         ("n = 0\n", "<int> a positive integer"),
+        ("n = 2\nelement a 2 0 0 0.5\nelement a 3 0 0 0.25\n", "element 'a' is defined twice"),
     ],
-    ids=["det-overflow", "nan-entry", "inf-entry", "scaled-overflow", "n-x", "n-minus-1", "n-0"],
+    ids=["det-overflow", "nan-entry", "inf-entry", "scaled-overflow", "n-x", "n-minus-1", "n-0", "repeated-label"],
 )
 def test_bad_representation_exits_two_with_one_line(tmp_path, text, says):
     rep = tmp_path / "rep.txt"

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -330,24 +331,83 @@ def length_setup():
 
 def test_length_cross_fraction_shape():
     table, y = length_setup()
-    series = length_cross_fraction(table, "g", y)
-    assert series.fraction.denominator.degree == 2
-    assert is_balanced(series.fraction)
+    p = length_cross_fraction(table, "g", y)
+    assert p.denominator.degree == 2
+    assert is_balanced(p)
     with pytest.raises(DegenerateFractionError):
         length_cross_fraction(table, "g", table.fixed_point("g", +1))
 
 
 def test_length_bracket_rules():
     table, y = length_setup()
-    series = length_cross_fraction(table, "g", y)
+    p = length_cross_fraction(table, "g", y)
     other = cross_fraction(
         table.fixed_point("g", +1),
         table.fixed_point("g", -1),
         y,
         table.act("g", y),
     )
-    assert length_bracket(series, other) == fraction_bracket(series.fraction, other) / series.fraction
-    assert length_length_bracket(series, series).is_zero
+    assert length_bracket(p, other) == fraction_bracket(p, other) / p
+    assert length_length_bracket(p, p).is_zero
+
+
+def _length_fractions_on_symbolic_words():
+    table = SymbolicWords()
+    table.register("g", Fraction(1, 16), Fraction(9, 16))
+    table.register("h", Fraction(5, 16), Fraction(13, 16))
+    fractions = []
+    for word, anchor, fwd, back in (
+        ("g", Fraction(12, 32), Fraction(11, 32), Fraction(13, 32)),
+        ("g", Fraction(25, 32), Fraction(27, 32), Fraction(23, 32)),
+        ("h", Fraction(15, 32), Fraction(17, 32), Fraction(14, 32)),
+        ("h", Fraction(31, 32), Fraction(29, 32), Fraction(1, 64)),
+    ):
+        y = table.config.point(f"y{len(fractions)}", anchor)
+        table.declare_image(word, y, fwd)
+        table.declare_image(word + "'", y, back)
+        fractions.append(length_cross_fraction(table, word, y))
+    return fractions
+
+
+def _length_fractions_on_representations(seed):
+    rng = random.Random(seed)
+    rep = Representation(
+        {"a": random_hyperbolic_sl2(rng, low=1.3), "b": random_hyperbolic_sl2(rng, low=1.3)}
+    )
+    anchors = [rep.boundary_point(rng.uniform(-3.0, 3.0)) for _ in range(2)]
+    return [length_cross_fraction(rep, word, y) for word in ("a", "b") for y in anchors]
+
+
+@pytest.mark.parametrize(
+    "fractions",
+    [_length_fractions_on_symbolic_words()]
+    + [_length_fractions_on_representations(seed) for seed in range(1, 9)],
+    ids=["symbolic-words"] + [f"representation-{seed}" for seed in range(1, 9)],
+)
+def test_log_brackets_are_additive_in_products(fractions):
+    # a length cross fraction's pairs are short arcs; on seed 0 none link
+    nonzero = 0
+    for p1, p2, q in itertools.permutations(fractions, 3):
+        for alpha in (0, Fraction(-1, 4)):
+            assert length_length_bracket(p1 * p2, q, alpha) == (
+                length_length_bracket(p1, q, alpha) + length_length_bracket(p2, q, alpha)
+            )
+            assert length_length_bracket(q, p1 * p2, alpha) == (
+                length_length_bracket(q, p1, alpha) + length_length_bracket(q, p2, alpha)
+            )
+            assert length_bracket(p1 * p2, q, alpha) == (
+                length_bracket(p1, q, alpha) + length_bracket(p2, q, alpha)
+            )
+            nonzero += not length_length_bracket(p1, q, alpha).is_zero
+    assert nonzero > 0
+
+
+def test_log_brackets_refuse_a_divisor_with_several_terms():
+    pa, _, pb, pb2 = _length_fractions_on_symbolic_words()
+    with pytest.raises(SwapAlgError, match="only monomial fractions are invertible"):
+        length_bracket(pa + pb, pb2)
+    with pytest.raises(SwapAlgError, match="only monomial fractions are invertible"):
+        length_length_bracket(pa, pb + pb2)
 
 
 def test_symbolic_action_must_be_declared():
@@ -593,7 +653,7 @@ def test_length_cross_fraction_equals_the_ring_reference():
     plus, minus = table.fixed_point("g", +1), table.fixed_point("g", -1)
     fwd, back = table.act("g", y), table.act("g'", y)
     _assert_reference(
-        length_cross_fraction(table, "g", y).fraction,
+        length_cross_fraction(table, "g", y),
         [(plus, back), (minus, fwd)],
         [(plus, fwd), (minus, back)],
     )

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from swapalg.circle import PointConfig
+from swapalg.circle import PointConfig, linking_number
 from swapalg.errors import EvaluationError, SwapAlgError
 from swapalg.multifraction import chi
 from swapalg.opers import (
@@ -569,6 +569,34 @@ def test_ds_pair_bracket_antisymmetry(circle_solution):
     assert forward != 0.0
 
 
+def test_ds_pair_bracket_matches_the_veronese_closed_form(circle_solution):
+    # On veronese_oper(2), F_{Y,y} = sin(pi (Y - y)) / pi.  Cross fractions
+    # cancel the 1/n^2 term, so only a pair value can pin it.
+    closed = lambda A, a: math.sin(math.pi * (A - a)) / math.pi
+
+    def lk(quadruple):
+        config = PointConfig()
+        return float(linking_number(*(config.point(str(i), t) for i, t in enumerate(quadruple))))
+
+    rng = random.Random(5)
+    quadruples = [(Fraction(1, 8), Fraction(5, 8), Fraction(3, 8), Fraction(7, 8))]
+    while len(quadruples) < 8:
+        quadruple = tuple(grid(j) for j in rng.sample(range(M), 4))
+        if lk(quadruple):
+            quadruples.append(quadruple)
+    for X, x, Y, y in quadruples:
+        expected = lk((X, x, Y, y)) * (closed(X, y) * closed(Y, x) - closed(X, x) * closed(Y, y) / 4)
+        # each F is off by at most e on the grid and at most 1/pi in size
+        e = max(
+            abs(coordinate_function(circle_solution, A, a) - closed(A, a))
+            for A in (X, Y)
+            for a in (x, y)
+        )
+        assert e < 1e-10
+        bound = 1.25 * (2 * e / math.pi + e * e) + 1e-15
+        assert abs(ds_pair_bracket(circle_solution, (X, x), (Y, y)) - expected) <= bound
+
+
 def test_ds_pair_bracket_rejects_coincident(circle_solution):
     with pytest.raises(SwapAlgError):
         ds_pair_bracket(circle_solution, (grid(10), grid(20)), (grid(10), grid(200)))
@@ -1044,6 +1072,25 @@ def test_oper_spec_validation():
         OperSpec(2, {5: [(0, 1.0, 0.0)]})
     with pytest.raises(SwapAlgError):
         OperSpec.from_text("q2: k=0 cos=1 sin=0")
+
+
+@pytest.mark.parametrize(
+    "text, says",
+    [
+        ("n = 2\nq2: k=0 cso=9.87 junk\nn = 3\n", "line 2: unknown field 'cso=9.87'"),
+        ("n = 2\nq2: k=0 junk\n", "line 2: unknown field 'junk'"),
+        ("n = 2\nq2: k=0 cos=1 k=1\n", "line 2: field k= given twice"),
+        ("n = 2\nq2: k=0 cos=1\n\nn = 3\n", "line 4: a second 'n =' line"),
+        ("n = 2\nq2: k=1.5\n", "line 2: invalid literal for int() with base 10: '1.5'"),
+        ("n = 2\nq2: k=1 cos=x\n", "line 2: could not convert string to float: 'x'"),
+        ("n = x\nq2: k=1\n", "line 1: invalid literal for int() with base 10: 'x'"),
+    ],
+    ids=["misspelt-key", "bare-word", "repeated-key", "second-n", "k-not-int", "cos-not-real", "n-not-int"],
+)
+def test_oper_file_refuses_what_it_would_drop(text, says):
+    with pytest.raises(SwapAlgError) as caught:
+        OperSpec.from_text(text)
+    assert str(caught.value).startswith(says)
 
 
 # -- higher order ------------------------------------------------------------------

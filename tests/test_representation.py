@@ -381,6 +381,45 @@ def test_boundary_point_on_a_fixed_point_stays_one_point():
     assert rep.period("a", rep.boundary_point(1.0)) == pytest.approx(rep.width("a"))
 
 
+def test_boundary_point_refuses_nan_and_overflowing_coordinates():
+    rep = two_generator_rep()
+    before = rep.config.points()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SwapAlgError, match=r"^boundary coordinate t=nan is not a number$"):
+            rep.boundary_point(math.nan)
+        with pytest.raises(SwapAlgError, match=r"^boundary coordinate t=1e\+200 overflows"):
+            rep.boundary_point(1e200)
+        with pytest.raises(SwapAlgError, match=r"^boundary coordinate 10{400} overflows a float$"):
+            rep.boundary_point(Fraction(10**400))
+        assert rep.config.points() == before
+        # a coordinate that normalises stays an ordinary point
+        point = rep.boundary_point(1e154)
+        assert point.label == "t=1e+154"
+        assert rep.pair_value(point, rep.fixed_point("a", +1)) != 0.0
+        # act on a raw point reaches the same refusal
+        huge = Representation({"a": np.diag([1e100, 1e-100])})
+        with pytest.raises(SwapAlgError, match=r"t=1e\+300 overflows"):
+            huge.act("a", huge.boundary_point(1e100))
+        # an image whose coordinate leaves the float range is the point at oo
+        steep = Representation({"a": np.diag([1e150, 1e-150])})
+        assert steep.act("a", steep.boundary_point(1e154)) is steep.boundary_point(None)
+
+
+@pytest.mark.parametrize(
+    "text, says",
+    [
+        ("n = 2\nelement a 2 0 0 0.5\nelement a 3 0 0 0.25\n", "element 'a' is defined twice"),
+        ("n = 2\nelement a 2 0 x 0.5\n", "element 'a': could not convert string to float: 'x'"),
+    ],
+    ids=["repeated-label", "entry-not-real"],
+)
+def test_representation_file_refuses_what_it_would_drop(text, says):
+    with pytest.raises(SwapAlgError) as caught:
+        Representation.from_text(text)
+    assert str(caught.value) == says
+
+
 def test_period_rejects_fixed_point_anchor():
     rep = two_generator_rep()
     with pytest.raises(SwapAlgError):
