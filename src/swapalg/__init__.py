@@ -19,7 +19,7 @@ Both backends are evaluation universes (a `config` and a `pair_value`) for
 bundles the identity suites behind the `swapalg` command line.
 """
 
-from .algebra import AlgebraElement, GeneratorPair, Monomial, generator, jacobiator, swap_bracket
+from .algebra import AlgebraElement, Monomial, generator, jacobiator, swap_bracket
 from .circle import (
     CirclePoint,
     PointConfig,
@@ -39,7 +39,6 @@ from .errors import (
     WordError,
 )
 from .multifraction import (
-    BalancedFraction,
     SymbolicWords,
     birelem_identity,
     cross_fraction,

@@ -1,16 +1,17 @@
 """Laurent polynomials in ordered pairs of circle points.
 
 Generators are ordered pairs Xx of points of one configuration, subject to
-the single relation Xx = 0 whenever X = x.  A pair is a tuple of two
-identity-equal points, and a monomial is the frozenset of its (pair,
-exponent) powers.  Elements are finite sums of Laurent monomials (generator
-pairs with nonzero integer exponents) with exact rational coefficients,
-stored in one integer form: a nonzero integer numerator per monomial over
-one positive integer denominator, with gcd 1 over them all; zero is the
-empty sum over 1.  Equality is therefore syntactic, and needs no order.
-Only this module touches that form or builds pairs and monomials;
-`BalancedFraction` builds the form too, and `_pair_fraction` builds every
-multifraction: a product of pairs over a product of pairs.
+the single relation Xx = 0 whenever X = x.  A pair is the plain tuple
+(X, x) of two identity-equal points, printed ``[X x]``, and a monomial is
+the frozenset of its (pair, exponent) powers.  Elements are finite sums of
+Laurent monomials (generator pairs with nonzero integer exponents) with
+exact rational coefficients, stored in one integer form: a nonzero integer
+numerator per monomial over one positive integer denominator, with gcd 1
+over them all; zero is the empty sum over 1.  Equality is therefore
+syntactic, and needs no order.  Only this module touches that form or
+builds monomials; `Monomial(pairs)` checks the pairs a caller makes, and
+`_pair_fraction` builds every multifraction: a product of pairs over a
+product of pairs.
 Canonical order (pairs by left point, then right point, in the
 configuration's position order; terms by degree, then pairs) is applied
 only where an element is read out: printing, `terms()`, the fraction views
@@ -48,73 +49,52 @@ from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from operator import itemgetter
 
 from .circle import CirclePoint, PointConfig, doubled_linking, ensure_same_config, require_point_order
 from .errors import ConfigMismatchError, DegenerateFractionError, EvaluationError, SwapAlgError
-
-
-class GeneratorPair(tuple):
-    """An ordered pair of distinct circle points; one algebra generator.
-
-    A tuple (left, right) of identity-equal points, so equality and hash
-    are the tuple's: equal pairs join the same points in the same order.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, left: CirclePoint, right: CirclePoint):
-        if left is right:
-            raise SwapAlgError("degenerate pair: left point equals right point")
-        ensure_same_config(left, right)
-        return tuple.__new__(cls, (left, right))
-
-    left = property(itemgetter(0))
-    right = property(itemgetter(1))
-
-    @property
-    def key(self):
-        """(left position, right position), the order canonical sorting
-        follows (it compares the points' order keys, which order them alike)."""
-        return (self[0].position, self[1].position)
-
-    def __repr__(self):
-        return f"[{self[0].label} {self[1].label}]"
-
-
-def _pair_key(power):
-    (X, x), _ = power
-    return X.order_key, x.order_key
 
 
 def _pair_order(pair):
     return pair[0].order_key, pair[1].order_key
 
 
+def _pair_name(pair) -> str:
+    return f"[{pair[0].label} {pair[1].label}]"
+
+
 class Monomial(frozenset):
     """A Laurent monomial: the frozenset of its (pair, exponent) powers.
 
-    Each pair occurs once, with a nonzero integer exponent, so equality and
-    hash are the set's.  Canonical order, by pair key, is applied only on
-    read-out: `pairs` and `repr`.  `Monomial(pairs)` builds the polynomial
-    monomial of a multiset of pairs.
+    A pair is the tuple (X, x) of two distinct identity-equal points of one
+    configuration.  Each pair occurs once, with a nonzero integer exponent,
+    so equality and hash are the set's.  Canonical order, by the points'
+    order keys, is applied only on read-out: `pairs` and `repr`.
+    `Monomial(pairs)` builds the polynomial monomial of a multiset of pairs,
+    and checks each pair.
     """
 
     __slots__ = ()
 
     def __new__(cls, pairs=()):
-        return frozenset.__new__(cls, Counter(pairs).items())
+        exponents = Counter()
+        for X, x in pairs:
+            if X is x:
+                raise SwapAlgError("degenerate pair: left point equals right point")
+            ensure_same_config(X, x)
+            exponents[X, x] += 1
+        return frozenset.__new__(cls, exponents.items())
 
     @classmethod
     def _from_exponents(cls, exponents) -> "Monomial":
         return frozenset.__new__(cls, ((p, e) for p, e in exponents.items() if e))
 
     @property
-    def pairs(self) -> tuple[GeneratorPair, ...]:
+    def pairs(self) -> tuple[tuple[CirclePoint, CirclePoint], ...]:
         """The pairs with multiplicity, in canonical order; polynomials only."""
         if any(e < 0 for _, e in self):
             raise SwapAlgError("monomial has negative exponents")
-        return tuple(p for p, e in sorted(self, key=_pair_key) for _ in range(e))
+        powers = sorted(self, key=lambda power: _pair_order(power[0]))
+        return tuple(p for p, e in powers for _ in range(e))
 
     @property
     def degree(self) -> int:
@@ -142,8 +122,8 @@ class Monomial(frozenset):
 
     def __repr__(self):
         parts = []
-        for p, e in sorted(self, key=_pair_key):
-            parts += [repr(p)] * e if e > 0 else [f"{p!r}^{e}"]
+        for p, e in sorted(self, key=lambda power: _pair_order(power[0])):
+            parts += [_pair_name(p)] * e if e > 0 else [f"{_pair_name(p)}^{e}"]
         return "*".join(parts) or "1"
 
 
@@ -160,10 +140,10 @@ def _ratio(value) -> tuple[int, int]:
     raise TypeError(f"expected an exact rational scalar, got {type(value).__name__}")
 
 
-def _element(config: PointConfig, numerators: dict, denominator: int = 1, cls=None) -> "AlgebraElement":
+def _element(config: PointConfig, numerators: dict, denominator: int = 1) -> "AlgebraElement":
     """The element sum(n m) / denominator, from its normal form: nonzero
     integer numerators, a positive denominator, and gcd 1 over them all."""
-    element = object.__new__(cls or AlgebraElement)
+    element = object.__new__(AlgebraElement)
     element.config = config
     element._numerators = numerators
     element._denominator = denominator
@@ -205,9 +185,9 @@ class AlgebraElement:
     Stored as integer numerators per monomial over one positive integer
     denominator, in normal form (no zero numerator, gcd 1 over the
     numerators and the denominator), so equal elements store equal data.
-    Elements are built by the constructors below, by `generator` and
-    `BalancedFraction`, and by the operations; every monomial is over the
-    element's own configuration.
+    Elements are built by the constructors below, by `generator` and the
+    fraction constructors, and by the operations; every monomial is over
+    the element's own configuration.
     """
 
     __slots__ = ("config", "_numerators", "_denominator")
@@ -248,7 +228,7 @@ class AlgebraElement:
         content is the gcd of the integers, signed like the leading term,
         and 0 for the zero element.
         """
-        lowest: dict[GeneratorPair, int] = {}
+        lowest: dict[tuple[CirclePoint, CirclePoint], int] = {}
         for m in self._numerators:
             for p, e in m:
                 if e < lowest.setdefault(p, 0):
@@ -389,7 +369,7 @@ class AlgebraElement:
         if self.is_zero:
             return "0"
         pairs, cleared, terms, content = self._ranked()
-        names = [repr(p) for p in pairs]
+        names = [_pair_name(p) for p in pairs]
         parts = []
         for degree, ranks, n, _ in terms:
             c = Fraction(n, self._denominator)
@@ -445,31 +425,6 @@ class AlgebraElement:
         return content / self._denominator * num / den
 
 
-class BalancedFraction(AlgebraElement):
-    """The element scale * numerator / denominator.
-
-    A constructor only: the value is an ordinary Laurent element, and its
-    reduced numerator, denominator and scale are views of every element.
-    It keeps the numerator's integers and denominator (times the scale's,
-    when the scale is not 1) and divides each monomial by `denominator`,
-    which must be over the numerator's configuration.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, numerator: AlgebraElement, denominator: Monomial = ONE, scale=1):
-        config = numerator.config
-        if any(X.config is not config for (X, _), _ in denominator):
-            raise ConfigMismatchError("denominator over a different configuration")
-        scale = Fraction(scale)
-        if scale != 1:
-            numerator = numerator * scale
-        inverse = denominator.inverse()
-        self.config = config
-        self._numerators = {m * inverse: n for m, n in numerator._numerators.items()}
-        self._denominator = numerator._denominator
-
-
 def is_balanced(f: AlgebraElement) -> bool:
     """True when every monomial has net exponent zero at each point, as a
     left point and as a right point.
@@ -495,10 +450,10 @@ def generator(X: CirclePoint, x: CirclePoint) -> AlgebraElement:
     config = ensure_same_config(X, x)
     if X is x:
         return AlgebraElement.zero(config)
-    return _element(config, {frozenset.__new__(Monomial, ((GeneratorPair(X, x), 1),)): 1})
+    return _element(config, {frozenset.__new__(Monomial, (((X, x), 1),)): 1})
 
 
-def _pair_fraction(tops, bottoms) -> BalancedFraction:
+def _pair_fraction(tops, bottoms) -> AlgebraElement:
     """prod tops / prod bottoms for (left, right) point pairs, as one
     Laurent monomial over 1; zero when a top pair joins a point to itself."""
     # lists, and no tuple of all the points for ensure_same_config: freed
@@ -513,11 +468,11 @@ def _pair_fraction(tops, bottoms) -> BalancedFraction:
     if any(X is x for X, x in bottoms):
         raise DegenerateFractionError("degenerate denominator: a pair joins a point to itself")
     numerators = {}
-    if all(X is not x for X, x in tops):  # the checks of GeneratorPair now hold
-        exponents = Counter(tuple.__new__(GeneratorPair, pair) for pair in tops)
-        exponents.subtract(tuple.__new__(GeneratorPair, pair) for pair in bottoms)
+    if all(X is not x for X, x in tops):  # every pair now joins two distinct points
+        exponents = Counter(tops)
+        exponents.subtract(bottoms)
         numerators[Monomial._from_exponents(exponents)] = 1
-    return _element(config, numerators, cls=BalancedFraction)
+    return _element(config, numerators)
 
 
 def swap_bracket(a: AlgebraElement, b: AlgebraElement, alpha=0) -> AlgebraElement:
@@ -559,17 +514,8 @@ def swap_bracket(a: AlgebraElement, b: AlgebraElement, alpha=0) -> AlgebraElemen
                         continue
                     weight = e * f * lk2
                     alpha_weight += weight
-                    if X is not y and Y is not x:
-                        # the checks of GeneratorPair hold: the points are
-                        # distinct, and every monomial of an element is over
-                        # the element's configuration
-                        change = (
-                            (tuple.__new__(GeneratorPair, (X, y)), 1),
-                            (tuple.__new__(GeneratorPair, (Y, x)), 1),
-                            (p, -1),
-                            (q, -1),
-                        )
-                        swaps.append((change, weight))
+                    if X is not y and Y is not x:  # else a swapped pair is 0
+                        swaps.append(((((X, y), 1), ((Y, x), 1), (p, -1), (q, -1)), weight))
             if not swaps and not alpha_weight:
                 continue
             product = ma * mb

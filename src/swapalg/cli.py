@@ -19,6 +19,7 @@ fails, 2 on input errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -35,7 +36,7 @@ from .opers import (
 )
 from .parser import parse_expression
 from .representation import Representation, wolpert_check
-from .verify import SIX_POINT_MAX_POINTS, SUITES, run_suite, suite_options
+from .verify import SIX_POINT_MAX_POINTS, SUITES, checked_options, run_suite, suite_options
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -177,6 +178,8 @@ def _cmd_period(args) -> int:
 
 
 def _cmd_wolpert(args) -> int:
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise SwapAlgError(f"--tolerance must be finite and at least 0, got {args.tolerance}")
     rep = Representation.from_file(args.rep)
     if rep.dimension != 2:
         raise SwapAlgError("the wolpert check needs a 2-dimensional representation")
@@ -238,7 +241,7 @@ def _cmd_verify(args) -> int:
         if "=" not in item:
             raise SwapAlgError(f"--tol expects NAME=VALUE, got {item!r}")
         key, _, value = item.partition("=")
-        overrides[key.strip()] = value  # run_suite converts it per suite
+        overrides[key.strip()] = value  # checked_options converts it per suite
     options = {"seed": args.seed, "count": args.count, "steps": args.steps, **overrides}
     options = {k: v for k, v in options.items() if v is not None}
     plan = [(args.suite, options)]
@@ -250,9 +253,11 @@ def _cmd_verify(args) -> int:
         unused = set(options).difference(*(kwargs for _, kwargs in plan))
         if unused:
             raise SwapAlgError(f"no suite takes {', '.join(sorted(unused))}")
+    # every option is checked before any suite runs
+    plan = [(name, checked_options(name, kwargs)) for name, kwargs in plan]
     failed = False
     for name, kwargs in plan:
-        report = run_suite(name, **kwargs)
+        report = SUITES[name](**kwargs)
         print(report.render())
         print()
         failed = failed or not report.passed

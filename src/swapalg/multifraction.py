@@ -32,7 +32,6 @@ import numpy as np
 
 from .algebra import (
     AlgebraElement,
-    BalancedFraction,  # re-exported: the constructor of fractions
     _pair_fraction,
     is_balanced,  # re-exported: a property of fractions
     swap_bracket,
@@ -45,12 +44,12 @@ from .words import Word, canonical_class, invert_word, parse_word, word_text
 # -- cross and multi fractions ---------------------------------------------
 
 
-def cross_fraction(X: CirclePoint, Y: CirclePoint, x: CirclePoint, y: CirclePoint) -> BalancedFraction:
+def cross_fraction(X: CirclePoint, Y: CirclePoint, x: CirclePoint, y: CirclePoint) -> AlgebraElement:
     """[X; Y; x; y] = Xx.Yy / (Yx.Xy)."""
     return _pair_fraction(((X, x), (Y, y)), ((Y, x), (X, y)))
 
 
-def multi_fraction(X, x, sigma) -> BalancedFraction:
+def multi_fraction(X, x, sigma) -> AlgebraElement:
     """prod X_i x_{sigma(i)} / prod X_i x_i for a permutation sigma.
 
     `sigma` maps indices 0..n-1 to indices 0..n-1.  The identity gives 1;
@@ -122,7 +121,7 @@ def _class_points(universe, word) -> tuple[CirclePoint, CirclePoint]:
     return universe.fixed_point(word, +1), universe.fixed_point(word, -1)
 
 
-def elementary(universe, words) -> BalancedFraction:
+def elementary(universe, words) -> AlgebraElement:
     """Elementary function of a tuple of words:
 
         T(g_1, ..., g_p) = prod g_{i+1}+ g_i-  /  prod g_i+ g_i-,
@@ -195,7 +194,7 @@ def elementary_bracket_closed_form(universe, gwords, hwords) -> AlgebraElement:
     return total * elementary(universe, gwords) * elementary(universe, hwords)
 
 
-def birelem_identity(universe, a, b, c, d) -> tuple[AlgebraElement, BalancedFraction]:
+def birelem_identity(universe, a, b, c, d) -> tuple[AlgebraElement, AlgebraElement]:
     """Both sides of  T(a,b,c) T(c,d) / (T(a,d,c) T(c,b)) = [b+; d+; a-; c-].
 
     The two reduced fractions are equal whenever the divisions on the left
@@ -271,7 +270,7 @@ def chi(universe, X, x) -> float:
     return float(np.linalg.det(entries))
 
 
-def length_cross_fraction(universe, beta, y: CirclePoint) -> BalancedFraction:
+def length_cross_fraction(universe, beta, y: CirclePoint) -> AlgebraElement:
     """p_beta(y) = (b+ b^{-1}(y) . b- b(y)) / (b+ b(y) . b- b^{-1}(y)), whose
     log is twice the length of beta."""
     beta = parse_word(beta)

@@ -325,35 +325,48 @@ class Representation:
     @classmethod
     def from_text(cls, text: str, position_hint=None) -> "Representation":
         """Parse ``n = <int>`` followed by ``element <label> <n*n reals>``
-        blocks; entries may span lines and ``#`` begins a comment."""
-        tokens = []
-        for raw in text.splitlines():
-            tokens.extend(raw.split("#", 1)[0].split())
+        blocks; entries may span lines and ``#`` begins a comment.  Each
+        refusal names the line of the token it concerns."""
+        words = [
+            (word, lineno)
+            for lineno, raw in enumerate(text.splitlines(), start=1)
+            for word in raw.split("#", 1)[0].split()
+        ]
+        tokens = [word for word, _ in words]
+
+        def refuse(index, message):
+            lineno = words[min(index, len(words) - 1)][1] if words else 1
+            return SwapAlgError(f"line {lineno}: {message}")
+
+        header = tokens[:2] == ["n", "="]
         try:
-            n = int(tokens[2]) if tokens[:2] == ["n", "="] else 0
+            n = int(tokens[2]) if header else 0
         except (IndexError, ValueError):
             n = 0
         if n < 1:
-            raise SwapAlgError(
-                "representation file must begin with 'n = <int>', <int> a positive integer"
+            raise refuse(
+                2 if header else 0,
+                "representation file must begin with 'n = <int>', <int> a positive integer",
             )
         generators = {}
         index = 3
         while index < len(tokens):
             if tokens[index] != "element":
-                raise SwapAlgError(f"expected 'element', found {tokens[index]!r}")
+                raise refuse(index, f"expected 'element', found {tokens[index]!r}")
             if index + 1 == len(tokens):
-                raise SwapAlgError("'element' without a label at the end of the file")
+                raise refuse(index, "'element' without a label at the end of the file")
             label = tokens[index + 1]
-            entries = tokens[index + 2 : index + 2 + n * n]
-            if len(entries) != n * n:
-                raise SwapAlgError(f"element {label!r} needs {n * n} entries")
+            if index + 2 + n * n > len(tokens):
+                raise refuse(index, f"element {label!r} needs {n * n} entries")
             if label in generators:
-                raise SwapAlgError(f"element {label!r} is defined twice")
-            try:
-                generators[label] = np.array([float(e) for e in entries]).reshape(n, n)
-            except ValueError as exc:
-                raise SwapAlgError(f"element {label!r}: {exc}") from None
+                raise refuse(index + 1, f"element {label!r} is defined twice")
+            entries = []
+            for k in range(index + 2, index + 2 + n * n):
+                try:
+                    entries.append(float(tokens[k]))
+                except ValueError as exc:
+                    raise refuse(k, f"element {label!r}: {exc}") from None
+            generators[label] = np.array(entries).reshape(n, n)
             index += 2 + n * n
         return cls(generators, position_hint=position_hint)
 

@@ -856,10 +856,11 @@ _MINIMUM_COUNTS = {"count": 1, "trials": 1, "sl2_count": 1, "sl3_count": 1,
                    "quadruples": 1, "octuples": 1, "pool": 1, "max_power": 11}
 
 
-def run_suite(name: str, **kwargs) -> SuiteReport:
-    """Run a suite; options set to None are left at the suite's default,
-    options given as text take the type of that default, and counts that
-    would check nothing are rejected."""
+def checked_options(name: str, kwargs: dict) -> dict:
+    """The options for a run of the named suite: options set to None are
+    left at the suite's default, options given as text take the type of
+    that default, and counts that would check nothing and bounds that are
+    not finite and at least 0 are rejected."""
     accepted = suite_options(name)
     passed = {k: v for k, v in kwargs.items() if v is not None}
     unknown = sorted(set(passed) - set(accepted))
@@ -877,4 +878,12 @@ def run_suite(name: str, **kwargs) -> SuiteReport:
         least = _MINIMUM_COUNTS.get(key)
         if least is not None and value < least:
             raise SwapAlgError(f"suite {name}: {key} must be at least {least}, got {value}")
-    return SUITES[name](**passed)
+        # a NaN bound fails every row, an infinite or negative one passes or fails all
+        if isinstance(accepted[key].default, float) and not (math.isfinite(value) and value >= 0):
+            raise SwapAlgError(f"suite {name}: {key} must be finite and at least 0, got {value}")
+    return passed
+
+
+def run_suite(name: str, **kwargs) -> SuiteReport:
+    """Run a suite with its `checked_options`."""
+    return SUITES[name](**checked_options(name, kwargs))

@@ -441,6 +441,48 @@ def test_vacuous_counts_are_refused(capsys, argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+# a NaN bound fails every row; an infinite or negative one passes or fails
+# every row with nothing checked
+_BAD_BOUNDS = [
+    ("wolpert", "tolerance", "nan"),
+    ("wolpert", "tolerance", "inf"),
+    ("df-swap", "tolerance", "inf"),
+    ("period-width", "tolerance", "-1"),
+    ("wilson-limit", "rate_slack", "nan"),
+    ("chi-rank", "lower", "-1"),
+    ("chi-rank", "upper", "-inf"),
+]
+
+
+@pytest.mark.parametrize("suite, key, value", _BAD_BOUNDS)
+def test_bad_bounds_are_refused(capsys, suite, key, value):
+    from swapalg.errors import SwapAlgError
+    from swapalg.verify import run_suite
+
+    for name in (suite, "all"):
+        assert main(["verify", name, "--tol", f"{key}={value}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""  # refused before any suite runs
+        assert err.startswith("error:") and err.count("\n") == 1 and f"{key} must be finite" in err
+    for given in (value, float(value)):
+        with pytest.raises(SwapAlgError, match=f"{key} must be finite and at least 0"):
+            run_suite(suite, **{key: given})
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_wolpert_verb_refuses_bad_tolerance(files, capsys, value):
+    argv = ["wolpert", "--rep", files["rep"], "--gamma", "a", "--eta", "b", "--tolerance", value]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1 and "--tolerance" in err
+
+
+def test_wolpert_verb_runs_at_zero_tolerance(files, capsys):
+    argv = ["wolpert", "--rep", files["rep"], "--gamma", "a", "--eta", "b", "--tolerance", "0"]
+    assert main(argv) == 1
+    assert "deviation=" in capsys.readouterr().out
+
+
 # -- fuzzing the file readers ----------------------------------------------------
 
 _WORDS = [
@@ -525,9 +567,14 @@ def test_a_fraction_without_pairs_exits_two_with_one_line(files):
         ("n = x\nelement a 2 0 0 0.5\n", "<int> a positive integer"),
         ("n = -1\nelement a 2 0 0 0.5\n", "<int> a positive integer"),
         ("n = 0\n", "<int> a positive integer"),
-        ("n = 2\nelement a 2 0 0 0.5\nelement a 3 0 0 0.25\n", "element 'a' is defined twice"),
+        ("n = 2\nelement a 2 0 0 0.5\nelement a 3 0 0 0.25\n", "line 3: element 'a' is defined twice"),
+        ("n = 2\nelement a 2 0\n 0 0.5\nelement b 1 x 0 1\n", "line 4: element 'b': could not convert"),
+        ("n = 2\nelement a 2 0 0 0.5\n\nfoo b 1 0 0 1\n", "line 4: expected 'element', found 'foo'"),
     ],
-    ids=["det-overflow", "nan-entry", "inf-entry", "scaled-overflow", "n-x", "n-minus-1", "n-0", "repeated-label"],
+    ids=[
+        "det-overflow", "nan-entry", "inf-entry", "scaled-overflow", "n-x", "n-minus-1", "n-0", "repeated-label",
+        "entry-not-real", "not-element",
+    ],
 )
 def test_bad_representation_exits_two_with_one_line(tmp_path, text, says):
     rep = tmp_path / "rep.txt"

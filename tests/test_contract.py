@@ -11,9 +11,9 @@ import swapalg
 from swapalg.cli import _build_arg_parser
 
 PUBLIC_NAMES = [
-    "AlgebraElement", "BalancedFraction", "CirclePoint", "ConfigMismatchError",
+    "AlgebraElement", "CirclePoint", "ConfigMismatchError",
     "DegenerateFractionError", "EvaluationError", "FundamentalSolution",
-    "GeneratorPair", "GroupElementData", "InvalidCutError", "Monomial",
+    "GroupElementData", "InvalidCutError", "Monomial",
     "NotLoxodromicError", "OperSpec", "ParseError", "PointConfig",
     "Representation", "SUITES", "SwapAlgError", "SymbolicWords", "WordError",
     "algebra", "birelem_identity", "circle", "cocycle_defect",
@@ -36,7 +36,7 @@ VERBS = {"bracket", "jacobi", "identities", "eval", "period", "wolpert", "oper",
 
 def test_public_names_are_pinned():
     assert sorted(swapalg.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 65
+    assert len(PUBLIC_NAMES) == 63
 
 
 def test_cli_verbs_are_pinned():
@@ -60,6 +60,6 @@ def test_only_algebra_builds_pairs_and_monomials():
     building = sorted(
         path.name
         for path in package.glob("*.py")
-        if any(call in path.read_text() for call in ("GeneratorPair(", "Monomial(", "Monomial._from_exponents"))
+        if any(call in path.read_text() for call in ("Monomial(", "Monomial._from_exponents"))
     )
     assert building == ["algebra.py"]

@@ -403,10 +403,14 @@ def test_order_keys_break_float_ties_exactly():
     )
     terms = bracket.terms()
     assert len(terms) > 2
-    keys = [(m.degree, [p.key for p in m.pairs]) for m, _ in terms]
+
+    def key(pair):
+        return pair[0].position, pair[1].position
+
+    keys = [(m.degree, [key(p) for p in m.pairs]) for m, _ in terms]
     assert keys == sorted(keys)
     for m, _ in terms:
-        assert repr(m) == "*".join(repr(p) for p in sorted(m.pairs, key=lambda p: p.key))
+        assert repr(m) == "*".join(f"[{X.label} {x.label}]" for X, x in sorted(m.pairs, key=key))
 
 
 def test_order_key_float_is_the_correctly_rounded_position():

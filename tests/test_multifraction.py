@@ -5,11 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from swapalg.algebra import AlgebraElement, GeneratorPair, Monomial, generator
+from swapalg.algebra import AlgebraElement, Monomial, generator
 from swapalg.circle import PointConfig, ensure_same_config
 from swapalg.errors import ConfigMismatchError, DegenerateFractionError, EvaluationError, SwapAlgError
 from swapalg.multifraction import (
-    BalancedFraction,
     SymbolicWords,
     birelem_identity,
     chi,
@@ -45,6 +44,11 @@ def fresh_words(rng, labels, denominator=499):
 # -- reduction and equality ---------------------------------------------------
 
 
+def _fraction(numerator, denominator=Monomial(), scale=1):
+    """scale * numerator / denominator, for a monomial denominator."""
+    return numerator * scale / AlgebraElement.from_monomial(numerator.config, denominator)
+
+
 def test_cross_fraction_shape(grid_config):
     config, p = grid_config
     f = cross_fraction(p[0], p[1], p[2], p[3])
@@ -74,21 +78,21 @@ def test_cross_multiplication_equality(grid_config):
     Zz = generator(p[4], p[5])
     ((mY, _),) = Yy.terms()
     ((mZ, _),) = Zz.terms()
-    plain = BalancedFraction(Xx, mY)
-    padded = BalancedFraction(Xx * Zz, mY * mZ)
+    plain = _fraction(Xx, mY)
+    padded = _fraction(Xx * Zz, mY * mZ)
     assert plain == padded  # common factor cancels on reduction
 
 
 def test_content_normalization(grid_config):
     config, p = grid_config
     numer = 6 * generator(p[0], p[1]) + 4 * generator(p[2], p[3])
-    f = BalancedFraction(numer)
+    f = _fraction(numer)
     assert f.scale == 2
     coeffs = sorted(c for _, c in f.numerator.terms())
     assert coeffs == [Fraction(2), Fraction(3)]
-    scaled = BalancedFraction(numer, scale=Fraction(-5, 9))
+    scaled = _fraction(numer, scale=Fraction(-5, 9))
     assert scaled == Fraction(-5, 9) * f and scaled.scale == Fraction(-10, 9)
-    assert BalancedFraction(numer, scale=0).is_zero
+    assert _fraction(numer, scale=0).is_zero
 
 
 def test_fraction_arithmetic(grid_config):
@@ -106,11 +110,11 @@ def test_fraction_arithmetic(grid_config):
 def test_inverse_requires_monomial_numerator(grid_config):
     config, p = grid_config
     numer = generator(p[0], p[1]) + generator(p[2], p[3])
-    f = BalancedFraction(numer)
+    f = _fraction(numer)
     with pytest.raises(SwapAlgError, match="monomial"):
         f.inverse()
     with pytest.raises(ZeroDivisionError):
-        BalancedFraction.zero(config).inverse()
+        AlgebraElement.zero(config).inverse()
 
 
 # -- multi fractions ----------------------------------------------------------
@@ -156,8 +160,8 @@ def test_is_balanced_examples(grid_config):
     assert is_balanced(cross_fraction(p[0], p[1], p[2], p[3]))
     Yy = generator(p[2], p[3])
     ((mY, _),) = Yy.terms()
-    assert not is_balanced(BalancedFraction(generator(p[0], p[1]), mY))
-    assert is_balanced(BalancedFraction.zero(config))
+    assert not is_balanced(_fraction(generator(p[0], p[1]), mY))
+    assert is_balanced(AlgebraElement.zero(config))
 
 
 # -- the bracket on fractions ---------------------------------------------------
@@ -181,7 +185,7 @@ def test_fraction_bracket_trivial_cases(grid_config):
     config, p = grid_config
     f = cross_fraction(p[1], p[3], p[2], p[4])
     assert fraction_bracket(f, f, Fraction(7)).is_zero
-    assert fraction_bracket(f, BalancedFraction.one(config), 1).is_zero
+    assert fraction_bracket(f, AlgebraElement.one(config), 1).is_zero
     assert fraction_bracket(f, AlgebraElement.scalar(config, Fraction(5, 3))).is_zero
 
 
@@ -440,10 +444,10 @@ def test_equality_is_cross_multiplication():
     pad = generator(points[4], points[5])
     ((pad_monomial, _),) = pad.terms()
     ((den_monomial, _),) = generator(points[6], points[7]).terms()
-    f = BalancedFraction(numer, den_monomial)
-    padded = BalancedFraction(numer * pad, den_monomial * pad_monomial)
+    f = _fraction(numer, den_monomial)
+    padded = _fraction(numer * pad, den_monomial * pad_monomial)
     assert f == padded
-    assert f != BalancedFraction(numer * pad * 5, den_monomial * pad_monomial)
+    assert f != _fraction(numer * pad * 5, den_monomial * pad_monomial)
 
 
 def test_braelem_closed_form_single_word_tuple():
@@ -574,12 +578,12 @@ def _ring_reference(tops, bottoms):
     numer = AlgebraElement.one(config)
     for X, x in tops:
         numer = numer * generator(X, x)
-    return BalancedFraction(numer, Monomial(GeneratorPair(X, x) for X, x in bottoms))
+    return _fraction(numer, Monomial(bottoms))
 
 
 def _assert_reference(value, tops, bottoms):
     reference = _ring_reference(list(tops), list(bottoms))
-    assert isinstance(value, BalancedFraction)
+    assert isinstance(value, AlgebraElement)
     assert value == reference
     assert repr(value) == repr(reference)
 

@@ -299,11 +299,10 @@ def test_cross_ratio_cocycles_numerically():
 def test_eval_rejects_unbalanced():
     rep = two_generator_rep()
     from swapalg.algebra import generator
-    from swapalg.multifraction import BalancedFraction
 
     X = rep.boundary_point(0.25)
     x = rep.boundary_point(1.25)
-    unbalanced = BalancedFraction(generator(X, x))
+    unbalanced = generator(X, x)
     with pytest.raises(EvaluationError, match="scale-dependent"):
         rep.eval_fraction(unbalanced)
 
@@ -409,12 +408,34 @@ def test_boundary_point_refuses_nan_and_overflowing_coordinates():
 @pytest.mark.parametrize(
     "text, says",
     [
-        ("n = 2\nelement a 2 0 0 0.5\nelement a 3 0 0 0.25\n", "element 'a' is defined twice"),
-        ("n = 2\nelement a 2 0 x 0.5\n", "element 'a': could not convert string to float: 'x'"),
+        ("n = 2\nelement a 2 0 0 0.5\nelement a 3 0 0 0.25\n", "line 3: element 'a' is defined twice"),
+        ("n = 2\nelement a 2 0 x 0.5\n", "line 2: element 'a': could not convert string to float: 'x'"),
     ],
     ids=["repeated-label", "entry-not-real"],
 )
 def test_representation_file_refuses_what_it_would_drop(text, says):
+    with pytest.raises(SwapAlgError) as caught:
+        Representation.from_text(text)
+    assert str(caught.value) == says
+
+
+_HEADER = "representation file must begin with 'n = <int>', <int> a positive integer"
+
+
+@pytest.mark.parametrize(
+    "text, says",
+    [
+        ("n = 2\nelement a 2 0\n 0 0.5\nelement b 1 x 0 1\n", "line 4: element 'b': could not convert string to float: 'x'"),
+        ("n = 2\nelement a 2 0 0 0.5\n\nfoo b 1 0 0 1\n", "line 4: expected 'element', found 'foo'"),
+        ("n = 2\nelement a 2 0 0 0.5\nelement\n", "line 3: 'element' without a label at the end of the file"),
+        ("n = 2\nelement a 2 0 0 0.5\nelement b 1 0\n", "line 3: element 'b' needs 4 entries"),
+        ("# header\n\nn = x\nelement a 2 0 0 0.5\n", f"line 3: {_HEADER}"),
+        ("\nelement a 2 0 0 0.5\n", f"line 2: {_HEADER}"),
+        ("", f"line 1: {_HEADER}"),
+    ],
+    ids=["entry-not-real", "not-element", "no-label", "too-few-entries", "header-n-x", "no-header", "empty"],
+)
+def test_representation_file_refusals_name_their_line(text, says):
     with pytest.raises(SwapAlgError) as caught:
         Representation.from_text(text)
     assert str(caught.value) == says
