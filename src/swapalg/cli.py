@@ -13,14 +13,18 @@ Verbs:
 
 Reports are deterministic for a fixed command line (seeds are always
 explicit in the output).  Exit codes: 0 on success, 1 when a verification
-fails, 2 on input errors.
+fails, 2 on input errors.  A suite that raises while it computes has
+failed, not refused its input: `verify` prints it as a failed report and
+goes on with the other suites.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
+import traceback
 from fractions import Fraction
 
 from .algebra import jacobiator, swap_bracket
@@ -36,7 +40,14 @@ from .opers import (
 )
 from .parser import parse_expression
 from .representation import Representation, wolpert_check
-from .verify import SIX_POINT_MAX_POINTS, SUITES, checked_options, run_suite, suite_options
+from .verify import (
+    SIX_POINT_MAX_POINTS,
+    SUITES,
+    SuiteReport,
+    checked_options,
+    run_suite,
+    suite_options,
+)
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -257,11 +268,29 @@ def _cmd_verify(args) -> int:
     plan = [(name, checked_options(name, kwargs)) for name, kwargs in plan]
     failed = False
     for name, kwargs in plan:
-        report = SUITES[name](**kwargs)
+        report = _computed_report(name, kwargs)
         print(report.render())
         print()
         failed = failed or not report.passed
     return 1 if failed else 0
+
+
+def _computed_report(name: str, kwargs: dict) -> SuiteReport:
+    """The named suite's report.  An exception raised while the suite
+    computes fails it: the report then holds one failed row whose law is
+    the exception, noted in full as `error`, with the place that raised it
+    as `error_at`."""
+    try:
+        return SUITES[name](**kwargs)
+    except Exception as exc:
+        parameters = suite_options(name)
+        seed = kwargs.get("seed", parameters["seed"].default) if "seed" in parameters else None
+        message = f"{type(exc).__name__}: {exc}"
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        at = f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"
+        report = SuiteReport(name, seed, notes={"error": message, "error_at": at})
+        report.exact("raised", message, 1)
+        return report
 
 
 _COMMANDS = {

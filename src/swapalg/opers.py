@@ -12,15 +12,19 @@ that does not depend on the state, and all of them are built at once from
 the table.  The frames are their prefix products S_{k-1} ... S_0.  The
 search for trivial holonomy and the step-halving error estimate need only
 the holonomy, the full product, which they take by a pairwise tree product
-of the same matrices without forming the frames.  The Newton search
-samples the harmonics it does not change once per grid, so a residual
-adds only its unknown modes to that table, and it takes the three probes
-of a Jacobian as one tree product over a batch of three tables.  The
-search starts on a coarse 256-step grid, where a holonomy costs little
-more than its numpy calls, and ends on 4096 steps.  The companion matrix
-is trace free (there is no psi^(n-1) term), so the frame determinant is
-conserved; the drift measures integration error, and a solution whose
-drift exceeds `MAX_DET_DRIFT` is refused.
+of the same matrices without forming the frames.  The grid times never
+change, so the cos and sin of harmonic k on a grid are computed once per
+(k, steps) and kept, under a fixed memory bound, for every operator
+sampled on that grid (`_grid_waves`): a table is then only the weighted
+sum of its harmonics.  The Newton search sums the harmonics it does not
+change once per stage, so a residual adds only its unknown modes to that
+sum, and it takes the three probes of a Jacobian as one tree product over
+a batch of three tables.  The search starts on a coarse 256-step grid,
+where a holonomy costs little more than its numpy calls, and ends on 4096
+steps; `integrate` at the last stage's grid then reuses its harmonics.
+The companion matrix is trace free (there is no psi^(n-1) term), so the
+frame determinant is conserved; the drift measures integration error, and
+a solution whose drift exceeds `MAX_DET_DRIFT` is refused.
 
 The frame at t has columns (psi_j, psi_j', ..., psi_j^(n-1)) for the basis
 of solutions with frame(0) = Id; the holonomy is frame(1).  The one
@@ -69,6 +73,7 @@ of a step.  Lifts of `MAX_LIFT_PERIODS` periods or more are refused.
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -127,14 +132,25 @@ class OperSpec:
                         )
 
     def coefficient_values(self, index: int, times: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(times)
+        """q_index at the given times."""
+        return self._sum_harmonics(index, np.zeros_like(times), lambda k: _waves(k, times))
+
+    def _grid_values(self, index: int, steps: int) -> np.ndarray:
+        """q_index at the `steps`-grid times k h / 2, k = 0..2 steps, from the
+        memoized harmonics (`_grid_waves`); bit-identical to
+        `coefficient_values` at those times.  Run after `_require_grid`."""
+        return self._sum_harmonics(index, np.zeros(2 * steps + 1), lambda k: _grid_waves(k, steps))
+
+    def _sum_harmonics(self, index: int, out: np.ndarray, waves) -> np.ndarray:
+        """Add the harmonics of q_index into `out` in their order, where
+        `waves(k)` gives cos and sin of 2 pi k t at the sampled times."""
         for k, c, s in self.coefficients.get(index, ()):
             if k == 0:
                 # c cos 0 + s sin 0 as it rounds, without sampling cos and sin
                 out += c + s * 0.0
                 continue
-            w = 2.0 * math.pi * k * times
-            out += c * np.cos(w) + s * np.sin(w)
+            cos, sin = waves(k)
+            out += c * cos + s * sin
         return out
 
     def __repr__(self):
@@ -209,15 +225,16 @@ class FundamentalSolution:
     `frames` has shape (steps + 1, n, n).  The frame determinants, and the
     frame inverses that `frame_inverse` builds on first use, are taken in
     closed form for n <= 3 (the adjugate over the determinant, computed
-    entry by entry over the stack) and by `np.linalg` for larger n.  The
-    inverse holonomy is the last of those inverses, so a negative
-    holonomy power inverts nothing.  Frames whose determinants drift from
-    1 by more than `MAX_DET_DRIFT` are refused.
+    entry by entry over the stack) and by `np.linalg` for larger n; the
+    determinants are taken once, for the drift check, and kept for the
+    inverses.  The inverse holonomy is the last of those inverses, so a
+    negative holonomy power inverts nothing.  Frames whose determinants
+    drift from 1 by more than `MAX_DET_DRIFT` are refused.
     """
 
     __slots__ = (
-        "oper", "steps", "frames", "_inverses", "holonomy", "holonomy_kind", "det_drift", "config",
-        "_points",
+        "oper", "steps", "frames", "_dets", "_inverses", "holonomy", "holonomy_kind", "det_drift",
+        "config", "_points",
     )
 
     def __init__(self, oper: OperSpec, steps: int, frames: np.ndarray):
@@ -230,9 +247,9 @@ class FundamentalSolution:
         self.holonomy = frames[steps].copy()
         self.holonomy_kind = _classify_holonomy(self.holonomy)
         with np.errstate(over="ignore", invalid="ignore"):
-            dets = _det(frames.transpose(1, 2, 0))
-        _require_finite(dets, steps, "frame determinants")
-        self.det_drift = float(np.max(np.abs(dets - 1.0)))
+            self._dets = _det(frames.transpose(1, 2, 0))
+        _require_finite(self._dets, steps, "frame determinants")
+        self.det_drift = float(np.max(np.abs(self._dets - 1.0)))
         if self.det_drift > MAX_DET_DRIFT:
             raise SwapAlgError(
                 f"the solutions are unreliable: frame determinants drift {self.det_drift:.3e} "
@@ -281,7 +298,7 @@ class FundamentalSolution:
 
     def _frame_inverses(self) -> np.ndarray:
         if self._inverses is None:
-            cf_inverses = _inverse(self.frames.transpose(1, 2, 0))
+            cf_inverses = _inverse(self.frames.transpose(1, 2, 0), self._dets)
             self._inverses = np.ascontiguousarray(cf_inverses.transpose(2, 0, 1))
         return self._inverses
 
@@ -345,18 +362,61 @@ def _require_grid(order: int, steps: int, batch: int = 1) -> None:
         )
 
 
-def _grid_times(order: int, steps: int) -> np.ndarray:
-    """The grid and half-grid parameters k h / 2, k = 0..2 steps, after
-    `_require_grid`."""
-    _require_grid(order, steps)
+def _grid_times(steps: int) -> np.ndarray:
+    """The grid and half-grid parameters k h / 2, k = 0..2 steps."""
     h = 1.0 / steps
     return np.arange(2 * steps + 1) * (h / 2.0)
 
 
+def _waves(k: int, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2 pi k t at the given times."""
+    w = 2.0 * math.pi * k * times
+    return np.cos(w), np.sin(w)
+
+
+# the harmonics memo of `_grid_waves`: (k, steps) -> (cos, sin), the least
+# recently used first, holding at most `_WAVE_MEMO_FLOATS` floats in all
+_wave_memo: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+_wave_lock = threading.Lock()
+_WAVE_MEMO_FLOATS = 1 << 17
+
+
+def _grid_waves(k: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2 pi k t at the `steps`-grid times, as read-only arrays.
+
+    They are `_waves(k, _grid_times(steps))`, computed once per (k, steps)
+    and kept in a least-recently-used memo that retains at most
+    `_WAVE_MEMO_FLOATS` = 2^17 floats (1 MiB), whatever grids are asked
+    for: a new entry evicts the least recently used ones until it fits, and
+    a grid whose two arrays alone exceed the bound is computed and not
+    kept.  The oper workload's grids, k = 1, 2, 3 at 256 and 4096 steps,
+    hold 0.42 MB.  Run after `_require_grid`.
+    """
+    key = (k, steps)
+    with _wave_lock:
+        waves = _wave_memo.pop(key, None)
+        if waves is not None:
+            _wave_memo[key] = waves  # now the most recently used
+            return waves
+    waves = _waves(k, _grid_times(steps))
+    for array in waves:
+        array.flags.writeable = False
+    size = 2 * waves[0].size
+    if size <= _WAVE_MEMO_FLOATS:
+        with _wave_lock:
+            held = sum(2 * cos.size for cos, _ in _wave_memo.values())
+            for oldest in list(_wave_memo):
+                if held + size <= _WAVE_MEMO_FLOATS:
+                    break
+                held -= 2 * _wave_memo.pop(oldest)[0].size
+            _wave_memo[key] = waves
+    return waves
+
+
 def _coefficient_table(oper: OperSpec, steps: int) -> np.ndarray:
     """q_2..q_n on the grid and half grid: row i - 2 holds q_i at k h / 2."""
-    times = _grid_times(oper.order, steps)
-    return np.array([oper.coefficient_values(i, times) for i in range(2, oper.order + 1)])
+    _require_grid(oper.order, steps)
+    return np.array([oper._grid_values(i, steps) for i in range(2, oper.order + 1)])
 
 
 # -- the stack kernel ---------------------------------------------------------
@@ -454,8 +514,9 @@ def _det(m: np.ndarray) -> np.ndarray:
     )
 
 
-def _inverse(m: np.ndarray) -> np.ndarray:
-    """Inverses of a components-first stack: the adjugate over `_det`."""
+def _inverse(m: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """Inverses of a components-first stack: the adjugate over its
+    determinants `det`, as `_det` gives them."""
     n = len(m)
     if n > _ELEMENTWISE_MAX_ORDER:
         return np.moveaxis(np.linalg.inv(np.moveaxis(m, -1, 0)), 0, -1)
@@ -470,7 +531,7 @@ def _inverse(m: np.ndarray) -> np.ndarray:
             for j in range(3):
                 j1, j2 = (j + 1) % 3, (j + 2) % 3
                 adj[j, i] = m[i1, j1] * m[i2, j2] - m[i1, j2] * m[i2, j1]
-    adj /= _det(m)
+    adj /= det
     return adj
 
 
@@ -757,17 +818,19 @@ def solve_trivial_holonomy(
     grid is coarse: a 256-step holonomy costs little more than its numpy
     calls, and on the oper workload's harmonics a 1024-step first stage
     took as many Newton steps and refused the same draws.  Each stage
-    samples the fixed harmonics, cos 2pi t and sin 2pi t on its grid once; a
-    residual is that table plus the three unknown modes, added in the
-    order `OperSpec.coefficient_values` adds them (c0, then a1 cos + b1 sin
-    as one term), so every iterate is the one that sampling `build(u)`
-    afresh would give, bit for bit.  Each residual evaluation then takes
-    the holonomy alone.  The residual tolerance 1e-12 lets the last Newton
-    step land at the rounding floor: cross fractions of lifts go through
-    holonomy powers, so a residual left at 1e-11 moves large cross
-    fractions by more than 1e-6.  The fourth entry follows from det H = 1
-    only up to the frame determinant drift, so a result whose fourth entry
-    is not within 1e-12 of the target after the last stage is refused.
+    sums the fixed harmonics on its grid once, from the grid's memoized
+    cos and sin (`_grid_waves`), which also give it cos 2pi t and
+    sin 2pi t; a residual is that sum plus the three unknown modes, added
+    in the order `OperSpec.coefficient_values` adds them (c0, then
+    a1 cos + b1 sin as one term), so every iterate is the one that sampling
+    `build(u)` afresh would give, bit for bit.  Each residual evaluation
+    then takes the holonomy alone.  The residual tolerance 1e-12 lets the
+    last Newton step land at the rounding floor: cross fractions of lifts
+    go through holonomy powers, so a residual left at 1e-11 moves large
+    cross fractions by more than 1e-6.  The fourth entry follows from
+    det H = 1 only up to the frame determinant drift, so a result whose
+    fourth entry is not within 1e-12 of the target after the last stage is
+    refused.
 
     A Jacobian is a forward difference: three residuals at probes 1e-6
     apart, taken as one batched holonomy (`_table_holonomy` on a batch of
@@ -802,11 +865,8 @@ def solve_trivial_holonomy(
     u = np.zeros(3)
     jac = None
     for steps in stages:
-        times = _grid_times(2, steps)
-        fixed_q2 = fixed_oper.coefficient_values(2, times)
-        w = 2.0 * math.pi * times
-        cos1, sin1 = np.cos(w), np.sin(w)
-        del times, w  # only the three tables stay alive through the stage
+        fixed_q2 = fixed_oper._grid_values(2, steps)
+        cos1, sin1 = _grid_waves(1, steps)
 
         def residuals(points):
             """The residuals and fourth entries at a (B, 3) array of

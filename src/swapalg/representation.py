@@ -278,6 +278,15 @@ def _parallel(u, v) -> bool:
     return 1.0 - abs(float(u @ v)) < 1e-12
 
 
+def _refusing(label, exc: SwapAlgError) -> SwapAlgError:
+    """`exc` as a refusal of generator `label`: of the same type, with the
+    label before its message and kept as `generator`, for `from_text` to
+    name its line."""
+    named = type(exc)(f"generator {label!r}: {exc}")
+    named.generator = label
+    return named
+
+
 class _PointData:
     __slots__ = ("vector", "hyperplane", "word", "sign")
 
@@ -309,18 +318,22 @@ class Representation:
             if m.shape != (n, n):
                 raise SwapAlgError("generators must share one dimension")
             if not np.isfinite(m).all():  # before a product turns inf into nan
-                raise SwapAlgError(f"generator {label!r}: matrix entries must be finite")
+                raise _refusing(label, SwapAlgError("matrix entries must be finite"))
             mats[label] = m
         self.dimension = n
         self.config = PointConfig()
         self._position_hint = position_hint
         self._generators = mats
+        self._generator_inverses: dict[str, np.ndarray] = {}  # made on first use
         self._elements: dict[Word, GroupElementData] = {}
         self._points: dict[CirclePoint, _PointData] = {}
         self._fixed: dict[tuple[Word, int], CirclePoint] = {}
         self._wilson_tables: dict[tuple[Word, Word], tuple] = {}  # (r, s, M) per word pair
         for label in mats:
-            self.element(label)
+            try:
+                self.element(label)
+            except SwapAlgError as exc:
+                raise _refusing(label, exc) from None
 
     @classmethod
     def from_text(cls, text: str, position_hint=None) -> "Representation":
@@ -334,9 +347,9 @@ class Representation:
         ]
         tokens = [word for word, _ in words]
 
-        def refuse(index, message):
+        def refuse(index, message, kind=SwapAlgError):
             lineno = words[min(index, len(words) - 1)][1] if words else 1
-            return SwapAlgError(f"line {lineno}: {message}")
+            return kind(f"line {lineno}: {message}")
 
         header = tokens[:2] == ["n", "="]
         try:
@@ -349,6 +362,7 @@ class Representation:
                 "representation file must begin with 'n = <int>', <int> a positive integer",
             )
         generators = {}
+        label_at = {}  # the token index of each label
         index = 3
         while index < len(tokens):
             if tokens[index] != "element":
@@ -367,8 +381,15 @@ class Representation:
                 except ValueError as exc:
                     raise refuse(k, f"element {label!r}: {exc}") from None
             generators[label] = np.array(entries).reshape(n, n)
+            label_at[label] = index + 1
             index += 2 + n * n
-        return cls(generators, position_hint=position_hint)
+        try:
+            return cls(generators, position_hint=position_hint)
+        except SwapAlgError as exc:
+            at = label_at.get(getattr(exc, "generator", None))
+            if at is None:
+                raise
+            raise refuse(at, exc, type(exc)) from None
 
     @classmethod
     def from_file(cls, path, position_hint=None) -> "Representation":
@@ -385,7 +406,12 @@ class Representation:
                 m = self._generators[label]
             except KeyError:
                 raise SwapAlgError(f"unknown generator {label!r}") from None
-            out = out @ (m if sign > 0 else np.linalg.inv(m))
+            if sign < 0:
+                inverse = self._generator_inverses.get(label)
+                if inverse is None:
+                    inverse = self._generator_inverses[label] = np.linalg.inv(m)
+                m = inverse
+            out = out @ m
         return out
 
     def element(self, word) -> GroupElementData:

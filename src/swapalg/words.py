@@ -8,6 +8,7 @@ reduced.  The empty word is the identity.
 
 from __future__ import annotations
 
+import functools
 import re
 
 from .errors import WordError
@@ -29,26 +30,31 @@ def reduce_word(letters) -> Word:
 
 
 def parse_word(text, allow_identity: bool = False) -> Word:
-    """Parse ``a b a'`` style notation into a reduced word."""
-    if isinstance(text, tuple):
-        word = reduce_word(text)
-    else:
-        letters: list[Letter] = []
-        pos = 0
-        s = text.strip()
-        while pos < len(s):
-            if s[pos].isspace():
-                pos += 1
-                continue
-            m = _LETTER.match(s, pos)
-            if not m:
-                raise WordError(f"bad word syntax at {s[pos:]!r}")
-            letters.append((m.group(1), -1 if m.group(2) else 1))
-            pos = m.end()
-        word = reduce_word(letters)
+    """Parse ``a b a'`` style notation into a reduced word; a tuple of
+    letters is reduced."""
+    word = reduce_word(text) if isinstance(text, tuple) else _parse_text(text)
     if not word and not allow_identity:
         raise WordError(f"word {text!r} reduces to the identity")
     return word
+
+
+@functools.lru_cache(maxsize=1024)
+def _parse_text(text: str) -> Word:
+    """The reduced word of a text, parsed once per text while it is among
+    the 1024 most recently parsed; a refused text is not kept."""
+    letters: list[Letter] = []
+    pos = 0
+    s = text.strip()
+    while pos < len(s):
+        if s[pos].isspace():
+            pos += 1
+            continue
+        m = _LETTER.match(s, pos)
+        if not m:
+            raise WordError(f"bad word syntax at {s[pos:]!r}")
+        letters.append((m.group(1), -1 if m.group(2) else 1))
+        pos = m.end()
+    return reduce_word(letters)
 
 
 def invert_word(word: Word) -> Word:

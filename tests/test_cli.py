@@ -393,6 +393,33 @@ def test_verify_all_applies_options_where_taken(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: no suite takes steps\n"
 
 
+def test_a_suite_that_raises_fails_and_the_others_run(monkeypatch, capsys):
+    from swapalg import cli, verify
+
+    def broken(seed=5):
+        raise ZeroDivisionError("division by zero")
+
+    def fine(count=1):
+        report = verify.SuiteReport("fine", None)
+        report.holds("fine", "holds", True)
+        return report
+
+    fake = {"broken": broken, "fine": fine}
+    monkeypatch.setattr(verify, "SUITES", fake)
+    monkeypatch.setattr(cli, "SUITES", fake)
+    assert main(["verify", "all"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "suite: broken   seed: 5\n" in captured.out and "suite=fine\n" in captured.out
+    assert "raised                    ZeroDivisionError: division by zero" in captured.out
+    assert "error=ZeroDivisionError: division by zero\nerror_at=test_cli.py:" in captured.out
+    assert " in broken\nraised.deviation=1\nraised.pass=false\n" in captured.out
+    assert main(["verify", "broken", "--seed", "8"]) == 1
+    assert "seed=8\n" in capsys.readouterr().out
+    # bad options are still input errors, refused before any suite runs
+    assert main(["verify", "broken", "--count", "2"]) == 2
+
+
 def test_tol_values_take_the_type_of_the_default(capsys):
     assert main(["verify", "jacobi", "--count", "3"]) == 0
     by_count = capsys.readouterr().out
@@ -570,10 +597,21 @@ def test_a_fraction_without_pairs_exits_two_with_one_line(files):
         ("n = 2\nelement a 2 0 0 0.5\nelement a 3 0 0 0.25\n", "line 3: element 'a' is defined twice"),
         ("n = 2\nelement a 2 0\n 0 0.5\nelement b 1 x 0 1\n", "line 4: element 'b': could not convert"),
         ("n = 2\nelement a 2 0 0 0.5\n\nfoo b 1 0 0 1\n", "line 4: expected 'element', found 'foo'"),
+        # a refused value names its generator and the line of its label
+        ("n = 2\nelement a 2 0 0 0.5\nelement b 1e308 1e308 1e308 1e308\n",
+         "error: line 3: generator 'b': matrix determinant is not finite\n"),
+        ("n = 2\nelement a 2 0 0 0.5\nelement b\n nan 0 0 1\n",
+         "error: line 3: generator 'b': matrix entries must be finite\n"),
+        ("n = 2\nelement a 2 0 0 0.5\n\nelement b 1 1 1 1\n", "error: line 4: generator 'b': matrix is singular\n"),
+        ("n = 2\nelement a 2 0 0 0.5 element b 1 0 0 -1\n",
+         "error: line 2: generator 'b': negative determinant has no loxodromic class\n"),
+        ("n = 2\nelement a 2 0 0 0.5\nelement b 1 1 -1 1\n",
+         "error: line 3: generator 'b': not loxodromic: complex spectrum for b\n"),
     ],
     ids=[
         "det-overflow", "nan-entry", "inf-entry", "scaled-overflow", "n-x", "n-minus-1", "n-0", "repeated-label",
-        "entry-not-real", "not-element",
+        "entry-not-real", "not-element", "det-overflow-named", "nan-entry-named", "singular-named",
+        "negative-det-named", "complex-named",
     ],
 )
 def test_bad_representation_exits_two_with_one_line(tmp_path, text, says):

@@ -28,6 +28,14 @@ MUTATIONS = {
         "acc[m] = acc.get(m, 0) + 2 * scaled * weight",
         ("braelem", "df-swap"),
     ),
+    # df-swap raises on the unbalanced fraction this makes, and a suite that
+    # raises while it computes fails: exit 1, not the input error's exit 2
+    "M4-swapped-pair-reversed": (
+        "algebra.py",
+        "swaps.append(((((X, y), 1), ((Y, x), 1)",
+        "swaps.append(((((y, X), 1), ((Y, x), 1)",
+        ("alpha-independence", "braelem", "df-swap", "jacobi"),
+    ),
     "M5-linking-first-factor-dropped": (
         "circle.py",
         "return cmp(a, b) * (cmp(a, d) * cmp(d, b) - cmp(a, c) * cmp(c, b))",

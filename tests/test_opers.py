@@ -193,10 +193,116 @@ def test_the_newton_search_counts_its_three_probe_grids(monkeypatch):
     monkeypatch.setattr(opers, "MAX_GRID_ENTRIES", (2 * 2048 + 1) * 4 * 2)
     integrate(veronese_oper(2), 2048)
     started = []
-    monkeypatch.setattr(opers, "_grid_times", lambda *args: started.append(args))
+    # every stage sums its fixed harmonics from the grid's memoized waves
+    monkeypatch.setattr(opers, "_grid_waves", lambda *args: started.append(args))
     with pytest.raises(SwapAlgError, match="needs 49164 matrix entries for 3 grids at once"):
         solve_trivial_holonomy(veronese_oper(2), [(2, 0.8, -0.4)], -1, stages=(256, 2048))
     assert started == []
+
+
+@pytest.mark.parametrize("steps", [64, 256, 4096])
+def test_grid_harmonics_match_the_cos_sin_formula_bit_for_bit(steps):
+    from swapalg import opers
+
+    times = np.arange(2 * steps + 1) * ((1.0 / steps) / 2.0)
+    for k in (1, 2, 3, 5):
+        w = 2.0 * math.pi * k * times
+        for got, want in zip(opers._grid_waves(k, steps), (np.cos(w), np.sin(w))):
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+    # and a table summed from them is the one sampled at those times afresh
+    oper = ORACLE_OPERS["harmonics-3"]
+    table = _coefficient_table(oper, steps)
+    for index in (2, 3):
+        want = oper.coefficient_values(index, times)
+        assert [v.hex() for v in table[index - 2].tolist()] == [v.hex() for v in want.tolist()]
+
+
+def test_integrate_after_the_newton_search_samples_no_harmonic(monkeypatch):
+    # the last stage's grid is integrate's: its harmonics k = 1, 2, 3 are
+    # all in the memo already
+    oper = solve_trivial_holonomy(
+        veronese_oper(2), [(2, 0.8, -0.4), (3, 0.3, 0.5)], -1, stages=(256, 4096)
+    )
+    want = np.array([oper.coefficient_values(2, _grid_times(4096))])
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a harmonic is sampled again")
+
+    monkeypatch.setattr(np, "cos", forbidden)
+    monkeypatch.setattr(np, "sin", forbidden)
+    sol = integrate(oper, 4096)
+    table = _coefficient_table(oper, 4096)
+    monkeypatch.undo()
+    assert table.tobytes() == want.tobytes()
+    assert sol.frames.tobytes() == integrate(oper, 4096).frames.tobytes()
+
+
+def test_the_harmonics_memo_keeps_its_bound(monkeypatch):
+    from swapalg import opers
+
+    monkeypatch.setattr(opers, "_wave_memo", {})
+
+    def held():
+        return sum(cos.size + sin.size for cos, sin in opers._wave_memo.values())
+
+    # 2^16 steps: 2 (2^17 + 1) floats alone exceed the bound, so they are
+    # computed and not kept
+    for steps in (64, 256, 1024, 4096, 16384, 1 << 16):
+        for k in range(1, 9):
+            cos, sin = opers._grid_waves(k, steps)
+            assert not cos.flags.writeable and not sin.flags.writeable
+            with pytest.raises(ValueError):
+                cos[0] = 0.0
+            assert held() <= opers._WAVE_MEMO_FLOATS
+    assert (8, 1 << 16) not in opers._wave_memo
+    assert (8, 16384) in opers._wave_memo
+    # a bound of two 64-step entries evicts the least recently used
+    monkeypatch.setattr(opers, "_wave_memo", {})
+    monkeypatch.setattr(opers, "_WAVE_MEMO_FLOATS", 2 * 2 * (2 * 64 + 1))
+    first = opers._grid_waves(1, 64)
+    opers._grid_waves(2, 64)
+    assert opers._grid_waves(1, 64) is first  # a hit, now the most recent
+    opers._grid_waves(3, 64)
+    assert list(opers._wave_memo) == [(1, 64), (3, 64)]
+    assert held() == opers._WAVE_MEMO_FLOATS
+
+
+def test_the_harmonics_memo_is_shared_safely_across_threads(monkeypatch):
+    import sys
+    import threading
+
+    from swapalg import opers
+
+    monkeypatch.setattr(opers, "_wave_memo", {})
+    # room for three 256-step entries, so the threads evict each other's
+    monkeypatch.setattr(opers, "_WAVE_MEMO_FLOATS", 3 * 2 * (2 * 256 + 1))
+    keys = [(k, steps) for k in range(1, 5) for steps in (64, 128, 256)]
+    want = {key: [a.tobytes() for a in opers._waves(key[0], _grid_times(key[1]))] for key in keys}
+    errors = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(300):
+                key = rng.choice(keys)
+                assert [a.tobytes() for a in opers._grid_waves(*key)] == want[key]
+                held = sum(cos.size + sin.size for cos, sin in list(opers._wave_memo.values()))
+                assert held <= opers._WAVE_MEMO_FLOATS
+        except Exception as exc:  # reported by the main thread below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
 
 
 def test_richardson_estimate_is_small():
@@ -363,6 +469,21 @@ def test_batched_holonomies_match_single_calls_bit_for_bit(n, steps):
     assert got.shape == (n, n, 3)
     for b in range(3):
         assert np.array_equal(got[..., b], _table_holonomy(table[:, b], steps))
+
+
+@pytest.mark.parametrize("name", ["harmonics", "harmonics-3"])
+def test_frame_inverses_reuse_the_drift_check_determinants(name, monkeypatch):
+    import swapalg.opers as opers
+
+    sol = integrate(ORACLE_OPERS[name], 256)
+    stack = sol.frames.transpose(1, 2, 0)
+    want = opers._inverse(stack, _det(stack)).transpose(2, 0, 1)
+
+    def no_det(*args):
+        raise AssertionError("the frame determinants are taken again")
+
+    monkeypatch.setattr(opers, "_det", no_det)
+    assert sol._frame_inverses().tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def test_negative_holonomy_powers_invert_nothing(circle_solution, monkeypatch):
@@ -892,18 +1013,20 @@ def test_newton_search_samples_one_table_per_stage(monkeypatch):
     import swapalg.opers as opers
 
     counts, calls, holonomies = {"samples": 0}, [], []
-    sample, holonomy = OperSpec.coefficient_values, opers._table_holonomy
+    # every sampling of coefficients, on a grid or at given times, is one
+    # pass of this summation
+    sample, holonomy = OperSpec._sum_harmonics, opers._table_holonomy
 
-    def counted_sample(self, index, times):
+    def counted_sample(self, index, out, waves):
         counts["samples"] += 1
-        return sample(self, index, times)
+        return sample(self, index, out, waves)
 
     def counted_holonomy(table, steps):
         calls.append(steps)
         holonomies.extend([steps] * _batch_size(table))
         return holonomy(table, steps)
 
-    monkeypatch.setattr(OperSpec, "coefficient_values", counted_sample)
+    monkeypatch.setattr(OperSpec, "_sum_harmonics", counted_sample)
     monkeypatch.setattr(opers, "_table_holonomy", counted_holonomy)
     stages = (256, 512, 1024)
     solve_trivial_holonomy(veronese_oper(2), [(2, 0.8, -0.4)], -1, stages=stages)
@@ -1055,7 +1178,7 @@ def test_constant_harmonics_match_the_cos_sin_formula_bit_for_bit():
         (0, 1e-300, 3.0),
         (0, -7.5, -1e300),
     ]
-    times = _grid_times(2, 64)
+    times = _grid_times(64)
     for terms in (harmonics, [h for h in harmonics if h[0] == 0]):
         want = np.zeros_like(times)
         for k, c, s in terms:

@@ -158,6 +158,27 @@ def test_eigen_split_refuses_overflow_without_warnings(matrix, says):
     assert type(caught.value) is SwapAlgError
 
 
+@pytest.mark.parametrize(
+    "matrix, kind, says",
+    [
+        ([[1e308, 1e308], [1e308, 1e308]], SwapAlgError, "matrix determinant is not finite"),
+        ([[math.nan, 0], [0, 1]], SwapAlgError, "matrix entries must be finite"),
+        ([[1, 1], [-1, 1]], NotLoxodromicError, "not loxodromic: complex spectrum for b"),
+    ],
+    ids=["det-overflow", "nan", "complex"],
+)
+def test_a_refused_generator_is_named(matrix, kind, says):
+    with pytest.raises(SwapAlgError) as caught:
+        Representation({"a": np.diag([2.0, 0.5]), "b": matrix})
+    assert type(caught.value) is kind
+    assert str(caught.value) == f"generator 'b': {says}"
+    text = "n = 2\nelement a 2 0 0 0.5\n\nelement b " + " ".join(str(v) for row in matrix for v in row)
+    with pytest.raises(SwapAlgError) as caught:
+        Representation.from_text(text)
+    assert type(caught.value) is kind
+    assert str(caught.value) == f"line 4: generator 'b': {says}"
+
+
 def test_loxodromy_test_fails_nan_ratios():
     with pytest.raises(NotLoxodromicError, match="moduli too close"):
         _check_moduli((1.0, math.nan), "x")
