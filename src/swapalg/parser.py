@@ -22,8 +22,13 @@ the parser.  Parentheses and unary minus nest at most MAX_NESTING levels;
 deeper input is a ParseError rather than a recursion overflow.  The text
 is tokenized in one pass of one pattern; a token is a kind, a value and a
 character offset, and a ParseError derives its line and column from the
-offset.  A term builds its generators [X x] as one monomial, and a sum adds
-its terms once.
+offset.  A run of well-formed generators [X x]*[Y y] ..., joined by '*'
+or by whitespace alone, is one token whose value is its list of labels, so
+a printed product is read back in one match; a malformed generator never
+forms a run and is read token by token, and a run named in an error is
+its first '['.  A term builds its generators as one monomial, and a sum
+adds its terms once; a divisor or a negated factor takes only the first
+generator of a run, so [Z z] / [X x]*[Y y] is [Z z]*[Y y] / [X x].
 """
 
 from __future__ import annotations
@@ -43,8 +48,12 @@ from .multifraction import (
     wolpert_rhs,
 )
 
+_LABEL = r"[A-Za-z_][A-Za-z_0-9]*'?[+-]?"  # a point label, or a letter of a word
+_GENERATOR = rf"\[\s*{_LABEL}\s+{_LABEL}\s*\]"
+
 _TOKEN = re.compile(
-    r"""(?: (?P<ident>[A-Za-z_][A-Za-z_0-9]*'?(?:(?<=[A-Za-z_0-9'])[+-])?)
+    rf"""(?: (?P<run>{_GENERATOR}(?:\s*(?:\*\s*)?{_GENERATOR})*)
+          | (?P<ident>{_LABEL})
           | (?P<op>[\[\]\(\)\|,*/+-])
           | (?P<num>\d+(?:/\d+)?)
           | (?P<end>\Z)
@@ -53,6 +62,8 @@ _TOKEN = re.compile(
     """,
     re.VERBOSE | re.DOTALL,
 )
+_RUN_PUNCTUATION = str.maketrans("[]*", "   ")
+_RUN_LABEL = re.compile(r"[^\s\[\]*]+")
 
 _CALLS = {"cross", "mf", "elem", "pbeta", "wolpert"}
 
@@ -66,14 +77,17 @@ def _error(text: str, message: str, offset: int) -> ParseError:
 
 def _tokenize(text: str) -> tuple[list, list, list]:
     """The tokens of `text` as three parallel lists: kinds, values and
-    character offsets.  An operator's kind is its character; the last token
-    is the end, with value None at offset len(text).  (Lists, not a tuple per
-    token: freed tuples pile up in CPython's per-size tuple free lists.)"""
+    character offsets.  An operator's kind is its character; a run's value
+    is the list of its labels; the last token is the end, with value None at
+    offset len(text).  (Lists, not a tuple per token: freed tuples pile up in
+    CPython's per-size tuple free lists.)"""
     kinds, values, offsets = [], [], []
     for m in _TOKEN.finditer(text, len(text) - len(text.lstrip())):
         kind = m.lastgroup
         value = m[kind] or None  # only the end matches the empty string
-        if kind == "op":
+        if kind == "run":
+            value = value.translate(_RUN_PUNCTUATION).split()
+        elif kind == "op":
             kind = value
         elif kind == "num":
             try:
@@ -88,11 +102,17 @@ def _tokenize(text: str) -> tuple[list, list, list]:
     return kinds, values, offsets
 
 
+def _run_label_offsets(text: str, offset: int, count: int) -> list[int]:
+    """The offsets of the first `count` labels of the run token at `offset`."""
+    return [m.start() for m, _ in zip(_RUN_LABEL.finditer(text, offset), range(count))]
+
+
 class _Parser:
     def __init__(self, text: str, config: PointConfig, universe=None):
         self.text = text
         self.kinds, self.values, self.offsets = _tokenize(text)
         self.index = 0
+        self.taken = 0  # labels of the run token at `index` already read
         self.config = config
         self.universe = universe
         self.depth = 0
@@ -107,15 +127,19 @@ class _Parser:
         """A ParseError at token `index`, by default the current token."""
         return _error(self.text, message, self.offsets[self.index if index is None else index])
 
+    def found(self) -> str:
+        """The current token as an error names it; a run by its first '['."""
+        kind = self.kinds[self.index]
+        if kind == "end":
+            return "end of input"
+        return "'['" if kind == "run" else repr(self.values[self.index])
+
     def expect(self, kind) -> int:
         if self.kinds[self.index] != kind:
-            found = "end of input" if self.kinds[self.index] == "end" else repr(self.values[self.index])
-            raise self.error(f"expected {kind!r}, found {found}")
+            raise self.error(f"expected {kind!r}, found {self.found()}")
         return self.advance()
 
     def fail(self, message):
-        if self.kinds[self.index] == "end":
-            message = message.replace("None", "end of input")
         raise self.error(message)
 
     # -- grammar ------------------------------------------------------------
@@ -123,7 +147,7 @@ class _Parser:
     def parse(self) -> AlgebraElement:
         value = self.expr()
         if self.kinds[self.index] != "end":
-            self.fail(f"trailing input {self.values[self.index]!r}")
+            self.fail(f"trailing input {self.found()}")
         return value
 
     def expr(self):
@@ -140,7 +164,10 @@ class _Parser:
         a divisor is inverted at its '/', so a bad divisor is reported there."""
         pairs, factors = [], []
         while True:
-            if self.kinds[self.index] == "[":
+            kind = self.kinds[self.index]
+            if kind == "run":
+                pairs += self.run_pairs()
+            elif kind == "[":
                 pairs.append(self.pair())
             else:
                 factors.append(self.factor())
@@ -154,7 +181,7 @@ class _Parser:
                     raise self.error(message, slash) from None
             if self.kinds[self.index] == "*":
                 self.index += 1
-            elif self.kinds[self.index] not in ("num", "ident", "[", "("):
+            elif self.kinds[self.index] not in ("run", "num", "ident", "[", "("):
                 break
         if pairs:
             factors.append(_pair_fraction(pairs, ()))
@@ -175,6 +202,8 @@ class _Parser:
             self.depth -= 1
             return value
         value = self.values[self.index]
+        if kind == "run":
+            return _pair_fraction(self.run_pairs(first_only=True), ())
         if kind == "num":
             self.index += 1
             return AlgebraElement.scalar(self.config, value)
@@ -184,7 +213,7 @@ class _Parser:
             if value in _CALLS:
                 return self.call()
             self.fail(f"bare label {value!r}; generators are written [X x]")
-        self.fail(f"unexpected {value!r}")
+        self.fail(f"unexpected {self.found()}")
 
     def pair(self) -> tuple:
         """The points (X, x) of a generator [X x]; X = x makes it zero."""
@@ -194,8 +223,29 @@ class _Parser:
         self.expect("]")
         return left, right
 
-    def point(self, index: int):
-        label = self.values[index]
+    def run_pairs(self, first_only=False) -> list:
+        """The pairs of the run token at the current token that are not yet
+        read: all of them, or only the first.  The token is passed once its
+        last pair is read."""
+        labels = self.values[self.index]
+        start = self.taken
+        stop = start + 2 if first_only else len(labels)
+        config = self.config
+        try:
+            points = [config[label] for label in labels[start:stop]]
+        except SwapAlgError:  # fixed-point labels register left to right
+            points = [self.point(self.index, k) for k in range(start, stop)]
+        if stop == len(labels):
+            self.index += 1
+            self.taken = 0
+        else:
+            self.taken = stop
+        return list(zip(points[::2], points[1::2]))
+
+    def point(self, index: int, number: int | None = None):
+        """The point of label token `index`, or of label `number` of run
+        token `index`."""
+        label = self.values[index] if number is None else self.values[index][number]
         try:
             return self.config[label]
         except SwapAlgError:
@@ -207,7 +257,10 @@ class _Parser:
                 return self.universe.fixed_point(label[:-1], sign)
             except SwapAlgError:
                 pass
-        raise self.error(f"unknown label {label!r}", index)
+        offset = self.offsets[index]
+        if number is not None:
+            offset = _run_label_offsets(self.text, offset, number + 1)[-1]
+        raise _error(self.text, f"unknown label {label!r}", offset)
 
     def call(self):
         name = self.values[self.advance()]

@@ -71,6 +71,14 @@ def test_scalar_coercion_and_pow(grid_config):
         g ** (-1)
 
 
+def test_scalar_minus_element(grid_config):
+    config, p = grid_config
+    g = generator(p[0], p[3])
+    assert 1 - g == -(g - 1)
+    assert Fraction(1, 2) - g == AlgebraElement.scalar(config, Fraction(1, 2)) - g
+    assert (0 - g) + g == 0
+
+
 def test_bracket_matches_generator_formula(grid_config):
     config, p = grid_config
     # interleaved chords: linking number 1

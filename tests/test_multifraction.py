@@ -164,6 +164,17 @@ def test_is_balanced_examples(grid_config):
     assert is_balanced(AlgebraElement.zero(config))
 
 
+@pytest.mark.parametrize("den", [(0, 2), (2, 1)], ids=["same-left", "same-right"])
+def test_elements_balanced_on_one_side_only_are_unbalanced(grid_config, den):
+    # [X x]/[X y] balances its left points but not its right points, and
+    # [X x]/[Y x] the other way round; neither has a scale-free value
+    config, p = grid_config
+    f = generator(p[0], p[1]) / generator(p[den[0]], p[den[1]])
+    assert not is_balanced(f)
+    with pytest.raises(EvaluationError, match="not balanced"):
+        f.evaluate(lambda X, x: 1.0)
+
+
 # -- the bracket on fractions ---------------------------------------------------
 
 

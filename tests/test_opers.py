@@ -1161,6 +1161,8 @@ def test_oper_spec_from_text():
     times = np.array([0.0, 0.25])
     q3 = oper.coefficient_values(3, times)
     assert q3[0] == pytest.approx(0.375)
+    again = eval(repr(oper), {"OperSpec": OperSpec})
+    assert (again.order, again.coefficients) == (oper.order, oper.coefficients)
 
 
 def test_constant_harmonics_match_the_cos_sin_formula_bit_for_bit():

@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -15,7 +16,7 @@ from swapalg.multifraction import (
     multi_fraction,
     wolpert_rhs,
 )
-from swapalg.parser import _error, _tokenize, parse_expression
+from swapalg.parser import _error, _Parser, _run_label_offsets, _tokenize, parse_expression
 
 
 @pytest.fixture
@@ -243,6 +244,7 @@ _PIECES = (
     "[", "]", "(", ")", "|", ",", "*", "/",
     " ", "  ", "\t", "\n", "\r\n", " ", " ", "\x0b",
     "@", "^", "é", "'", ".", "=",
+    "[X x]", "[a' b+]", "[Y\ny]", "[ c- _q ]", "]*[", "] [", "][", "[X x]*", "*[Y y]",
 )
 
 
@@ -255,7 +257,7 @@ def _outcome(tokenize, text):
 
 def test_tokens_and_positions_match_the_line_tracking_reference():
     rng = random.Random("tokenizer")
-    errors = 0
+    errors = runs = 0
     for _ in range(3000):
         text = "".join(rng.choice(_PIECES) for _ in range(rng.randint(0, 14)))
         try:
@@ -264,10 +266,28 @@ def test_tokens_and_positions_match_the_line_tracking_reference():
             errors += 1
             assert _outcome(_reference_tokenize, text) == (str(exc), exc.line, exc.column), text
             continue
-        positions = [_error(text, "", offset) for offset in offsets]
-        got = [(k, v, e.line, e.column) for k, v, e in zip(kinds, values, positions)]
-        assert got == _reference_tokenize(text), text
+        positions = [(e.line, e.column) for e in (_error(text, "", offset) for offset in offsets)]
+        reference = _reference_tokenize(text)
+        got = []
+        for i, (kind, value, offset) in enumerate(zip(kinds, values, offsets)):
+            if kind != "run":
+                got.append((kind, value, *positions[i]))
+                continue
+            # a run stands for the reference tokens up to the next token:
+            # well-formed generators, its labels at their own positions
+            covered = [t for t in reference if positions[i] <= t[2:] < positions[i + 1]]
+            shape = "".join("L" if t[0] == "ident" else t[0] for t in covered)
+            assert re.fullmatch(r"\[LL\](?:\*?\[LL\])*", shape), text
+            assert covered[0][2:] == positions[i], text
+            labels = [_error(text, "", o) for o in _run_label_offsets(text, offset, len(value))]
+            assert [t for t in covered if t[0] == "ident"] == [
+                ("ident", label, e.line, e.column) for label, e in zip(value, labels)
+            ], text
+            runs += 1
+            got += covered
+        assert got == reference, text
     assert 300 < errors < 2700
+    assert runs > 300
 
 
 @pytest.mark.parametrize(
@@ -288,6 +308,69 @@ def test_parse_errors_report_line_and_column(config, text, message, line, column
     assert (err.value.line, err.value.column) == (line, column)
 
 
+# -- generator runs: one token, the same values and errors as one by one ----
+
+
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        ("[X", "expected 'ident', found end of input", 1, 3),
+        ("[X x", "expected ']', found end of input", 1, 5),
+        ("[X x y]", "expected ']', found 'y'", 1, 6),
+        ("[Xx]", "unknown label 'Xx'", 1, 2),
+        ("cross([X x], Y, x, y)", "expected 'ident', found '['", 1, 7),
+        ("mf([X x] | x | id)", "expected '|', found '['", 1, 4),
+        ("[X x] [Y y]\n  *[Z q]*[W u]", "unknown label 'q'", 2, 7),
+        ("[X x]*[Y", "expected 'ident', found end of input", 1, 9),
+        ("[X x]*[Y y]*", "unexpected end of input", 1, 13),
+        ("[X x]*[Y y] )", "trailing input ')'", 1, 13),
+        ("[X x] / [X X]*[Y q]", "division by zero", 1, 7),
+    ],
+)
+def test_malformed_generators_and_runs_report_as_one_by_one(config, text, message, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_expression(text, config)
+    assert str(err.value) == f"{message} (line {line}, column {column})"
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_a_divisor_or_negation_takes_only_the_first_generator_of_a_run(config):
+    X, Y, Z, x, y, u = (config[a] for a in "XYZxyu")
+    Xx, Yy, Zu = generator(X, x), generator(Y, y), generator(Z, u)
+    assert parse_expression("-[X x]*[Y y]", config) == -(Xx * Yy)
+    assert parse_expression("[Z u] / [X x]*[Y y]", config) == parse_expression("[Z u]*[Y y]/[X x]", config)
+    assert parse_expression("[Z u] / [X x]*[Y y]", config) == Zu * Yy / Xx
+    assert parse_expression("[Z u] / -[X x] [Y y]", config) == -(Zu * Yy) / Xx
+
+
+def test_labels_written_together_are_read_one_by_one(words):
+    # [a+b-] is no run (its labels touch), so it is read as single tokens
+    assert _tokenize("[a+b-]")[0] == ["[", "ident", "ident", "]", "end"]
+    apart = parse_expression("[a+ b-]*[b+ a-] / [a- b+]", universe=words)
+    assert parse_expression("[a+b-]*[b+ a-] / [a-b+]", universe=words) == apart
+    assert parse_expression("-[a+b-] [b+ a-] / [a- b+]", universe=words) == -apart
+
+
+def test_fixed_point_labels_in_a_run_register_left_to_right():
+    import numpy as np
+
+    from swapalg.representation import Representation
+
+    def fresh():
+        return Representation({"a": np.diag([3.0, 1 / 3.0]), "b": [[2.0, 1.0], [1.0, 1.0]]})
+
+    rep = fresh()
+    value = parse_expression("[b- a'+]*[a+ b+]\n [a- b'-]", universe=rep)
+    # a'+ is the repelling fixed point of a, registered under its canonical label a-
+    assert list(rep.config._by_label) == ["b-", "a-", "a+", "b+"]
+    assert repr(value) == "[a+ b+]*[b- a-]*[a- b+]"
+    rep = fresh()
+    with pytest.raises(ParseError) as err:
+        parse_expression("[b- a'+]*[a+ b+]\n [a- q+]", universe=rep)
+    assert str(err.value) == "unknown label 'q+' (line 2, column 6)"
+    assert list(rep.config._by_label) == ["b-", "a-", "a+", "b+"]
+
+
 # -- sums and generator runs are built once ---------------------------------
 
 
@@ -296,6 +379,29 @@ def _counting(monkeypatch, name):
     real = getattr(AlgebraElement, name)
     monkeypatch.setattr(AlgebraElement, name, lambda a, b: calls.append(1) or real(a, b))
     return calls
+
+
+def test_a_generator_run_is_one_token_read_without_pair(config, monkeypatch):
+    rng = random.Random("runs")
+    runs = [[rng.sample(_LABELS, 2) for _ in range(16)] for _ in range(60)]
+    text = "*".join(f"[{a} {b}]" for a, b in runs[0])
+    kinds, values, _ = _tokenize(text)
+    assert kinds == ["run", "end"]
+    assert values[0] == [label for pair in runs[0] for label in pair]
+    total = AlgebraElement.zero(config)
+    for run in runs:
+        total = total + AlgebraElement.scalar(config, rng.randint(1, 9)) * prod(
+            (generator(config[a], config[b]) for a, b in run), start=AlgebraElement.one(config)
+        )
+    assert len(total.terms()) == 60
+    pairs = []
+    real = _Parser.pair
+    monkeypatch.setattr(_Parser, "pair", lambda self: pairs.append(1) or real(self))
+    assert parse_expression(repr(total), config) == total
+    assert not pairs
+    with pytest.raises(ParseError):
+        parse_expression("[X x] [Y", config)
+    assert pairs  # a malformed generator still goes through pair
 
 
 def test_long_sums_and_generator_runs_add_and_multiply_nothing(config, monkeypatch):

@@ -45,7 +45,9 @@ def two_generator_rep(seed=0, low=1.3, **kwargs):
 
 
 def test_eigen_split_diagonal():
-    data = eigen_split(np.diag([2.0, 0.5]))
+    data = eigen_split(np.diag([2.0, 0.5]), "g")
+    assert data.n == 2
+    assert repr(data).startswith("GroupElementData('g', eigenvalues=")
     assert np.allclose(data.eigenvalues, [2.0, 0.5])
     assert np.allclose(np.abs(data.right[:, 0]), [1.0, 0.0])
     assert np.allclose(np.abs(data.right[:, 1]), [0.0, 1.0])
