@@ -147,7 +147,8 @@ class PointConfig:
     def from_text(cls, text: str) -> "PointConfig":
         """Parse a line-oriented listing: ``label = numerator/denominator``.
 
-        ``#`` begins a comment; blank lines are ignored.
+        ``#`` begins a comment; blank lines are ignored.  A label may be
+        defined once; two labels at one position alias each other.
         """
         config = cls()
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -161,6 +162,8 @@ class PointConfig:
             value = value.strip()
             if not label:
                 raise SwapAlgError(f"line {lineno}: empty label")
+            if label in config._by_label:
+                raise SwapAlgError(f"line {lineno}: label {label!r} is defined twice")
             try:
                 pos = Fraction(value)
             except (ValueError, ZeroDivisionError) as exc:

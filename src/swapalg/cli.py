@@ -215,16 +215,20 @@ def _cmd_oper(args) -> int:
     coordinate = _rationals(args.coordinate or ())
     oper = OperSpec.from_file(args.oper)
     sol = integrate(oper, args.steps)
-    print(f"order={oper.order}")
-    print(f"steps={args.steps}")
-    print(f"holonomy_class={holonomy_class(sol)}")
-    print(f"det_drift={sol.det_drift:.3e}")
+    # every query is computed before any line is printed, so a refused one
+    # prints only its error
+    lines = [
+        f"order={oper.order}",
+        f"steps={args.steps}",
+        f"holonomy_class={holonomy_class(sol)}",
+        f"det_drift={sol.det_drift:.3e}",
+    ]
     for row in sol.holonomy:
-        print("holonomy " + " ".join(f"{v: .12e}" for v in row))
+        lines.append("holonomy " + " ".join(f"{v: .12e}" for v in row))
     if cross_ratio:
-        print(f"cross_ratio={weak_cross_ratio(sol, *cross_ratio):.12g}")
+        lines.append(f"cross_ratio={weak_cross_ratio(sol, *cross_ratio):.12g}")
     if coordinate:
-        print(f"coordinate={coordinate_function(sol, *coordinate):.12g}")
+        lines.append(f"coordinate={coordinate_function(sol, *coordinate):.12g}")
     if args.frenet:
         import random
 
@@ -242,7 +246,8 @@ def _cmd_oper(args) -> int:
                 ([Fraction(s, args.steps) for s in supports], weights)
             )
         result = frenet_validate(sol, samples)
-        print(f"frenet_minimum={result['minimum']:.6e}")
+        lines.append(f"frenet_minimum={result['minimum']:.6e}")
+    print("\n".join(lines))
     return 0
 
 

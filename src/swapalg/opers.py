@@ -13,15 +13,16 @@ the table.  The frames are their prefix products S_{k-1} ... S_0.  The
 search for trivial holonomy and the step-halving error estimate need only
 the holonomy, the full product, which they take by a pairwise tree product
 of the same matrices without forming the frames.  The grid times never
-change, so the cos and sin of harmonic k on a grid are computed once per
-(k, steps) and kept, under a fixed memory bound, for every operator
-sampled on that grid (`_grid_waves`): a table is then only the weighted
-sum of its harmonics.  The Newton search sums the harmonics it does not
-change once per stage, so a residual adds only its unknown modes to that
-sum, and it takes the three probes of a Jacobian as one tree product over
-a batch of three tables.  The search starts on a coarse 256-step grid,
-where a holonomy costs little more than its numpy calls, and ends on 4096
-steps; `integrate` at the last stage's grid then reuses its harmonics.
+change, so the cos and sin of harmonic k on a grid of at most 4096 steps
+are computed once per (k, steps) and kept in a cache of the 8 most
+recently used grids, for every operator sampled on that grid
+(`_grid_waves`): a table is then only the weighted sum of its harmonics.
+The Newton search sums the harmonics it does not change once per stage,
+so a residual adds only its unknown modes to that sum, and it takes the
+three probes of a Jacobian as one tree product over a batch of three
+tables.  The search starts on a coarse 256-step grid, where a holonomy
+costs little more than its numpy calls, and ends on 4096 steps;
+`integrate` at the last stage's grid then reuses its harmonics.
 The companion matrix is trace free (there is no psi^(n-1) term), so the
 frame determinant is conserved; the drift measures integration error, and
 a solution whose drift exceeds `MAX_DET_DRIFT` is refused.
@@ -72,8 +73,8 @@ of a step.  Lifts of `MAX_LIFT_PERIODS` periods or more are refused.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from fractions import Fraction
 
 import numpy as np
@@ -374,43 +375,27 @@ def _waves(k: int, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(w), np.sin(w)
 
 
-# the harmonics memo of `_grid_waves`: (k, steps) -> (cos, sin), the least
-# recently used first, holding at most `_WAVE_MEMO_FLOATS` floats in all
-_wave_memo: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-_wave_lock = threading.Lock()
-_WAVE_MEMO_FLOATS = 1 << 17
+@functools.lru_cache(maxsize=8)
+def _read_only_waves(k: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_waves(k, _grid_times(steps))`, with both arrays made read-only."""
+    waves = _waves(k, _grid_times(steps))
+    for array in waves:
+        array.flags.writeable = False
+    return waves
 
 
 def _grid_waves(k: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """cos and sin of 2 pi k t at the `steps`-grid times, as read-only arrays.
 
-    They are `_waves(k, _grid_times(steps))`, computed once per (k, steps)
-    and kept in a least-recently-used memo that retains at most
-    `_WAVE_MEMO_FLOATS` = 2^17 floats (1 MiB), whatever grids are asked
-    for: a new entry evicts the least recently used ones until it fits, and
-    a grid whose two arrays alone exceed the bound is computed and not
-    kept.  The oper workload's grids, k = 1, 2, 3 at 256 and 4096 steps,
-    hold 0.42 MB.  Run after `_require_grid`.
+    Grids of at most 4096 steps are computed once per (k, steps) and kept
+    in a least-recently-used cache of 8 grids, so it holds about 1 MiB
+    (8 x 2 x 8193 floats, 1,048,704 bytes); larger grids are computed
+    afresh and not kept.  The oper workload's grids, k = 1, 2, 3 at 256
+    and 4096 steps, are six of the eight.  Run after `_require_grid`.
     """
-    key = (k, steps)
-    with _wave_lock:
-        waves = _wave_memo.pop(key, None)
-        if waves is not None:
-            _wave_memo[key] = waves  # now the most recently used
-            return waves
-    waves = _waves(k, _grid_times(steps))
-    for array in waves:
-        array.flags.writeable = False
-    size = 2 * waves[0].size
-    if size <= _WAVE_MEMO_FLOATS:
-        with _wave_lock:
-            held = sum(2 * cos.size for cos, _ in _wave_memo.values())
-            for oldest in list(_wave_memo):
-                if held + size <= _WAVE_MEMO_FLOATS:
-                    break
-                held -= 2 * _wave_memo.pop(oldest)[0].size
-            _wave_memo[key] = waves
-    return waves
+    if steps <= 4096:
+        return _read_only_waves(k, steps)
+    return _read_only_waves.__wrapped__(k, steps)
 
 
 def _coefficient_table(oper: OperSpec, steps: int) -> np.ndarray:
@@ -800,6 +785,21 @@ def frenet_validate(sol: FundamentalSolution, samples) -> dict:
 # -- constructing operators with trivial holonomy -----------------------------
 
 
+def _newton_step(jac: np.ndarray, r: np.ndarray, steps: int) -> np.ndarray:
+    """jac^-1 r for a 3 x 3 Jacobian: each row of the closed-form inverse
+    paired with r by `_dot`, in plain multiplies and adds, so the step
+    rounds the same whatever BLAS or LAPACK kernel numpy picks."""
+    with np.errstate(all="ignore"):
+        det = _det(jac)
+        if not math.isfinite(det) or det == 0.0:
+            raise SwapAlgError(
+                f"holonomy search met a singular Jacobian at {steps} steps: det = {det:.3e}"
+            )
+        inverse = _inverse(jac, det).tolist()
+    r = r.tolist()
+    return np.array([_dot(row, r) for row in inverse])
+
+
 def solve_trivial_holonomy(
     base: OperSpec,
     extra_harmonics,
@@ -836,7 +836,10 @@ def solve_trivial_holonomy(
     apart, taken as one batched holonomy (`_table_holonomy` on a batch of
     three tables), each probe bit-identical to its own call.  So a stage
     may hold three grids at once, and every stage is checked against
-    `MAX_GRID_ENTRIES` for that before the search starts.
+    `MAX_GRID_ENTRIES` for that before the search starts.  Each step
+    solves with the Jacobian in closed form (`_newton_step`), not through
+    LAPACK, so the search takes the same iterates on every BLAS kernel;
+    a singular Jacobian is refused.
 
     A later stage starts at the previous stage's root, where its
     Jacobian differs from the previous stage's last one only by the step
@@ -897,7 +900,7 @@ def solve_trivial_holonomy(
                 )
             if chord:
                 chord = False
-                trial = u - np.linalg.solve(jac, r)
+                trial = u - _newton_step(jac, r, steps)
                 r_trial, fourth_trial = residual(trial)
                 if np.max(np.abs(r_trial)) * _CHORD_SHRINK <= size:
                     u, r, fourth = trial, r_trial, fourth_trial
@@ -905,7 +908,7 @@ def solve_trivial_holonomy(
             eps = 1e-6
             # row j of the batch is u with eps added to entry j
             jac = ((residuals(u + eps * np.eye(3))[0] - r) / eps).T
-            u = u - np.linalg.solve(jac, r)
+            u = u - _newton_step(jac, r, steps)
             r, fourth = residual(u)
     if abs(fourth) >= 1e-12:
         raise SwapAlgError(

@@ -187,6 +187,16 @@ def test_division_by_zero_exits_two_without_traceback(files):
     assert proc.stderr.startswith("error:") and "division by zero" in proc.stderr
 
 
+@pytest.mark.parametrize("position", ["1/3", "2/3"], ids=["same-position", "other-position"])
+def test_a_repeated_point_label_exits_two_with_its_line(tmp_path, capsys, position):
+    points = tmp_path / "points.txt"
+    points.write_text(f"X = 1/3\nx = 1/2\n\nX = {position}\nY = 1/5\ny = 1/7\n")
+    rc = main(["bracket", "--points", str(points), "[X x]", "[Y y]"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == "error: line 4: label 'X' is defined twice\n"
+
+
 def test_divisor_with_several_terms_exits_two_with_its_position(files, capsys):
     rc = main(["bracket", "--points", files["points"], "[X x] / ([X x] + [Y y])", "[Y y]"])
     out, err = capsys.readouterr()
@@ -271,6 +281,8 @@ def test_identities_on_no_points(tmp_path, capsys):
         (["oper", "--oper", "{oper}", "--coordinate", "1e30", "0"], False, "periods"),
         (["oper", "--oper", "{oper}", "--cross-ratio", "1e400", "1/8", "3/8", "5/8"], False, "periods"),
         (["oper", "--oper", "{oper}", "--cross-ratio", "1/8", "3/8", "3/8", "7/8"], False, ""),
+        (["oper", "--oper", "{oper}", "--steps", "64", "--coordinate", "1/3", "0"], False, "64-point grid"),
+        (["oper", "--oper", "{oper}", "--cross-ratio", "2097152", "1/8", "3/8", "5/8"], False, "periods"),
         (["bracket", "--points", "{points}", "(" * 3000 + "1" + ")" * 3000, "[X x]"], True, ""),
         (["bracket", "--points", "{points}", "--", "-" * 3000 + "1", "[X x]"], True, ""),
         (["oper", "--oper", "{oper}", "--steps", "200000000"], True, ""),
@@ -300,6 +312,8 @@ def test_identities_on_no_points(tmp_path, capsys):
         "coordinate-1e30",
         "cross-ratio-1e400",
         "cross-ratio-z=y",
+        "coordinate-off-grid",
+        "cross-ratio-2^21-periods",
         "deep-parentheses",
         "deep-unary-minus",
         "too-many-steps",
@@ -342,10 +356,11 @@ def test_bad_input_exits_two_with_one_line(files, tmp_path, capsys, argv, isolat
     argv = [arg.format(**paths) for arg in argv]
     if isolated:
         proc = _run_cli(*argv)
-        code, err = proc.returncode, proc.stderr
+        code, out, err = proc.returncode, proc.stdout, proc.stderr
     else:
-        code, err = main(argv), capsys.readouterr().err
-    assert code == 2
+        code = main(argv)
+        out, err = capsys.readouterr()
+    assert code == 2 and out == ""
     assert "Traceback" not in err and "Warning" not in err
     assert err.startswith("error:") and err.count("\n") == 1 and says in err
 

@@ -194,6 +194,18 @@ def test_config_text_parsing():
     assert len(config.points()) == 2
 
 
+REPEATED_LABELS = {
+    "same-position": "X = 1/3\nx = 1/2\n\nX = 1/3\n",
+    "other-position": "X = 1/3\nx = 1/2\n\nX = 2/3\n",
+}
+
+
+@pytest.mark.parametrize("text", REPEATED_LABELS.values(), ids=REPEATED_LABELS.keys())
+def test_a_repeated_label_is_refused_with_its_line(text):
+    with pytest.raises(SwapAlgError, match=r"^line 4: label 'X' is defined twice$"):
+        PointConfig.from_text(text)
+
+
 def test_config_rejects_relabeled_position():
     config = PointConfig()
     config.point("a", Fraction(1, 3))

@@ -15,6 +15,7 @@ from swapalg.opers import (
     _det,
     _grid_times,
     _holonomy,
+    _newton_step,
     _product,
     _step_matrices,
     _table_holonomy,
@@ -237,45 +238,48 @@ def test_integrate_after_the_newton_search_samples_no_harmonic(monkeypatch):
     assert sol.frames.tobytes() == integrate(oper, 4096).frames.tobytes()
 
 
-def test_the_harmonics_memo_keeps_its_bound(monkeypatch):
+def test_the_harmonics_memo_keeps_its_bound():
     from swapalg import opers
 
-    monkeypatch.setattr(opers, "_wave_memo", {})
-
-    def held():
-        return sum(cos.size + sin.size for cos, sin in opers._wave_memo.values())
-
-    # 2^16 steps: 2 (2^17 + 1) floats alone exceed the bound, so they are
-    # computed and not kept
+    memo = opers._read_only_waves
+    memo.cache_clear()
+    # 16384 and 2^16 steps lie above 4096: computed, and not kept
     for steps in (64, 256, 1024, 4096, 16384, 1 << 16):
         for k in range(1, 9):
             cos, sin = opers._grid_waves(k, steps)
             assert not cos.flags.writeable and not sin.flags.writeable
             with pytest.raises(ValueError):
                 cos[0] = 0.0
-            assert held() <= opers._WAVE_MEMO_FLOATS
-    assert (8, 1 << 16) not in opers._wave_memo
-    assert (8, 16384) in opers._wave_memo
-    # a bound of two 64-step entries evicts the least recently used
-    monkeypatch.setattr(opers, "_wave_memo", {})
-    monkeypatch.setattr(opers, "_WAVE_MEMO_FLOATS", 2 * 2 * (2 * 64 + 1))
+            assert memo.cache_info().currsize <= 8
+    kept = memo.cache_info()
+    assert opers._grid_waves(8, 4096) is opers._grid_waves(8, 4096)
+    assert opers._grid_waves(8, 16384) is not opers._grid_waves(8, 16384)
+    assert opers._grid_waves(8, 1 << 16) is not opers._grid_waves(8, 1 << 16)
+    assert memo.cache_info().misses == kept.misses
+    assert memo.cache_info().currsize == 8
+    # a full memo evicts the least recently used
+    memo.cache_clear()
     first = opers._grid_waves(1, 64)
-    opers._grid_waves(2, 64)
+    for k in range(2, 9):
+        opers._grid_waves(k, 64)
     assert opers._grid_waves(1, 64) is first  # a hit, now the most recent
-    opers._grid_waves(3, 64)
-    assert list(opers._wave_memo) == [(1, 64), (3, 64)]
-    assert held() == opers._WAVE_MEMO_FLOATS
+    opers._grid_waves(9, 64)
+    misses = memo.cache_info().misses
+    assert opers._grid_waves(1, 64) is first
+    assert memo.cache_info().misses == misses
+    opers._grid_waves(2, 64)  # evicted by (9, 64)
+    assert memo.cache_info().misses == misses + 1
+    assert memo.cache_info().currsize == 8
 
 
-def test_the_harmonics_memo_is_shared_safely_across_threads(monkeypatch):
+def test_the_harmonics_memo_is_shared_safely_across_threads():
     import sys
     import threading
 
     from swapalg import opers
 
-    monkeypatch.setattr(opers, "_wave_memo", {})
-    # room for three 256-step entries, so the threads evict each other's
-    monkeypatch.setattr(opers, "_WAVE_MEMO_FLOATS", 3 * 2 * (2 * 256 + 1))
+    opers._read_only_waves.cache_clear()
+    # twelve grids for a memo of eight, so the threads evict each other's
     keys = [(k, steps) for k in range(1, 5) for steps in (64, 128, 256)]
     want = {key: [a.tobytes() for a in opers._waves(key[0], _grid_times(key[1]))] for key in keys}
     errors = []
@@ -286,8 +290,7 @@ def test_the_harmonics_memo_is_shared_safely_across_threads(monkeypatch):
             for _ in range(300):
                 key = rng.choice(keys)
                 assert [a.tobytes() for a in opers._grid_waves(*key)] == want[key]
-                held = sum(cos.size + sin.size for cos, sin in list(opers._wave_memo.values()))
-                assert held <= opers._WAVE_MEMO_FLOATS
+                assert opers._read_only_waves.cache_info().currsize <= 8
         except Exception as exc:  # reported by the main thread below
             errors.append(exc)
 
@@ -930,7 +933,9 @@ def _reference_newton(base, extra, target_sign, stages=(256, 4096), log=None):
     A stage that has a Jacobian from the stage before first tries a step
     with it, and keeps the step when it shrinks max|r| tenfold.
     `log`, when given, receives one (steps, event) tuple per residual
-    ("residual") and per refused carried step ("refused").
+    ("residual") and per refused carried step ("refused").  Steps solve
+    with the search's own `_newton_step`: this is the reference for how
+    residuals are sampled, not for the solver.
     """
     target = target_sign * np.eye(2)
     fixed = list(base.coefficients[2]) + list(extra)
@@ -955,7 +960,7 @@ def _reference_newton(base, extra, target_sign, stages=(256, 4096), log=None):
             if step == 25:
                 raise SwapAlgError("holonomy search did not converge")
             if step == 0 and jac is not None:
-                trial = u - np.linalg.solve(jac, r)
+                trial = u - _newton_step(jac, r, steps)
                 r_trial = residual(trial, steps)
                 if 10.0 * np.max(np.abs(r_trial)) <= np.max(np.abs(r)):
                     u, r = trial, r_trial
@@ -965,18 +970,27 @@ def _reference_newton(base, extra, target_sign, stages=(256, 4096), log=None):
             jac = np.column_stack(
                 [(residual(u + du, steps) - r) / eps for du in eps * np.eye(3)]
             )
-            u = u - np.linalg.solve(jac, r)
+            u = u - _newton_step(jac, r, steps)
             r = residual(u, steps)
     return build(u)
 
 
-def test_newton_search_matches_the_afresh_reference_bit_for_bit():
-    # a shifted constant term makes the unknown modes of order 1, so that
-    # the order in which a residual adds them shows in the last bits
+def _shifted_draws():
+    """Three (base, extra) draws whose base has a shifted constant term,
+    which makes the unknown modes of order 1."""
     rng = random.Random(11)
+    draws = []
     for _ in range(3):
         base = OperSpec(2, {2: [(0, PI2 + rng.uniform(-1.0, 1.0), 0.0)]})
         extra = [(k, rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)) for k in (2, 3)]
+        draws.append((base, extra))
+    return draws
+
+
+def test_newton_search_matches_the_afresh_reference_bit_for_bit():
+    # unknown modes of order 1 make the order in which a residual adds
+    # them show in the last bits
+    for base, extra in _shifted_draws():
         got = solve_trivial_holonomy(base, extra, target_sign=-1)
         want = _reference_newton(base, extra, target_sign=-1)
         assert got.coefficients[2] == want.coefficients[2]
@@ -1093,16 +1107,86 @@ def test_a_search_without_stages_is_refused():
         solve_trivial_holonomy(veronese_oper(2), [], -1, stages=())
 
 
+# Newton wanders off on target +Id with these harmonics (the unperturbed
+# operator has holonomy -Id) in the first stage, which builds all its
+# Jacobians
+DIVERGING_HARMONICS = [
+    (2, 1.4440354434132994, 1.1937557623097041),
+    (3, 1.188390250541985, 1.2657494822427635),
+]
+
+
 def test_a_failed_search_names_its_grid_and_residual():
-    # Newton wanders off on this target +Id (the unperturbed operator has
-    # holonomy -Id) in the first stage, which builds all its Jacobians
-    extra = [
-        (2, 1.4440354434132994, 1.1937557623097041),
-        (3, 1.188390250541985, 1.2657494822427635),
-    ]
-    message = r"did not converge at 256 steps: max\|r\| = 2\.147e\+01 after 25 steps"
+    message = r"did not converge at 256 steps: max\|r\| = 2\.148e\+01 after 25 steps"
     with pytest.raises(SwapAlgError, match=message):
-        solve_trivial_holonomy(veronese_oper(2), extra, 1)
+        solve_trivial_holonomy(veronese_oper(2), DIVERGING_HARMONICS, 1)
+
+
+def test_a_singular_newton_jacobian_is_refused_without_a_warning():
+    import warnings
+
+    r = np.array([1.0, -2.0, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for jac in (np.zeros((3, 3)), np.full((3, 3), np.nan), np.diag([1e200, 1e200, 1e200])):
+            with pytest.raises(SwapAlgError, match="singular Jacobian at 256 steps"):
+                _newton_step(jac, r, 256)
+        assert _newton_step(np.diag([2.0, 4.0, -0.5]), r, 256).tolist() == [0.5, -0.5, -1.0]
+
+
+def _newton_kernel_results():
+    """The Newton searches the three tests above pin, as text: the `repr`
+    of each solved q_2, then the failed search's message."""
+    lines = []
+    for base, extra in _shifted_draws():
+        for stages in ((256, 4096), (1024, 4096)):
+            lines.append(repr(solve_trivial_holonomy(base, extra, -1, stages=stages).coefficients[2]))
+    stages = (64, 1024, 8192)
+    oper = solve_trivial_holonomy(veronese_oper(2), AMPLITUDE_16_HARMONICS, 1, stages=stages)
+    lines.append(repr(oper.coefficients[2]))
+    try:
+        solve_trivial_holonomy(veronese_oper(2), DIVERGING_HARMONICS, 1)
+    except SwapAlgError as exc:
+        lines.append(str(exc))
+    return "\n".join(lines)
+
+
+def _openblas_with_dynamic_arch():
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return "openblas" in blas.get("name", "") and "DYNAMIC_ARCH" in blas.get(
+        "openblas configuration", ""
+    )
+
+
+@pytest.mark.skipif(
+    not _openblas_with_dynamic_arch(),
+    reason="OPENBLAS_CORETYPE picks a kernel only in an OpenBLAS built with DYNAMIC_ARCH",
+)
+def test_the_newton_search_does_not_depend_on_the_blas_kernel():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    code = "import test_opers; print(test_opers._newton_kernel_results())"
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-c", code],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_CORETYPE": kernel},
+        )
+        for kernel in ("Haswell", "Prescott")
+    ]
+    want = _newton_kernel_results() + "\n"
+    assert "did not converge at 256 steps" in want
+    for child in children:
+        out, err = child.communicate(timeout=60)
+        assert child.returncode == 0, err
+        assert out == want
 
 
 def test_the_coarse_first_stage_refuses_the_same_draws_and_finds_the_same_roots():
