@@ -10,15 +10,19 @@ numerator per monomial over one positive integer denominator, with gcd 1
 over them all; zero is the empty sum over 1.  Equality is therefore
 syntactic, and needs no order.  Only this module touches that form or
 builds monomials; `Monomial(pairs)` checks the pairs a caller makes, and
-`_pair_fraction` builds every multifraction: a product of pairs over a
-product of pairs.
+`_pair_fraction` builds every multifraction, a product of pairs over a
+product of pairs, in one pass that checks each pair and adds its exponent
+to one map.
 Canonical order (pairs by left point, then right point, in the
 configuration's position order; terms by degree, then pairs) is applied
-only where an element is read out: printing, `terms()`, the fraction views
-and `evaluate` all read one ranking, `AlgebraElement._ranked`, which sorts
-the distinct pairs once by the points' order keys (`CirclePoint.order_key`,
-in position order) and the terms by degree and their pairs' ranks.  These
-are the only places where coefficients become `Fraction`s.
+only where an element is read out: printing, `terms()`, `numerator`,
+`scale` and `evaluate` all read one ranking, `AlgebraElement._ranked`,
+which sorts the distinct pairs once by the points' order keys
+(`CirclePoint.order_key`, in position order) and the terms by degree and
+their pairs' ranks, each term expanded over its own pairs and the
+denominator's.  `denominator` needs no order: it reads each pair's lowest
+exponent.  These are the only places where coefficients become
+`Fraction`s.
 
 Polynomials are the elements without negative exponents.  Every other
 element is a reduced fraction: a polynomial numerator over the monomial
@@ -62,6 +66,19 @@ def _pair_name(pair) -> str:
     return f"[{pair[0].label} {pair[1].label}]"
 
 
+def _shifted(exponents: dict, powers) -> dict:
+    """`exponents`, a map from pairs to nonzero exponents, multiplied in
+    place by the (pair, exponent) powers; a pair whose exponent reaches 0
+    is dropped."""
+    for p, e in powers:
+        e += exponents.get(p, 0)
+        if e:
+            exponents[p] = e
+        else:
+            del exponents[p]
+    return exponents
+
+
 class Monomial(frozenset):
     """A Laurent monomial: the frozenset of its (pair, exponent) powers.
 
@@ -101,14 +118,7 @@ class Monomial(frozenset):
         return sum(e for _, e in self)
 
     def _times(self, powers) -> "Monomial":
-        exponents = dict(self)
-        for p, e in powers:
-            e += exponents.get(p, 0)
-            if e:
-                exponents[p] = e
-            else:
-                del exponents[p]
-        return frozenset.__new__(Monomial, exponents.items())
+        return frozenset.__new__(Monomial, _shifted(dict(self), powers).items())
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not other:
@@ -215,6 +225,15 @@ class AlgebraElement:
 
     # -- inspection ---------------------------------------------------
 
+    def _lowest(self) -> dict:
+        """Every pair of the element, with its lowest exponent or 0."""
+        lowest: dict[tuple[CirclePoint, CirclePoint], int] = {}
+        for m in self._numerators:
+            for p, e in m:
+                if e < lowest.setdefault(p, 0):
+                    lowest[p] = e
+        return lowest
+
     def _ranked(self):
         """The reduced fraction, ranked: (pairs, cleared, terms, content).
 
@@ -224,24 +243,26 @@ class AlgebraElement:
         smallest monomial clearing every negative exponent.  A numerator
         term is (degree, ranks, n, m): the sorted ranks of m * denominator
         with multiplicity, m's integer numerator over `_denominator`, and
-        m.  Terms sort on (degree, ranks), which is canonical order.  The
+        m.  Each term is expanded over its own pairs and the denominator's.
+        Terms sort on (degree, ranks), which is canonical order.  The
         content is the gcd of the integers, signed like the leading term,
         and 0 for the zero element.
         """
-        lowest: dict[tuple[CirclePoint, CirclePoint], int] = {}
-        for m in self._numerators:
-            for p, e in m:
-                if e < lowest.setdefault(p, 0):
-                    lowest[p] = e
+        lowest = self._lowest()
         pairs = sorted(lowest, key=_pair_order)
         rank = dict(zip(pairs, range(len(pairs))))
         cleared = [-lowest[p] for p in pairs]
+        den_ranks = [i for i, c in enumerate(cleared) for _ in range(c)]
         terms = []
         for m, n in self._numerators.items():
-            exponents = cleared.copy()
+            ranks = den_ranks.copy()
             for p, e in m:
-                exponents[rank[p]] += e
-            ranks = [i for i, e in enumerate(exponents) for _ in range(e)]
+                if e > 0:
+                    ranks += [rank[p]] * e
+                else:
+                    for _ in range(-e):
+                        ranks.remove(rank[p])
+            ranks.sort()
             terms.append((len(ranks), ranks, n, m))
         terms.sort()  # (degree, ranks) never ties, so n and m are never compared
         content = reduce(gcd, [n for _, _, n, _ in terms], 0)
@@ -272,8 +293,9 @@ class AlgebraElement:
 
     @property
     def denominator(self) -> Monomial:
-        pairs, cleared, _, _ = self._ranked()
-        return Monomial._from_exponents(dict(zip(pairs, cleared)))
+        """The denominator of the reduced fraction: each pair to minus its
+        lowest exponent, where that is negative."""
+        return Monomial._from_exponents({p: -e for p, e in self._lowest().items()})
 
     @property
     def scale(self) -> Fraction:
@@ -455,24 +477,40 @@ def generator(X: CirclePoint, x: CirclePoint) -> AlgebraElement:
 
 def _pair_fraction(tops, bottoms) -> AlgebraElement:
     """prod tops / prod bottoms for (left, right) point pairs, as one
-    Laurent monomial over 1; zero when a top pair joins a point to itself."""
-    # lists, and no tuple of all the points for ensure_same_config: freed
-    # tuples of many sizes would pile up in CPython's per-size free lists
-    tops, bottoms = list(tops), list(bottoms)
-    pairs = tops + bottoms
-    if not pairs:
+    Laurent monomial over 1; zero when a top pair joins a point to itself.
+
+    One pass over the tops, then the bottoms, checks each pair and adds its
+    exponent, +1 or -1, to one map of nonzero exponents.  The refusals keep their precedence
+    whatever the order of the faults: no pair at all, then a pair across
+    configurations anywhere, then a bottom pair joining a point to itself
+    (`DegenerateFractionError`); only then is a degenerate top zero.
+    """
+    # no tuple of all the points for ensure_same_config: freed tuples of
+    # many sizes would pile up in CPython's per-size free lists
+    config = None
+    exponents = {}
+    degenerate = set()  # the signs of the pairs that join a point to itself
+    for pairs, sign in ((tops, 1), (bottoms, -1)):
+        for pair in pairs:
+            X, x = pair
+            if config is None:
+                config = X.config
+            if X.config is not config or x.config is not config:
+                raise ConfigMismatchError("points belong to different configurations")
+            if X is x:
+                degenerate.add(sign)
+            e = exponents.get(pair, 0) + sign
+            if e:
+                exponents[pair] = e
+            else:  # a top cancels a bottom
+                del exponents[pair]
+    if config is None:
         raise SwapAlgError("a fraction needs at least one pair")
-    config = pairs[0][0].config
-    if any(X.config is not config or x.config is not config for X, x in pairs):
-        raise ConfigMismatchError("points belong to different configurations")
-    if any(X is x for X, x in bottoms):
+    if -1 in degenerate:
         raise DegenerateFractionError("degenerate denominator: a pair joins a point to itself")
-    numerators = {}
-    if all(X is not x for X, x in tops):  # every pair now joins two distinct points
-        exponents = Counter(tops)
-        exponents.subtract(bottoms)
-        numerators[Monomial._from_exponents(exponents)] = 1
-    return _element(config, numerators)
+    if degenerate:
+        return _element(config, {})
+    return _element(config, {frozenset.__new__(Monomial, exponents.items()): 1})
 
 
 def swap_bracket(a: AlgebraElement, b: AlgebraElement, alpha=0) -> AlgebraElement:
@@ -490,6 +528,12 @@ def swap_bracket(a: AlgebraElement, b: AlgebraElement, alpha=0) -> AlgebraElemen
     over 2 da db t, and one gcd pass brings them to normal form, dropping
     the sums that cancel.  On fractions built from cross fractions the
     result does not depend on alpha.
+
+    For each pair of monomials, the linking numbers come first, with p's
+    points and order keys read once for all of m2.  When one is nonzero,
+    the exponent map of m1.m2 is built once; each swapped monomial is a
+    copy of it with Xy and Yx raised and p and q lowered by one, and m1.m2
+    itself becomes a monomial only for a nonzero alpha term.
     """
     if a.config is not b.config:
         raise ConfigMismatchError("elements over different configurations")
@@ -518,14 +562,15 @@ def swap_bracket(a: AlgebraElement, b: AlgebraElement, alpha=0) -> AlgebraElemen
                         swaps.append(((((X, y), 1), ((Y, x), 1), (p, -1), (q, -1)), weight))
             if not swaps and not alpha_weight:
                 continue
-            product = ma * mb
+            product = _shifted(dict(ma), mb)  # the exponents of m1.m2
             nab = na * nb
             scaled = nab * swap_scale
             for change, weight in swaps:
-                m = product._times(change)
+                m = frozenset.__new__(Monomial, _shifted(product.copy(), change).items())
                 acc[m] = acc.get(m, 0) + scaled * weight
             if alpha_scale and alpha_weight:
-                acc[product] = acc.get(product, 0) + nab * alpha_weight * alpha_scale
+                m = frozenset.__new__(Monomial, product.items())
+                acc[m] = acc.get(m, 0) + nab * alpha_weight * alpha_scale
     return _reduced(a.config, acc, 2 * a._denominator * b._denominator * swap_scale)
 
 

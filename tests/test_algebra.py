@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from swapalg.algebra import (
     AlgebraElement,
     Monomial,
+    _pair_fraction,
     _sum,
     generator,
     jacobiator,
     swap_bracket,
 )
 from swapalg.circle import PointConfig, default_cut, linking_number
-from swapalg.errors import ConfigMismatchError, SwapAlgError
+from swapalg.errors import ConfigMismatchError, DegenerateFractionError, SwapAlgError
 from swapalg.multifraction import cross_fraction, multi_fraction
 from swapalg.opers import integrate, veronese_oper
 from swapalg.parser import parse_expression
@@ -668,3 +669,60 @@ def test_ranked_read_out_matches_the_canonical_order_reference():
             seen["den_degree_2"] += element.denominator.degree >= 2
             seen["negative_lead"] += text.lstrip("(").startswith("-")
     assert min(seen.values()) > 10, seen
+
+
+def test_pair_fraction_refusals_keep_their_precedence(grid_config):
+    # several faults in one call: no pair at all comes first, then a pair
+    # across configurations anywhere, then a degenerate bottom; only then
+    # is a degenerate top the zero fraction
+    config, p = grid_config
+    other = PointConfig()
+    A, B = other.point("A", Fraction(1, 3)), other.point("B", Fraction(2, 3))
+    with pytest.raises(SwapAlgError, match="at least one pair"):
+        _pair_fraction((), ())
+    with pytest.raises(DegenerateFractionError, match="degenerate denominator"):
+        _pair_fraction([(p[0], p[0])], [(p[1], p[1])])
+    for tops, bottoms in (
+        ([(p[0], p[1])], [(p[2], p[2]), (A, B)]),
+        ([(p[0], p[1])], [(A, B), (p[2], p[2])]),
+        ([(A, B)], [(p[2], p[2])]),
+        ([(p[0], p[0]), (A, B)], []),
+        ([(p[0], p[1])], [(p[2], A)]),
+    ):
+        with pytest.raises(ConfigMismatchError):
+            _pair_fraction(tops, bottoms)
+    assert _pair_fraction([(p[0], p[0])], [(p[1], p[2])]).is_zero
+    assert repr(_pair_fraction((), [(p[0], p[1])])) == "1 / [p0 p1]"
+    assert _pair_fraction([(p[0], p[1])], [(p[0], p[1])]) == AlgebraElement.one(config)
+    square = _pair_fraction(iter([(p[0], p[1]), (p[0], p[1])]), ())
+    assert square == generator(p[0], p[1]) ** 2 and repr(square) == "[p0 p1]*[p0 p1]"
+
+
+def test_fraction_views_match_the_ranking_and_rebuild_the_element():
+    # `denominator` reads the lowest exponents itself; it must be the
+    # monomial of `_ranked`'s cleared exponents, and the three views must
+    # give the element back
+    rng = random.Random(33)
+    kinds = {"laurent": 0, "bracket": 0, "constant": 0}
+    for _ in range(20):
+        config, points = _random_config(rng, 7, denominator=101)
+        f, g = cross_fraction(*rng.sample(points, 4)), cross_fraction(*rng.sample(points, 4))
+        a = _laurent(rng, points)
+        cases = {
+            "laurent": (a, _laurent(rng, points) * a),
+            "bracket": (swap_bracket(f, g), swap_bracket(f * f, g, Fraction(1, 3)), swap_bracket(a, f, -1)),
+            "constant": (
+                AlgebraElement.zero(config),
+                AlgebraElement.one(config),
+                AlgebraElement.scalar(config, Fraction(-3, 4)),
+            ),
+        }
+        for kind, elements in cases.items():
+            for element in elements:
+                pairs, cleared, _, _ = element._ranked()
+                denominator = element.denominator
+                assert denominator == Monomial._from_exponents(dict(zip(pairs, cleared)))
+                rebuilt = element.numerator / AlgebraElement.from_monomial(config, denominator)
+                assert element == element.scale * rebuilt
+                kinds[kind] += denominator.degree > 0 or kind == "constant"
+    assert min(kinds.values()) >= 20, kinds

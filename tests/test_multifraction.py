@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from swapalg.algebra import AlgebraElement, Monomial, generator
+from swapalg.algebra import AlgebraElement, Monomial, generator, swap_bracket
 from swapalg.circle import PointConfig, ensure_same_config
 from swapalg.errors import ConfigMismatchError, DegenerateFractionError, EvaluationError, SwapAlgError
 from swapalg.multifraction import (
@@ -173,6 +173,31 @@ def test_elements_balanced_on_one_side_only_are_unbalanced(grid_config, den):
     assert not is_balanced(f)
     with pytest.raises(EvaluationError, match="not balanced"):
         f.evaluate(lambda X, x: 1.0)
+
+
+def test_closure_negative_control_one_sided_fractions_bracket_unbalanced():
+    # the closure row's negative control: bracketing a cross fraction with
+    # [X x]/[X y] (balanced on the left only) or [X x]/[Y x] (on the right
+    # only) gives an unbalanced element in 32 of these 40 draws each, and
+    # zero in the other 8, while all 40 cross x cross brackets are balanced
+    rng = random.Random(21)
+    unbalanced = {"same-left": 0, "same-right": 0, "cross": 0}
+    zero = 0
+    for _ in range(40):
+        config, points = _random_config(rng, 8, denominator=499)
+        f, g = cross_fraction(*rng.sample(points, 4)), cross_fraction(*rng.sample(points, 4))
+        X, x, Y, y = rng.sample(points, 4)
+        one_sided = {
+            "same-left": generator(X, x) / generator(X, y),
+            "same-right": generator(X, x) / generator(Y, x),
+        }
+        for kind, h in one_sided.items():
+            bracket = swap_bracket(f, h)
+            unbalanced[kind] += not is_balanced(bracket)
+            zero += bracket.is_zero
+        unbalanced["cross"] += not is_balanced(swap_bracket(f, g))
+    assert unbalanced == {"same-left": 32, "same-right": 32, "cross": 0}
+    assert zero == 16
 
 
 # -- the bracket on fractions ---------------------------------------------------
